@@ -1,20 +1,35 @@
 """Minimal reverse-mode automatic differentiation over float64 arrays.
 
 The graph is define-by-run: every primitive eagerly computes its value,
-records its parents, and stores a closure that pushes the output gradient
-back into them.  Graphs are rebuilt for every forward pass; nothing is
-cached between steps.
+records its parents, and stores a rule that pushes the output gradient back
+into them.  Graphs are rebuilt for every forward pass; nothing is cached
+between steps.
+
+Graphs must stay acyclic, so that reference counting frees each one as soon
+as its root is dropped and the cyclic garbage collector never has work to
+do.  A node references its parents and its backward rule; the rule
+references the parents and the arrays it saved, never its own output node:
+``backward`` passes that node in as the rule's argument.  A gradient array
+is allocated on first read, so forward-only graphs and constants never
+allocate one.
+
+Most of the model runs on coarse primitives with hand-written backward
+rules: a fused LSTM cell step, attention weights and contexts batched over
+all decoder steps, and row blocks (``concat_rows``, ``slice_rows``,
+``sum_steps``) that let a teacher-forced pass treat its T steps of B rows
+as one time-major (T*B)-row matrix.
 
 Broadcasting is deliberately restricted.  Elementwise ops require equal
 shapes, with two sanctioned exceptions: a scalar combined with a tensor,
 and a (1, n) row-vector bias added to an (m, n) matrix.  Anything richer
-(per-row scaling, column picking, slicing) is its own primitive with an
-explicit backward rule, so no gradient ever flows through an implicit
-numpy broadcast.
+(column picking, row blocks, attention over a memory) is its own primitive
+with an explicit backward rule, so no gradient ever flows through an
+implicit numpy broadcast.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -36,12 +51,14 @@ class ShapeError(ValueError):
 class Node:
     """One value in the computation graph.
 
-    ``grad`` always has the same shape as ``value``.  Leaves (no parents)
-    accumulate gradients across backward passes until explicitly zeroed;
-    interior nodes are per-pass scratch.
+    ``grad`` always has the same shape as ``value``; it is allocated, as
+    zeros, the first time it is read.  Leaves (no parents) accumulate
+    gradients across backward passes until explicitly zeroed; interior
+    nodes are per-pass scratch.  ``_backward(node)`` is called with the node
+    itself, so no rule needs to capture its own output.
     """
 
-    __slots__ = ("value", "grad", "parents", "requires_grad", "_backward")
+    __slots__ = ("value", "_grad", "parents", "requires_grad", "_backward")
 
     def __init__(
         self,
@@ -50,10 +67,20 @@ class Node:
         requires_grad: bool = False,
     ) -> None:
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self._grad: np.ndarray | None = None
         self.parents = tuple(parents)
         self.requires_grad = requires_grad or any(p.requires_grad for p in self.parents)
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Node], None] | None = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -74,8 +101,17 @@ def parameter(value) -> Node:
     return Node(value, requires_grad=True)
 
 
+def _accumulate(node: Node, fresh: np.ndarray) -> None:
+    """Add ``fresh``, an array of the node's shape that nothing else holds,
+    into the node's gradient; a node with no gradient yet adopts it."""
+    if node._grad is None:
+        node._grad = fresh
+    else:
+        node._grad += fresh
+
+
 # ---------------------------------------------------------------------------
-# primitives
+# elementwise and matrix primitives
 # ---------------------------------------------------------------------------
 
 
@@ -84,11 +120,34 @@ def matmul(a: Node, b: Node) -> Node:
         raise ShapeError("matmul", a.value.shape, b.value.shape)
     out = Node(a.value @ b.value, parents=(a, b))
 
-    def backward() -> None:
+    def backward(out: Node) -> None:
         if a.requires_grad:
-            a.grad += out.grad @ b.value.T
+            _accumulate(a, out.grad @ b.value.T)
         if b.requires_grad:
-            b.grad += a.value.T @ out.grad
+            _accumulate(b, a.value.T @ out.grad)
+
+    out._backward = backward
+    return out
+
+
+def affine(x: Node, w: Node, bias: Node) -> Node:
+    """x @ w + bias for an (m, k) input, (k, n) weights and a (1, n) bias."""
+    if (
+        x.value.ndim != 2
+        or w.value.ndim != 2
+        or x.value.shape[1] != w.value.shape[0]
+        or bias.value.shape != (1, w.value.shape[1])
+    ):
+        raise ShapeError("affine", x.value.shape, w.value.shape, bias.value.shape)
+    out = Node(x.value @ w.value + bias.value, parents=(x, w, bias))
+
+    def backward(out: Node) -> None:
+        if x.requires_grad:
+            _accumulate(x, out.grad @ w.value.T)
+        if w.requires_grad:
+            _accumulate(w, x.value.T @ out.grad)
+        if bias.requires_grad:
+            _accumulate(bias, out.grad.sum(axis=0, keepdims=True))
 
     out._backward = backward
     return out
@@ -109,7 +168,7 @@ def add(a: Node, b: Node) -> Node:
         raise ShapeError("add", sa, sb)
     out = Node(a.value + b.value, parents=(a, b))
 
-    def backward() -> None:
+    def backward(out: Node) -> None:
         if a.requires_grad:
             a.grad += out.grad if mode != "scalar_a" else out.grad.sum()
         if b.requires_grad:
@@ -133,13 +192,19 @@ def mul(a: Node, b: Node) -> Node:
         raise ShapeError("mul", sa, sb)
     out = Node(a.value * b.value, parents=(a, b))
 
-    def backward() -> None:
+    def backward(out: Node) -> None:
         if a.requires_grad:
             g = out.grad * b.value
-            a.grad += g.sum() if sa == () and sb != () else g
+            if sa == () and sb != ():
+                a.grad += g.sum()
+            else:
+                _accumulate(a, g)
         if b.requires_grad:
             g = out.grad * a.value
-            b.grad += g.sum() if sb == () and sa != () else g
+            if sb == () and sa != ():
+                b.grad += g.sum()
+            else:
+                _accumulate(b, g)
 
     out._backward = backward
     return out
@@ -150,40 +215,26 @@ def scale(a: Node, factor: float) -> Node:
     factor = float(factor)
     out = Node(a.value * factor, parents=(a,))
 
-    def backward() -> None:
+    def backward(out: Node) -> None:
         if a.requires_grad:
-            a.grad += out.grad * factor
-
-    out._backward = backward
-    return out
-
-
-def tanh(a: Node) -> Node:
-    out = Node(np.tanh(a.value), parents=(a,))
-
-    def backward() -> None:
-        if a.requires_grad:
-            a.grad += out.grad * (1.0 - out.value ** 2)
+            _accumulate(a, out.grad * factor)
 
     out._backward = backward
     return out
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Node) -> Node:
-    out = Node(_stable_sigmoid(np.atleast_1d(a.value)).reshape(a.value.shape), parents=(a,))
+    out = Node(_stable_sigmoid(a.value), parents=(a,))
 
-    def backward() -> None:
+    def backward(out: Node) -> None:
         if a.requires_grad:
-            a.grad += out.grad * out.value * (1.0 - out.value)
+            _accumulate(a, out.grad * out.value * (1.0 - out.value))
 
     out._backward = backward
     return out
@@ -198,9 +249,9 @@ def log(a: Node) -> Node:
     clamped = np.maximum(a.value, LOG_FLOOR)
     out = Node(np.log(clamped), parents=(a,))
 
-    def backward() -> None:
+    def backward(out: Node) -> None:
         if a.requires_grad:
-            a.grad += np.where(a.value > LOG_FLOOR, out.grad / clamped, 0.0)
+            _accumulate(a, np.where(a.value > LOG_FLOOR, out.grad / clamped, 0.0))
 
     out._backward = backward
     return out
@@ -231,25 +282,11 @@ def softmax_rows(a: Node, mask: np.ndarray | None = None) -> Node:
     y = e / e.sum(axis=1, keepdims=True)
     out = Node(y, parents=(a,))
 
-    def backward() -> None:
+    def backward(out: Node) -> None:
         if a.requires_grad:
             g = out.grad
             inner = (g * out.value).sum(axis=1, keepdims=True)
-            a.grad += out.value * (g - inner)
-
-    out._backward = backward
-    return out
-
-
-def sum_rows(a: Node) -> Node:
-    """(m, n) -> (m, 1) row sums."""
-    if a.value.ndim != 2:
-        raise ShapeError("sum_rows", a.value.shape)
-    out = Node(a.value.sum(axis=1, keepdims=True), parents=(a,))
-
-    def backward() -> None:
-        if a.requires_grad:
-            a.grad += out.grad
+            _accumulate(a, out.value * (g - inner))
 
     out._backward = backward
     return out
@@ -259,7 +296,7 @@ def sum_all(a: Node) -> Node:
     """Reduce to a 0-d scalar."""
     out = Node(a.value.sum(), parents=(a,))
 
-    def backward() -> None:
+    def backward(out: Node) -> None:
         if a.requires_grad:
             a.grad += out.grad
 
@@ -280,7 +317,7 @@ def embedding_lookup(table: Node, indices: np.ndarray) -> Node:
         )
     out = Node(table.value[idx], parents=(table,))
 
-    def backward() -> None:
+    def backward(out: Node) -> None:
         if table.requires_grad:
             np.add.at(table.grad, idx, out.grad)
 
@@ -300,44 +337,10 @@ def concat_cols(nodes: Sequence[Node]) -> Node:
     out = Node(np.concatenate([n.value for n in nodes], axis=1), parents=nodes)
     offsets = np.cumsum([0] + [n.value.shape[1] for n in nodes])
 
-    def backward() -> None:
+    def backward(out: Node) -> None:
         for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             if n.requires_grad:
                 n.grad += out.grad[:, lo:hi]
-
-    out._backward = backward
-    return out
-
-
-def slice_cols(a: Node, start: int, stop: int) -> Node:
-    """Take the column block [start, stop) of an (m, n) matrix."""
-    if a.value.ndim != 2 or not (0 <= start < stop <= a.value.shape[1]):
-        raise ShapeError("slice_cols", a.value.shape, (start, stop))
-    out = Node(a.value[:, start:stop].copy(), parents=(a,))
-
-    def backward() -> None:
-        if a.requires_grad:
-            a.grad[:, start:stop] += out.grad
-
-    out._backward = backward
-    return out
-
-
-def scale_rows(a: Node, s: Node) -> Node:
-    """Scale row i of an (m, n) matrix by the (m, 1) factor s[i, 0]."""
-    if (
-        a.value.ndim != 2
-        or s.value.ndim != 2
-        or s.value.shape != (a.value.shape[0], 1)
-    ):
-        raise ShapeError("scale_rows", a.value.shape, s.value.shape)
-    out = Node(a.value * s.value, parents=(a, s))
-
-    def backward() -> None:
-        if a.requires_grad:
-            a.grad += out.grad * s.value
-        if s.requires_grad:
-            s.grad += (out.grad * a.value).sum(axis=1, keepdims=True)
 
     out._backward = backward
     return out
@@ -356,9 +359,9 @@ def pick_columns(a: Node, indices: np.ndarray) -> Node:
     rows = np.arange(m)
     out = Node(a.value[rows, idx][:, None], parents=(a,))
 
-    def backward() -> None:
+    def backward(out: Node) -> None:
         if a.requires_grad:
-            np.add.at(a.grad, (rows, idx), out.grad[:, 0])
+            a.grad[rows, idx] += out.grad[:, 0]  # one entry per row, so no repeats
 
     out._backward = backward
     return out
@@ -375,9 +378,9 @@ def dropout(a: Node, mask: np.ndarray) -> Node:
         raise ShapeError("dropout", a.value.shape, mask.shape)
     out = Node(a.value * mask, parents=(a,))
 
-    def backward() -> None:
+    def backward(out: Node) -> None:
         if a.requires_grad:
-            a.grad += out.grad * mask
+            _accumulate(a, out.grad * mask)
 
     out._backward = backward
     return out
@@ -389,6 +392,264 @@ def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: fl
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     keep = 1.0 - rate
     return (rng.random(shape) >= rate).astype(np.float64) / keep
+
+
+# ---------------------------------------------------------------------------
+# time-major row blocks
+#
+# A sequence of T steps over a batch of B rows is one (T*B, n) matrix whose
+# rows t*B .. t*B+B-1 belong to step t.
+# ---------------------------------------------------------------------------
+
+
+def concat_rows(nodes: Sequence[Node]) -> Node:
+    """Stack (m_i, n) matrices along rows; a single matrix is returned as is."""
+    nodes = list(nodes)
+    if not nodes:
+        raise ValueError("concat_rows: empty input")
+    if len(nodes) == 1:
+        return nodes[0]
+    if any(n.value.ndim != 2 for n in nodes) or len({n.value.shape[1] for n in nodes}) != 1:
+        raise ShapeError("concat_rows", *(n.value.shape for n in nodes))
+    out = Node(np.concatenate([n.value for n in nodes], axis=0), parents=nodes)
+    offsets = np.cumsum([0] + [n.value.shape[0] for n in nodes])
+
+    def backward(out: Node) -> None:
+        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
+            if n.requires_grad:
+                n.grad += out.grad[lo:hi]
+
+    out._backward = backward
+    return out
+
+
+def slice_rows(a: Node, start: int, stop: int) -> Node:
+    """The row block [start, stop) of an (m, n) matrix, as a view of its value."""
+    if a.value.ndim != 2 or not (0 <= start < stop <= a.value.shape[0]):
+        raise ShapeError("slice_rows", a.value.shape, (start, stop))
+    out = Node(a.value[start:stop], parents=(a,))
+
+    def backward(out: Node) -> None:
+        if a.requires_grad:
+            a.grad[start:stop] += out.grad
+
+    out._backward = backward
+    return out
+
+
+def sum_steps(a: Node, weights: np.ndarray) -> Node:
+    """out[b] = sum over t of weights[b, t] * a[t*B + b] for a (T*B, n) matrix.
+
+    ``weights`` is a (B, T) array, typically a 0/1 mask of real steps.  The
+    steps are added as a left fold in ascending t, one fixed order whatever
+    produced the rows.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    if a.value.ndim != 2 or weights.ndim != 2 or a.value.shape[0] != weights.size:
+        raise ShapeError("sum_steps", a.value.shape, weights.shape)
+    batch, steps = weights.shape
+    blocks = a.value.reshape(steps, batch, -1)
+    total = blocks[0] * weights[:, :1]
+    for t in range(1, steps):
+        total = total + blocks[t] * weights[:, t : t + 1]
+    out = Node(total, parents=(a,))
+
+    def backward(out: Node) -> None:
+        if a.requires_grad:
+            _accumulate(a, (weights.T[:, :, None] * out.grad).reshape(a.value.shape))
+
+    out._backward = backward
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fused model kernels
+# ---------------------------------------------------------------------------
+
+
+def lstm_cell(
+    xw: Node,
+    step: int,
+    h: Node,
+    c: Node,
+    w_rec: Node,
+    mask: np.ndarray | None = None,
+) -> tuple[Node, Node]:
+    """One fused LSTM step: gates, state update and the padding carry.
+
+    ``xw`` holds the input projections x W_in + bias of a whole sequence,
+    time-major; its rows [step*B, step*B + B) belong to this step, B being
+    the rows of ``h``.  Gates lie along columns as [input, forget, cell,
+    output].  ``mask`` (length B, 0/1) marks real positions: a row with mask
+    0 carries its previous h and c through unchanged.
+
+    Returns the nodes (h', c').  They are one primitive: c' holds the
+    backward rule for both, and h' is a child of c' whose own rule only
+    hands its gradient over to that of c'.
+    """
+    batch, hs = h.value.shape
+    lo = step * batch
+    if (
+        xw.value.ndim != 2
+        or xw.value.shape[1] != 4 * hs
+        or not 0 <= lo <= xw.value.shape[0] - batch
+        or c.value.shape != h.value.shape
+        or w_rec.value.shape != (hs, 4 * hs)
+    ):
+        raise ShapeError("lstm_cell", xw.value.shape, h.value.shape, c.value.shape,
+                         w_rec.value.shape)
+    rows = slice(lo, lo + batch)
+    # sigmoid(z) = 0.5 + 0.5 tanh(z / 2), so one tanh over the four gate
+    # blocks, scaled per column, yields all gate activations at once.
+    scale, shift, scale_sq = _gate_columns(hs)
+    t = xw.value[rows] + h.value @ w_rec.value
+    t *= scale
+    np.tanh(t, out=t)
+    act = t * scale + shift
+    i, f, g, o = act[:, :hs], act[:, hs : 2 * hs], act[:, 2 * hs : 3 * hs], act[:, 3 * hs :]
+    c_new = f * c.value + i * g
+    tanh_c = np.tanh(c_new)
+    h_new = o * tanh_c
+    keep = None
+    if mask is not None:
+        keep = np.asarray(mask, dtype=np.float64).reshape(-1, 1) > 0
+        if keep.shape != (batch, 1):
+            raise ShapeError("lstm_cell", h.value.shape, np.shape(mask))
+        np.copyto(h_new, h.value, where=~keep)
+        np.copyto(c_new, c.value, where=~keep)
+    c_out = Node(c_new, parents=(xw, h, c, w_rec))
+    h_out = Node(h_new, parents=(c_out,))
+    handed_over: list[np.ndarray] = []
+
+    def backward_h(out: Node) -> None:
+        handed_over.append(out.grad)
+
+    def backward_c(out: Node) -> None:
+        dh = handed_over.pop() if handed_over else np.zeros_like(tanh_c)
+        dc = out.grad
+        if keep is not None:
+            # Padded rows hand their gradient straight to the previous state.
+            if h.requires_grad:
+                _accumulate(h, dh * ~keep)
+            if c.requires_grad:
+                _accumulate(c, dc * ~keep)
+            dh, dc = dh * keep, dc * keep
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        dz = np.concatenate([dc * g, dc * c.value, dc * i, dh * tanh_c], axis=1)
+        # d act / d z is (1 - t^2) / 4 on the sigmoid blocks and 1 - t^2 on g.
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        slope *= scale_sq
+        dz *= slope
+        if xw.requires_grad:
+            xw.grad[rows] += dz
+        if h.requires_grad:
+            _accumulate(h, dz @ w_rec.value.T)
+        if c.requires_grad:
+            _accumulate(c, dc * f)
+        if w_rec.requires_grad:
+            _accumulate(w_rec, h.value.T @ dz)
+
+    h_out._backward = backward_h
+    c_out._backward = backward_c
+    return h_out, c_out
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_columns(hs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-column (scale, shift, scale**2) that turn tanh into the [i, f,
+    g, o] gates: act = scale * tanh(scale * z) + shift is sigmoid on i, f, o
+    and tanh on g."""
+    scale = np.full((1, 4 * hs), 0.5)
+    scale[0, 2 * hs : 3 * hs] = 1.0
+    shift = np.full((1, 4 * hs), 0.5)
+    shift[0, 2 * hs : 3 * hs] = 0.0
+    columns = (scale, shift, scale * scale)
+    for array in columns:
+        array.flags.writeable = False
+    return columns
+
+
+def _attention_shapes(op: str, rows: int, memory: Node, batch: int, length: int):
+    """(steps, hidden) for queries of ``rows`` rows over a (length*batch, H) memory."""
+    if memory.value.ndim != 2 or memory.value.shape[0] != length * batch or rows % batch:
+        raise ShapeError(op, (rows,), memory.value.shape, (batch, length))
+    return rows // batch, memory.value.shape[1]
+
+
+def attention_weights(query: Node, memory: Node, mask: np.ndarray) -> Node:
+    """Bilinear-tanh attention weights of T*B queries over a source memory.
+
+    ``query`` is (T*B, H), the decoder states already multiplied by the
+    bilinear matrix; ``memory`` is (L*B, H), the encoder states, both
+    time-major; ``mask`` is the (B, L) 0/1 source mask.  Row t*B + b of the
+    (T*B, L) result is the softmax over real positions i of
+    tanh(query[t*B + b] . memory[i*B + b]); masked positions are exactly 0.
+    Every output entry is computed the same way whatever T is, so one
+    decoder step gives the same bits as the same step inside a longer pass.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    batch, length = mask.shape
+    steps, hidden = _attention_shapes("attention_weights", query.value.shape[0], memory,
+                                      batch, length)
+    if query.value.ndim != 2 or query.value.shape[1] != hidden:
+        raise ShapeError("attention_weights", query.value.shape, memory.value.shape)
+    if np.any(mask.sum(axis=1) == 0.0):
+        raise ValueError("attention_weights: fully masked row")
+    mem = np.ascontiguousarray(memory.value.reshape(length, batch, hidden).transpose(1, 0, 2))
+    q = query.value.reshape(steps, batch, 1, hidden)
+    act = np.tanh((q * mem).sum(axis=3))  # (T, B, L)
+    e = np.exp(act) * (mask > 0)
+    w = e / e.sum(axis=2, keepdims=True)
+    out = Node(w.reshape(steps * batch, length), parents=(query, memory))
+
+    def backward(out: Node) -> None:
+        g = out.grad.reshape(steps, batch, length)
+        d_act = w * (g - (g * w).sum(axis=2, keepdims=True))
+        d_energy = (d_act * (1.0 - act * act)).transpose(1, 0, 2)  # (B, T, L)
+        if query.requires_grad:
+            dq = (d_energy @ mem).transpose(1, 0, 2)
+            _accumulate(query, dq.reshape(query.value.shape))
+        if memory.requires_grad:
+            qb = query.value.reshape(steps, batch, hidden).transpose(1, 0, 2)
+            dm = (d_energy.transpose(0, 2, 1) @ qb).transpose(1, 0, 2)
+            _accumulate(memory, dm.reshape(memory.value.shape))
+
+    out._backward = backward
+    return out
+
+
+def attention_context(weights: Node, memory: Node) -> Node:
+    """Contexts of T*B attention rows: out[t*B + b] = sum over i of
+    weights[t*B + b, i] * memory[i*B + b].
+
+    ``weights`` is (T*B, L) and ``memory`` (L*B, H), both time-major.  As in
+    ``attention_weights``, an output entry does not depend on T.
+    """
+    if weights.value.ndim != 2:
+        raise ShapeError("attention_context", weights.value.shape, memory.value.shape)
+    rows, length = weights.value.shape
+    if memory.value.ndim != 2 or memory.value.shape[0] % length:
+        raise ShapeError("attention_context", weights.value.shape, memory.value.shape)
+    batch = memory.value.shape[0] // length
+    steps, hidden = _attention_shapes("attention_context", rows, memory, batch, length)
+    mem_t = np.ascontiguousarray(memory.value.reshape(length, batch, hidden).transpose(1, 2, 0))
+    w = weights.value.reshape(steps, batch, 1, length)
+    context = (w * mem_t).sum(axis=3)  # (T, B, H)
+    out = Node(context.reshape(rows, hidden), parents=(weights, memory))
+
+    def backward(out: Node) -> None:
+        g = out.grad.reshape(steps, batch, hidden).transpose(1, 0, 2)  # (B, T, H)
+        if weights.requires_grad:
+            dw = (g @ mem_t).transpose(1, 0, 2)
+            _accumulate(weights, dw.reshape(weights.value.shape))
+        if memory.requires_grad:
+            wb = weights.value.reshape(steps, batch, length).transpose(1, 2, 0)  # (B, L, T)
+            dm = (wb @ g).transpose(1, 0, 2)
+            _accumulate(memory, dm.reshape(memory.value.shape))
+
+    out._backward = backward
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +691,11 @@ def backward(root: Node) -> None:
     order = _topo_order(root)
     for node in order:
         if node.parents:
-            node.grad = np.zeros_like(node.value)
+            node.grad = None
     root.grad = root.grad + np.ones_like(root.value)
     for node in reversed(order):
         if node._backward is not None:
-            node._backward()
+            node._backward(node)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ over real source positions, the context v_t is the weighted sum of encoder
 states, and the generator maps v_t (or [q_t; v_t]) to pre-softmax scores s_t
 over the target vocabulary.  The sentence-level bag-of-words probability is
 sigmoid of the scores summed over the real target timesteps.
+
+Sequences are time-major (T*B)-row matrices: rows t*B .. t*B+B-1 hold step
+t.  Each LSTM layer projects all its inputs with one matmul, and only the
+fused cell steps run one position at a time.  The decoder has no input
+feeding, so under teacher forcing attention, generator and softmax run once
+over all T steps; a decoding step is the same code at T=1.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -59,21 +66,21 @@ class ModelConfig:
 
 @dataclass
 class EncoderStates:
-    """Per-position summed states, validity mask, and per-layer finals."""
+    """Summed per-position states, validity mask, and per-layer finals."""
 
-    outputs: list[Node]             # L nodes of shape (B, H)
+    memory: Node                    # (L*B, H) time-major: rows i*B .. i*B+B-1 are position i
     mask: np.ndarray                # (B, L) float 0/1
     finals: list[tuple[tuple[Node, Node], tuple[Node, Node]]]  # [(fwd(h,c), bwd(h,c))] per layer
 
     @property
     def length(self) -> int:
-        return len(self.outputs)
+        return self.mask.shape[1]
 
 
 @dataclass
 class AttentionResult:
-    weights: Node                   # (B, L) rows on the simplex over real positions
-    context: Node                   # (B, H)
+    weights: Node                   # (T*B, L) rows on the simplex over real positions
+    context: Node                   # (T*B, H)
 
 
 @dataclass
@@ -83,17 +90,38 @@ class DecoderState:
 
 @dataclass
 class StepOutput:
-    scores: Node                    # (B, V) pre-softmax s_t
-    probs: Node                     # (B, V) word distribution
+    """Decoder outputs of T steps (T = 1 for a decoding step), time-major."""
+
+    scores: Node                    # (T*B, V) pre-softmax s_t
+    probs: Node                     # (T*B, V) word distributions
     state: DecoderState
     attention: AttentionResult
 
 
 @dataclass
 class ForwardPass:
-    step_scores: list[Node]
-    step_probs: list[Node]
+    """Teacher-forced outputs of all T steps, time-major (T*B, V) matrices.
+
+    ``step_scores`` and ``step_probs`` are the per-step (B, V) row views.
+    """
+
+    scores: Node
+    probs: Node
     bag_probs: Node                  # (B, V) sentence-level sigmoid probabilities
+
+    def _steps(self, node: Node) -> list[Node]:
+        batch = self.bag_probs.value.shape[0]
+        return [
+            ad.slice_rows(node, lo, lo + batch) for lo in range(0, node.value.shape[0], batch)
+        ]
+
+    @cached_property
+    def step_scores(self) -> list[Node]:
+        return self._steps(self.scores)
+
+    @cached_property
+    def step_probs(self) -> list[Node]:
+        return self._steps(self.probs)
 
 
 def ordered_sum(nodes: Sequence[Node], labels: Sequence[int] | None = None) -> Node:
@@ -142,26 +170,30 @@ class LstmCell:
         self.bias = store.create(f"{prefix}.bias", bias)
 
     def step(
+        self, xw: Node, t: int, h: Node, c: Node, mask: np.ndarray | None = None
+    ) -> tuple[Node, Node]:
+        """Advance (h, c) by step t of the projected inputs ``xw``; rows with
+        mask 0 (trailing PAD) keep their previous state."""
+        return ad.lstm_cell(xw, t, h, c, self.w_rec, mask)
+
+    def scan(
         self,
         x: Node,
         h: Node,
         c: Node,
-        mask_col: Node | None = None,
-        inv_mask_col: Node | None = None,
-    ) -> tuple[Node, Node]:
-        hs = self.hidden_size
-        z = ad.add(ad.add(ad.matmul(x, self.w_in), ad.matmul(h, self.w_rec)), self.bias)
-        i = ad.sigmoid(ad.slice_cols(z, 0, hs))
-        f = ad.sigmoid(ad.slice_cols(z, hs, 2 * hs))
-        g = ad.tanh(ad.slice_cols(z, 2 * hs, 3 * hs))
-        o = ad.sigmoid(ad.slice_cols(z, 3 * hs, 4 * hs))
-        c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h_new = ad.mul(o, ad.tanh(c_new))
-        if mask_col is not None:
-            # Padded rows keep their previous state so trailing PAD is inert.
-            h_new = ad.add(ad.scale_rows(h_new, mask_col), ad.scale_rows(h, inv_mask_col))
-            c_new = ad.add(ad.scale_rows(c_new, mask_col), ad.scale_rows(c, inv_mask_col))
-        return h_new, c_new
+        mask: np.ndarray | None = None,
+        reverse: bool = False,
+    ) -> tuple[list[Node], Node, Node]:
+        """Run over time-major inputs x (T*B, in), last step first if
+        ``reverse``; ``mask`` is (B, T).  Returns the per-step outputs in
+        position order and the final (h, c)."""
+        xw = ad.affine(x, self.w_in, self.bias)  # every step's input projection at once
+        steps = x.value.shape[0] // h.value.shape[0]
+        outputs: list[Node] = [None] * steps  # type: ignore[list-item]
+        for t in reversed(range(steps)) if reverse else range(steps):
+            h, c = self.step(xw, t, h, c, None if mask is None else mask[:, t])
+            outputs[t] = h
+        return outputs, h, c
 
 
 class Seq2SeqModel:
@@ -230,35 +262,21 @@ class Seq2SeqModel:
             raise ValueError("empty source")
         if source_mask is None:
             source_mask = np.ones((batch, length), dtype=np.float64)
-        cfg = self.config
-
-        mask_cols = [ad.constant(source_mask[:, t : t + 1]) for t in range(length)]
-        inv_cols = [ad.constant(1.0 - source_mask[:, t : t + 1]) for t in range(length)]
-        inputs = [
-            self._maybe_dropout(ad.embedding_lookup(self.src_embed, source[:, t]), train, rng)
-            for t in range(length)
-        ]
-
+        # Rows are time-major, so one dropout draw covers the positions in order.
+        x = self._maybe_dropout(
+            ad.embedding_lookup(self.src_embed, source.T.reshape(-1)), train, rng
+        )
+        step_mask = None if np.all(source_mask > 0) else source_mask
+        zeros = ad.constant(np.zeros((batch, self.config.hidden_size)))
         finals = []
         for layer, (fwd, bwd) in enumerate(self.enc_cells):
             if layer > 0:
-                inputs = [self._maybe_dropout(x, train, rng) for x in inputs]
-            zeros = ad.constant(np.zeros((batch, cfg.hidden_size)))
-            h, c = zeros, zeros
-            fwd_out: list[Node] = []
-            for t in range(length):
-                h, c = fwd.step(inputs[t], h, c, mask_cols[t], inv_cols[t])
-                fwd_out.append(h)
-            fwd_final = (h, c)
-            h, c = zeros, zeros
-            bwd_out: list[Node] = [None] * length  # type: ignore[list-item]
-            for t in reversed(range(length)):
-                h, c = bwd.step(inputs[t], h, c, mask_cols[t], inv_cols[t])
-                bwd_out[t] = h
-            bwd_final = (h, c)
-            finals.append((fwd_final, bwd_final))
-            inputs = [ad.add(f, b) for f, b in zip(fwd_out, bwd_out)]
-        return EncoderStates(outputs=inputs, mask=source_mask, finals=finals)
+                x = self._maybe_dropout(x, train, rng)
+            fwd_out, fh, fc = fwd.scan(x, zeros, zeros, step_mask)
+            bwd_out, bh, bc = bwd.scan(x, zeros, zeros, step_mask, reverse=True)
+            finals.append(((fh, fc), (bh, bc)))
+            x = ad.add(ad.concat_rows(fwd_out), ad.concat_rows(bwd_out))
+        return EncoderStates(memory=x, mask=source_mask, finals=finals)
 
     def initial_decoder_state(self, encoded: EncoderStates) -> DecoderState:
         """Seed decoder layer j from encoder layer (enc_layers - dec_layers + j)."""
@@ -272,17 +290,40 @@ class Seq2SeqModel:
     # -- attention ----------------------------------------------------------
 
     def attend(self, query: Node, encoded: EncoderStates) -> AttentionResult:
+        """Attention for time-major decoder states ``query`` (T*B, H)."""
         projected = ad.matmul(query, self.attn_bilinear)
-        energies = [ad.sum_rows(ad.mul(projected, h)) for h in encoded.outputs]
-        scores = ad.tanh(ad.concat_cols(energies))
-        weights = ad.softmax_rows(scores, mask=encoded.mask)
-        pieces = [
-            ad.scale_rows(h, ad.slice_cols(weights, i, i + 1))
-            for i, h in enumerate(encoded.outputs)
-        ]
-        return AttentionResult(weights=weights, context=ordered_sum(pieces))
+        weights = ad.attention_weights(projected, encoded.memory, encoded.mask)
+        return AttentionResult(weights, ad.attention_context(weights, encoded.memory))
 
     # -- decoder ------------------------------------------------------------
+
+    def _decode(
+        self,
+        prev_tokens: np.ndarray,
+        state: DecoderState,
+        encoded: EncoderStates,
+        train: bool,
+        rng: np.random.Generator | None,
+    ) -> StepOutput:
+        """Run the decoder over time-major previous tokens (T, B); the
+        output's scores and probs are (T*B, V), its state the one after the
+        last step."""
+        tokens = np.asarray(prev_tokens).reshape(-1)
+        x = self._maybe_dropout(ad.embedding_lookup(self.tgt_embed, tokens), train, rng)
+        new_layers = []
+        for layer, cell in enumerate(self.dec_cells):
+            if layer > 0:
+                x = self._maybe_dropout(x, train, rng)
+            outputs, h, c = cell.scan(x, *state.layers[layer])
+            new_layers.append((h, c))
+            x = ad.concat_rows(outputs)
+        attention = self.attend(x, encoded)
+        if self.config.generator_input == "context":
+            gen_in = attention.context
+        else:
+            gen_in = ad.concat_cols([x, attention.context])
+        scores = ad.affine(gen_in, self.gen_weight, self.gen_bias)
+        return StepOutput(scores, ad.softmax_rows(scores), DecoderState(new_layers), attention)
 
     def decode_step(
         self,
@@ -292,22 +333,8 @@ class Seq2SeqModel:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> StepOutput:
-        x = self._maybe_dropout(ad.embedding_lookup(self.tgt_embed, prev_tokens), train, rng)
-        new_layers = []
-        for layer, cell in enumerate(self.dec_cells):
-            if layer > 0:
-                x = self._maybe_dropout(x, train, rng)
-            h, c = cell.step(x, *state.layers[layer])
-            new_layers.append((h, c))
-            x = h
-        attention = self.attend(x, encoded)
-        if self.config.generator_input == "context":
-            gen_in = attention.context
-        else:
-            gen_in = ad.concat_cols([x, attention.context])
-        scores = ad.add(ad.matmul(gen_in, self.gen_weight), self.gen_bias)
-        probs = ad.softmax_rows(scores)
-        return StepOutput(scores, probs, DecoderState(new_layers), attention)
+        """One step for previous tokens (B,): the decoder pass at T = 1."""
+        return self._decode(np.asarray(prev_tokens)[None, :], state, encoded, train, rng)
 
     # -- full teacher-forced pass -------------------------------------------
 
@@ -318,23 +345,13 @@ class Seq2SeqModel:
         rng: np.random.Generator | None = None,
     ) -> ForwardPass:
         encoded = self.encode(batch.source, batch.source_mask, train, rng)
-        state = self.initial_decoder_state(encoded)
-        steps = batch.target.shape[1]
-        bos = np.full(batch.size, BOS, dtype=np.int64)
-        step_scores, step_probs, masked_scores = [], [], []
-        for t in range(steps):
-            prev = bos if t == 0 else batch.target[:, t - 1]
-            out = self.decode_step(prev, state, encoded, train, rng)
-            state = out.state
-            step_scores.append(out.scores)
-            step_probs.append(out.probs)
-            masked_scores.append(
-                ad.scale_rows(out.scores, ad.constant(batch.target_mask[:, t : t + 1]))
-            )
+        bos = np.full((1, batch.size), BOS, dtype=np.int64)
+        prev = np.concatenate([bos, batch.target[:, :-1].T])
+        out = self._decode(prev, self.initial_decoder_state(encoded), encoded, train, rng)
         return ForwardPass(
-            step_scores=step_scores,
-            step_probs=step_probs,
-            bag_probs=bow_probabilities(masked_scores),
+            scores=out.scores,
+            probs=out.probs,
+            bag_probs=ad.sigmoid(ad.sum_steps(out.scores, batch.target_mask)),
         )
 
     # -- checkpoints ----------------------------------------------------------

@@ -9,6 +9,7 @@ while ``full-bce`` adds the complement term for absent words.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import LOG_FLOOR, Node, ParameterStore
-from .model import ordered_sum
 
 BAG_LOSS_VARIANTS = ("paper", "full-bce")
 
@@ -85,13 +85,11 @@ def word_loss(step_probs: Sequence[Node], targets: np.ndarray, mask: np.ndarray)
             f"targets/mask of shape {targets.shape}/{mask.shape} do not cover {steps} steps"
         )
     batch = targets.shape[0]
-    per_step = []
-    for t, probs in enumerate(step_probs):
-        picked = ad.pick_columns(probs, targets[:, t])
-        _floor_hits += int(np.sum((picked.value[:, 0] <= LOG_FLOOR) & (mask[:, t] > 0)))
-        masked = ad.scale_rows(ad.log(picked), ad.constant(mask[:, t : t + 1]))
-        per_step.append(ad.sum_all(masked))
-    return ad.scale(ordered_sum(per_step), -1.0 / batch)
+    gold = ad.concat_cols(
+        [ad.pick_columns(probs, targets[:, t]) for t, probs in enumerate(step_probs)]
+    )
+    _floor_hits += int(np.sum((gold.value <= LOG_FLOOR) & (mask > 0)))
+    return ad.scale(ad.sum_all(ad.mul(ad.log(gold), ad.constant(mask))), -1.0 / batch)
 
 
 def bag_loss(bag_probs: Node, indicator: np.ndarray, variant: str = "paper") -> Node:
@@ -126,17 +124,31 @@ def total_loss(word: Node, bag: Node | None, weight: float) -> Node:
     return ad.add(word, ad.scale(bag, float(weight)))
 
 
+class NonFiniteGradientError(FloatingPointError):
+    """The global gradient norm is not finite; names the parameter at which
+    the running sum of squares first stopped being finite."""
+
+    def __init__(self, parameter: str) -> None:
+        self.parameter = parameter
+        super().__init__(f"non-finite gradient norm at parameter {parameter!r}")
+
+
 def clip_gradients(store: ParameterStore, max_norm: float = 10.0) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
-    Returns the factor applied (1.0 when no clipping was needed).
+    Returns the factor applied (1.0 when no clipping was needed).  A
+    non-finite norm raises NonFiniteGradientError before any gradient is
+    touched: scaling an inf entry by a zero factor would only turn it into
+    NaN.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
-    for _, node in store.items():
+    for name, node in store.items():
         total += float(np.sum(node.grad * node.grad))
-    norm = float(np.sqrt(total))
+        if not math.isfinite(total):
+            raise NonFiniteGradientError(name)
+    norm = math.sqrt(total)
     if norm <= max_norm or norm == 0.0:
         return 1.0
     factor = max_norm / norm

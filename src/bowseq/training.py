@@ -16,13 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ExamplePair, Vocab, make_batches
+from .data import Batch, ExamplePair, Vocab, make_batches
 from .inference import greedy_decode_batch
 from .metrics import bag_overlap, corpus_bleu
 from .model import Seq2SeqModel, save_checkpoint
 from .objectives import (
     AdamState,
     LossBreakdown,
+    NonFiniteGradientError,
     ScheduleParams,
     adam_step,
     bag_loss,
@@ -78,6 +79,45 @@ def _validate(model: Seq2SeqModel, val: ValidationSet) -> tuple[float, float]:
     return corpus_bleu(hyps, val.references).bleu, bag_overlap(hyps, val.references).f1
 
 
+def _train_batch(
+    model: Seq2SeqModel,
+    batch: Batch,
+    weight: float,
+    bag_variant: str,
+    clip_norm: float,
+    adam: AdamState,
+    rng: np.random.Generator,
+    epoch: int,
+    index: int,
+) -> LossBreakdown:
+    """Forward, backward, clip and one Adam step for one batch.
+
+    The batch's graph is local here, so it is freed on return, before the
+    next batch builds its own.
+    """
+    forward = model.forward_teacher_forced(batch, train=True, rng=rng)
+    l_word = word_loss(forward.step_probs, batch.target, batch.target_mask)
+    l_bag = bag_loss(forward.bag_probs, batch.bag_indicator, bag_variant)
+    loss = total_loss(l_word, l_bag, weight)
+    breakdown = LossBreakdown(float(l_word.value), float(l_bag.value), weight)
+    if not np.isfinite(breakdown.total):
+        raise TrainingError(
+            f"non-finite loss at epoch {epoch}, batch {index}: "
+            f"word={breakdown.word} bag={breakdown.bag}"
+        )
+    model.params.zero_gradients()
+    ad.backward(loss)
+    try:
+        clip_gradients(model.params, clip_norm)
+    except NonFiniteGradientError as err:
+        raise TrainingError(
+            f"non-finite gradient at epoch {epoch}, batch {index}: "
+            f"first in parameter {err.parameter!r}"
+        ) from err
+    adam_step(model.params, adam)
+    return breakdown
+
+
 def train_model(
     model: Seq2SeqModel,
     pairs: Sequence[ExamplePair],
@@ -97,8 +137,9 @@ def train_model(
     """Run the full training loop; returns one EpochStats per epoch.
 
     ``rng`` must be the same generator that initialized ``model`` so the
-    draw order stays reproducible.  A non-finite loss aborts with the epoch
-    and batch index rather than training onward from poisoned parameters.
+    draw order stays reproducible.  A non-finite loss or gradient aborts with
+    the epoch and batch index before that batch updates any parameter,
+    rather than training onward from poisoned parameters.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be positive, got {epochs}")
@@ -127,22 +168,9 @@ def train_model(
             word_sum = bag_sum = total_sum = 0.0
             recorded: list[LossBreakdown] = []
             for index, batch in enumerate(batches):
-                forward = model.forward_teacher_forced(batch, train=True, rng=rng)
-                l_word = word_loss(forward.step_probs, batch.target, batch.target_mask)
-                l_bag = bag_loss(forward.bag_probs, batch.bag_indicator, bag_variant)
-                loss = total_loss(l_word, l_bag, weight)
-                breakdown = LossBreakdown(
-                    float(l_word.value), float(l_bag.value), weight
+                breakdown = _train_batch(
+                    model, batch, weight, bag_variant, clip_norm, adam, rng, epoch, index
                 )
-                if not np.isfinite(breakdown.total):
-                    raise TrainingError(
-                        f"non-finite loss at epoch {epoch}, batch {index}: "
-                        f"word={breakdown.word} bag={breakdown.bag}"
-                    )
-                model.params.zero_gradients()
-                ad.backward(loss)
-                clip_gradients(model.params, clip_norm)
-                adam_step(model.params, adam)
                 word_sum += breakdown.word
                 bag_sum += breakdown.bag
                 total_sum += breakdown.total

@@ -1,6 +1,8 @@
 """Engine tests: primitive backward rules against scalar oracles and
 central finite differences, accumulation semantics, and shape policing."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,9 @@ from bowseq.autodiff import (
     finite_difference_check,
     parameter,
 )
+from bowseq.data import EOS, ExamplePair, extract_bag, make_batches
+from bowseq.model import ModelConfig, Seq2SeqModel
+from bowseq.objectives import bag_loss, total_loss, word_loss
 
 
 def fd_gradient(f, x, step=1e-6):
@@ -87,9 +92,49 @@ class TestPrimitiveValues:
         np.testing.assert_array_equal(out.value, [[2.0], [3.0]])
 
     def test_concat_then_slice_roundtrip(self):
-        a, b = np.ones((2, 2)), np.full((2, 3), 2.0)
-        joined = ad.concat_cols([constant(a), constant(b)])
-        np.testing.assert_array_equal(ad.slice_cols(joined, 2, 5).value, b)
+        a, b = np.ones((2, 3)), np.full((4, 3), 2.0)
+        joined = ad.concat_rows([constant(a), constant(b)])
+        np.testing.assert_array_equal(ad.slice_rows(joined, 2, 6).value, b)
+        np.testing.assert_array_equal(ad.concat_cols([constant(a), constant(a)]).value,
+                                      np.ones((2, 6)))
+
+    def test_sum_steps_folds_in_ascending_order(self):
+        rng = np.random.default_rng(11)
+        a = rng.normal(size=(6, 4))  # T=3 steps of B=2 rows
+        w = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+        want = (a[0:2] * w[:, :1] + a[2:4] * w[:, 1:2]) + a[4:6] * w[:, 2:3]
+        np.testing.assert_array_equal(ad.sum_steps(constant(a), w).value, want)
+
+    def test_lstm_cell_pad_rows_carry_state_exactly(self):
+        rng = np.random.default_rng(12)
+        xw = constant(rng.normal(size=(4, 8)))
+        h, c = constant(rng.normal(size=(2, 2))), constant(rng.normal(size=(2, 2)))
+        h_new, c_new = ad.lstm_cell(xw, 1, h, c, constant(rng.normal(size=(2, 8))),
+                                    np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(h_new.value[0], h.value[0])
+        np.testing.assert_array_equal(c_new.value[0], c.value[0])
+        assert not np.allclose(h_new.value[1], h.value[1])
+
+    def test_attention_rows_do_not_depend_on_step_count(self):
+        rng = np.random.default_rng(13)
+        memory = constant(rng.normal(size=(3 * 2, 4)))      # L=3, B=2
+        mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        queries = rng.normal(size=(5 * 2, 4))                # T=5
+        weights = ad.attention_weights(constant(queries), memory, mask)
+        context = ad.attention_context(weights, memory)
+        assert np.all(weights.value[0::2, 2] == 0.0)
+        np.testing.assert_allclose(weights.value.sum(axis=1), np.ones(10), atol=1e-12)
+        for t in range(5):
+            one = ad.attention_weights(constant(queries[2 * t : 2 * t + 2]), memory, mask)
+            np.testing.assert_array_equal(one.value, weights.value[2 * t : 2 * t + 2])
+            np.testing.assert_array_equal(
+                ad.attention_context(one, memory).value, context.value[2 * t : 2 * t + 2]
+            )
+
+    def test_attention_fully_masked_row_rejected(self):
+        with pytest.raises(ValueError, match="fully masked"):
+            ad.attention_weights(constant(np.ones((2, 3))), constant(np.ones((4, 3))),
+                                 np.array([[1.0, 1.0], [0.0, 0.0]]))
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
            st.integers(min_value=0, max_value=2**31 - 1))
@@ -102,6 +147,11 @@ class TestPrimitiveValues:
 
 
 class TestShapeErrors:
+    def test_affine_bias_must_be_one_row(self):
+        with pytest.raises(ShapeError, match="affine"):
+            ad.affine(constant(np.ones((2, 3))), constant(np.ones((3, 4))),
+                      constant(np.ones((2, 4))))
+
     def test_matmul_inner_dim(self):
         with pytest.raises(ShapeError, match="matmul"):
             ad.matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
@@ -114,9 +164,19 @@ class TestShapeErrors:
         with pytest.raises(ShapeError, match="mul"):
             ad.mul(constant(np.ones((2, 2))), constant(np.ones((2, 3))))
 
-    def test_scale_rows_needs_column(self):
-        with pytest.raises(ShapeError, match="scale_rows"):
-            ad.scale_rows(constant(np.ones((2, 3))), constant(np.ones((2, 2))))
+    def test_sum_steps_needs_one_weight_per_row(self):
+        with pytest.raises(ShapeError, match="sum_steps"):
+            ad.sum_steps(constant(np.ones((6, 3))), np.ones((2, 2)))
+
+    def test_lstm_cell_step_outside_inputs(self):
+        with pytest.raises(ShapeError, match="lstm_cell"):
+            ad.lstm_cell(constant(np.ones((4, 8))), 2, constant(np.ones((2, 2))),
+                         constant(np.ones((2, 2))), constant(np.ones((2, 8))))
+
+    def test_attention_memory_must_cover_every_position(self):
+        with pytest.raises(ShapeError, match="attention_weights"):
+            ad.attention_weights(constant(np.ones((2, 3))), constant(np.ones((5, 3))),
+                                 np.ones((2, 3)))
 
     def test_dropout_mask_shape(self):
         with pytest.raises(ShapeError, match="dropout"):
@@ -148,20 +208,26 @@ class TestBackwardRules:
         a, b = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(3, 2)))
         self._check(lambda: ad.sum_all(ad.matmul(a, b)), [a, b])
 
+    def test_affine(self):
+        rng = np.random.default_rng(17)
+        x, w = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(3, 2)))
+        bias = parameter(rng.normal(size=(1, 2)))
+        self._check(lambda: ad.sum_all(ad.sigmoid(ad.affine(x, w, bias))), [x, w, bias])
+
     def test_add_bias_accumulates_over_rows(self):
         rng = np.random.default_rng(2)
         a, b = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(1, 3)))
-        self._check(lambda: ad.sum_all(ad.tanh(ad.add(a, b))), [a, b])
+        self._check(lambda: ad.sum_all(ad.sigmoid(ad.add(a, b))), [a, b])
 
     def test_mul_and_scale(self):
         rng = np.random.default_rng(3)
         a, b = parameter(rng.normal(size=(3, 3))), parameter(rng.normal(size=(3, 3)))
         self._check(lambda: ad.sum_all(ad.scale(ad.mul(a, b), -0.7)), [a, b])
 
-    def test_sigmoid_tanh_log_chain(self):
+    def test_sigmoid_log_chain(self):
         rng = np.random.default_rng(4)
-        a = parameter(rng.uniform(0.5, 2.0, size=(2, 4)))
-        self._check(lambda: ad.sum_all(ad.log(ad.sigmoid(ad.tanh(a)))), [a])
+        a = parameter(rng.uniform(-2.0, 2.0, size=(2, 4)))
+        self._check(lambda: ad.sum_all(ad.log(ad.sigmoid(a))), [a])
 
     def test_softmax_rows_masked(self):
         rng = np.random.default_rng(5)
@@ -173,33 +239,76 @@ class TestBackwardRules:
     def test_embedding_scatter_adds_repeated_rows(self):
         table = parameter(np.random.default_rng(6).normal(size=(5, 3)))
         idx = np.array([1, 1, 4])
-        self._check(lambda: ad.sum_all(ad.tanh(ad.embedding_lookup(table, idx))), [table])
+        self._check(lambda: ad.sum_all(ad.sigmoid(ad.embedding_lookup(table, idx))), [table])
         backward(ad.sum_all(ad.embedding_lookup(table, idx)))
 
-    def test_pick_scale_rows_slice_concat(self):
+    def test_pick_slice_rows_concat(self):
         rng = np.random.default_rng(7)
         a = parameter(rng.normal(size=(3, 4)))
-        s = parameter(rng.uniform(0.5, 1.5, size=(3, 1)))
+        b = parameter(rng.normal(size=(2, 4)))
 
         def build():
-            picked = ad.pick_columns(ad.softmax_rows(a), np.array([0, 2, 3]))
-            scaled = ad.scale_rows(ad.tanh(a), s)
-            joined = ad.concat_cols([picked, scaled])
-            return ad.sum_all(ad.mul(ad.slice_cols(joined, 0, 3), ad.slice_cols(joined, 2, 5)))
+            stacked = ad.concat_rows([a, b, a])
+            picked = ad.pick_columns(ad.softmax_rows(stacked), np.array([0, 2, 3, 1, 0, 3, 2, 1]))
+            joined = ad.concat_cols([picked, ad.sigmoid(stacked)])
+            return ad.sum_all(ad.mul(ad.slice_rows(joined, 0, 3), ad.slice_rows(joined, 4, 7)))
 
-        self._check(build, [a, s])
+        self._check(build, [a, b])
 
-    def test_sum_rows_and_dropout(self):
+    def test_sum_steps_and_dropout(self):
         rng = np.random.default_rng(8)
-        a = parameter(rng.normal(size=(4, 3)))
-        mask = ad.make_dropout_mask(np.random.default_rng(9), (4, 3), 0.4)
-        self._check(lambda: ad.sum_all(ad.sigmoid(ad.sum_rows(ad.dropout(a, mask)))), [a])
+        a = parameter(rng.normal(size=(6, 3)))  # T=3 steps of B=2 rows
+        mask = ad.make_dropout_mask(np.random.default_rng(9), (6, 3), 0.4)
+        steps = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        self._check(
+            lambda: ad.sum_all(ad.sigmoid(ad.sum_steps(ad.dropout(a, mask), steps))), [a]
+        )
+
+    def test_lstm_cell_two_steps_with_pad_rows(self):
+        rng = np.random.default_rng(14)
+        xw = parameter(rng.normal(size=(2 * 3, 4 * 2)))  # T=2, B=3, H=2
+        h0 = parameter(rng.normal(size=(3, 2)))
+        c0 = parameter(rng.normal(size=(3, 2)))
+        w_rec = parameter(rng.normal(size=(2, 8)))
+        mask = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        gh, gc = constant(rng.normal(size=(3, 2))), constant(rng.normal(size=(3, 2)))
+
+        def build():
+            h, c = ad.lstm_cell(xw, 0, h0, c0, w_rec, mask[:, 0])
+            h, c = ad.lstm_cell(xw, 1, h, c, w_rec, mask[:, 1])
+            return ad.add(ad.sum_all(ad.mul(h, gh)), ad.sum_all(ad.mul(c, gc)))
+
+        self._check(build, [xw, h0, c0, w_rec])
+
+    def test_attention_weights_and_context_with_masked_positions(self):
+        rng = np.random.default_rng(15)
+        query = parameter(rng.normal(size=(3 * 2, 4)))   # T=3, B=2, H=4
+        memory = parameter(rng.normal(size=(3 * 2, 4)))  # L=3
+        mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        gw, gc = constant(rng.normal(size=(6, 3))), constant(rng.normal(size=(6, 4)))
+
+        def build():
+            weights = ad.attention_weights(query, memory, mask)
+            context = ad.attention_context(weights, memory)
+            return ad.add(ad.sum_all(ad.mul(weights, gw)), ad.sum_all(ad.mul(context, gc)))
+
+        self._check(build, [query, memory])
+
+    def test_attention_context_for_arbitrary_weights(self):
+        rng = np.random.default_rng(16)
+        weights = parameter(rng.normal(size=(2 * 2, 3)))  # T=2, B=2, L=3
+        memory = parameter(rng.normal(size=(3 * 2, 4)))
+        gc = constant(rng.normal(size=(4, 4)))
+        self._check(
+            lambda: ad.sum_all(ad.mul(ad.attention_context(weights, memory), gc)),
+            [weights, memory],
+        )
 
 
 class TestBackwardSemantics:
     def test_repeated_backward_doubles_leaf_gradients(self):
         a = parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        root = ad.sum_all(ad.tanh(a))
+        root = ad.sum_all(ad.sigmoid(a))
         backward(root)
         once = a.grad.copy()
         backward(root)
@@ -216,7 +325,7 @@ class TestBackwardSemantics:
 
     def test_two_roots_accumulate_into_shared_leaf(self):
         a = parameter(np.array([[1.0, -1.0]]))
-        r1, r2 = ad.sum_all(ad.tanh(a)), ad.sum_all(ad.sigmoid(a))
+        r1, r2 = ad.sum_all(ad.mul(a, a)), ad.sum_all(ad.sigmoid(a))
         backward(r1)
         g1 = a.grad.copy()
         a.grad[...] = 0.0
@@ -230,7 +339,7 @@ class TestBackwardSemantics:
     def test_backward_requires_scalar_root(self):
         a = parameter(np.ones((2, 2)))
         with pytest.raises(ValueError, match="scalar"):
-            backward(ad.tanh(a))
+            backward(ad.sigmoid(a))
 
     def test_constants_never_collect_gradients(self):
         a, c = parameter(np.ones((2, 2))), constant(np.ones((2, 2)))
@@ -246,9 +355,38 @@ class TestBackwardSemantics:
     def test_forward_determinism_same_inputs(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(3, 3))
-        first = ad.softmax_rows(ad.tanh(ad.matmul(constant(x), constant(x)))).value
-        second = ad.softmax_rows(ad.tanh(ad.matmul(constant(x), constant(x)))).value
+        first = ad.softmax_rows(ad.sigmoid(ad.matmul(constant(x), constant(x)))).value
+        second = ad.softmax_rows(ad.sigmoid(ad.matmul(constant(x), constant(x)))).value
         np.testing.assert_array_equal(first, second)
+
+
+class TestGraphLifetime:
+    def test_training_batch_graph_is_freed_without_the_cycle_collector(self):
+        """Graphs are acyclic, so reference counting alone frees a training
+        batch's graph, dropout and padded rows included."""
+        config = ModelConfig(src_vocab_size=12, tgt_vocab_size=12, emb_size=4, hidden_size=5,
+                             enc_layers=2, dec_layers=2, dropout=0.3,
+                             generator_input="concat")
+        rng = np.random.default_rng(3)
+        model = Seq2SeqModel(config, init_rng=rng)
+        pairs = []
+        for n in (2, 4, 3):
+            src = tuple(int(t) for t in rng.integers(4, 12, size=n))
+            tgt = tuple(int(t) for t in rng.integers(4, 12, size=n + 1)) + (EOS,)
+            pairs.append(ExamplePair(src, tgt, extract_bag(tgt)))
+        (batch,) = make_batches(pairs, 3, 12, seed=0)
+        gc.collect()
+        gc.disable()
+        try:
+            forward = model.forward_teacher_forced(batch, train=True, rng=rng)
+            word = word_loss(forward.step_probs, batch.target, batch.target_mask)
+            loss = total_loss(word, bag_loss(forward.bag_probs, batch.bag_indicator), 0.5)
+            backward(loss)
+            del forward, word, loss
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
 
 
 class TestParameterStore:
@@ -267,7 +405,7 @@ class TestParameterStore:
     def test_zero_gradients_clears_all(self):
         store = ParameterStore()
         w = store.create("w", np.ones((2, 2)))
-        backward(ad.sum_all(ad.tanh(w)))
+        backward(ad.sum_all(ad.sigmoid(w)))
         assert np.any(w.grad != 0)
         store.zero_gradients()
         np.testing.assert_array_equal(w.grad, np.zeros((2, 2)))
@@ -290,31 +428,40 @@ class TestFiniteDifferenceHarness:
         assert report.passed and report.checks == []
 
     def test_composite_of_all_primitives(self):
-        """Three-layer composite touching every primitive, step 1e-5, rel 1e-6."""
+        """Composite touching every primitive, step 1e-5, rel 1e-6."""
         rng = np.random.default_rng(1234)
         store = ParameterStore()
-        table = store.create("table", rng.normal(0.0, 1.0, size=(6, 4)))
-        w1 = store.create("w1", rng.normal(0.0, 1.0, size=(4, 5)))
-        b1 = store.create("b1", rng.normal(0.0, 1.0, size=(1, 5)))
-        w2 = store.create("w2", rng.normal(0.0, 1.0, size=(5, 4)))
-        gains = store.create("gains", rng.uniform(0.8, 1.2, size=(3, 1)))
-        idx = np.array([0, 3, 5])
-        picks = np.array([1, 0, 3])
-        mask = np.array([[1, 1, 1, 0, 1], [1, 1, 1, 1, 1], [0, 1, 1, 1, 1]], dtype=float)
-        drop = ad.make_dropout_mask(np.random.default_rng(99), (3, 5), 0.25)
+        store.create("table", rng.normal(0.0, 1.0, size=(6, 4)))
+        store.create("w1", rng.normal(0.0, 0.3, size=(4, 8)))
+        store.create("b1", rng.normal(0.0, 1.0, size=(1, 8)))
+        store.create("w_rec", rng.normal(0.0, 1.0, size=(2, 8)))
+        store.create("w2", rng.normal(0.0, 1.0, size=(2, 5)))
+        idx = np.array([0, 3, 5, 1, 2, 2])   # T=3 steps of B=2 rows
+        picks = np.array([1, 0, 3, 4, 2, 0])
+        steps = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        mask = np.array([[1, 1, 1, 0, 1], [1, 1, 1, 1, 1], [0, 1, 1, 1, 1],
+                         [1, 1, 1, 1, 1], [1, 0, 1, 1, 1], [1, 1, 1, 1, 0]], dtype=float)
+        drop = ad.make_dropout_mask(np.random.default_rng(99), (6, 4), 0.25)
+        h0, c0 = constant(rng.normal(size=(2, 2))), constant(rng.normal(size=(2, 2)))
 
         def loss(s):
-            h0 = ad.embedding_lookup(s["table"], idx)
-            h1 = ad.tanh(ad.add(ad.matmul(h0, s["w1"]), s["b1"]))
-            h1 = ad.dropout(h1, drop)
-            att = ad.softmax_rows(h1, mask)
-            h2 = ad.sigmoid(ad.matmul(att, s["w2"]))
-            h2 = ad.scale_rows(h2, s["gains"])
-            joined = ad.concat_cols([h2, h0])
-            left = ad.slice_cols(joined, 0, 4)
-            probs = ad.softmax_rows(ad.mul(left, h0))
+            x = ad.dropout(ad.embedding_lookup(s["table"], idx), drop)
+            xw = ad.affine(x, s["w1"], s["b1"])
+            h, c = h0, c0
+            states = []
+            for t in range(3):
+                h, c = ad.lstm_cell(xw, t, h, c, s["w_rec"], steps[:, t])
+                states.append(h)
+            memory = ad.concat_rows(states)
+            weights = ad.attention_weights(memory, memory, steps)
+            context = ad.attention_context(weights, memory)
+            hidden = ad.concat_cols([ad.slice_rows(memory, 0, 6), context])
+            scores = ad.sigmoid(ad.matmul(ad.slice_rows(hidden, 0, 6), ad.concat_rows(
+                [s["w2"], s["w2"]])))
+            probs = ad.softmax_rows(scores, mask)
             nll = ad.scale(ad.sum_all(ad.log(ad.pick_columns(probs, picks))), -1.0)
-            spread = ad.sum_all(ad.mul(ad.sum_rows(h2), ad.sum_rows(h2)))
+            bag = ad.sum_steps(scores, steps)
+            spread = ad.sum_all(ad.mul(bag, bag))
             return ad.add(ad.add(nll, ad.scale(spread, 0.5)), constant(np.asarray(0.25)))
 
         report = finite_difference_check(loss, store, step=1e-5, tolerance=1e-6)

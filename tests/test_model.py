@@ -69,6 +69,12 @@ def attention_oracle(q, states, w):
     return weights, context
 
 
+def position(encoded, t):
+    """Encoder states of source position t, one row per sentence."""
+    batch = encoded.mask.shape[0]
+    return encoded.memory.value[t * batch : (t + 1) * batch]
+
+
 def tiny_model(seed=0, **overrides):
     defaults = dict(src_vocab_size=11, tgt_vocab_size=13, emb_size=5, hidden_size=6,
                     enc_layers=1, dec_layers=1, dropout=0.0)
@@ -105,7 +111,7 @@ class TestLstmCell:
         x = rng.normal(size=(2, 3))
         h = rng.normal(size=(2, 4))
         c = rng.normal(size=(2, 4))
-        got_h, got_c = cell.step(constant(x), constant(h), constant(c))
+        got_h, got_c = cell.step(ad.affine(constant(x), cell.w_in, cell.bias), 0, constant(h), constant(c))
         want_h, want_c = lstm_step_oracle(
             x, h, c, cell.w_in.value, cell.w_rec.value, cell.bias.value
         )
@@ -127,9 +133,7 @@ class TestLstmCell:
         h = constant(rng.normal(size=(2, 3)))
         c = constant(rng.normal(size=(2, 3)))
         x = constant(rng.normal(size=(2, 2)))
-        mask = constant(np.array([[1.0], [0.0]]))
-        inv = constant(np.array([[0.0], [1.0]]))
-        h_new, c_new = cell.step(x, h, c, mask, inv)
+        h_new, c_new = cell.step(ad.affine(x, cell.w_in, cell.bias), 0, h, c, np.array([1.0, 0.0]))
         np.testing.assert_array_equal(h_new.value[1], h.value[1])
         np.testing.assert_array_equal(c_new.value[1], c.value[1])
         assert not np.allclose(h_new.value[0], h.value[0])
@@ -153,7 +157,7 @@ class TestEncoder:
         enc = model.encode(np.array([[7]]))
         assert enc.length == 1
         (fh, _), (bh, _) = enc.finals[0]
-        np.testing.assert_allclose(enc.outputs[0].value, fh.value + bh.value, atol=1e-15)
+        np.testing.assert_allclose(enc.memory.value, fh.value + bh.value, atol=1e-15)
 
     def test_padding_neutral_for_unpadded_rows(self):
         model, rng = tiny_model(seed=5)
@@ -164,7 +168,7 @@ class TestEncoder:
         padded = model.encode(longer, mask)
         for t in range(3):
             np.testing.assert_allclose(
-                padded.outputs[t].value, solo.outputs[t].value, atol=1e-10
+                position(padded, t), position(solo, t), atol=1e-10
             )
         np.testing.assert_allclose(
             padded.finals[0][0][0].value, solo.finals[0][0][0].value, atol=1e-10
@@ -183,14 +187,14 @@ class TestEncoder:
         solo = model.encode(b[None, :])
         for t in range(2):
             np.testing.assert_allclose(
-                both.outputs[t].value[1], solo.outputs[t].value[0], atol=1e-10
+                position(both, t)[1], position(solo, t)[0], atol=1e-10
             )
 
     def test_stacked_layers_consume_summed_outputs(self):
         model, rng = tiny_model(seed=7, enc_layers=2, dec_layers=2)
         enc = model.encode(np.array([[4, 5, 6]]))
         assert len(enc.finals) == 2
-        assert enc.outputs[0].value.shape == (1, 6)
+        assert position(enc, 0).shape == (1, 6)
 
 
 class TestAttention:
@@ -199,7 +203,7 @@ class TestAttention:
         enc = model.encode(rng.integers(4, 11, size=(2, 3)))
         q = constant(rng.normal(size=(2, 6)))
         result = model.attend(q, enc)
-        states = [h.value for h in enc.outputs]
+        states = [position(enc, i) for i in range(enc.length)]
         want_w, want_c = attention_oracle(q.value, states, model.attn_bilinear.value)
         np.testing.assert_allclose(result.weights.value, want_w, atol=1e-10)
         np.testing.assert_allclose(result.context.value, want_c, atol=1e-10)
@@ -208,8 +212,7 @@ class TestAttention:
         model, rng = tiny_model(seed=9)
         h = constant(rng.normal(size=(2, 6)))
         enc = model.encode(np.array([[4, 4, 4], [4, 4, 4]]))
-        for i in range(3):
-            enc.outputs[i] = h
+        enc.memory = constant(np.vstack([h.value] * 3))
         result = model.attend(constant(rng.normal(size=(2, 6))), enc)
         np.testing.assert_allclose(result.weights.value, np.full((2, 3), 1 / 3), atol=1e-12)
         np.testing.assert_allclose(result.context.value, h.value, atol=1e-12)
@@ -222,7 +225,7 @@ class TestAttention:
         assert np.all(w >= 0) and np.all(w <= 1)
         np.testing.assert_allclose(w.sum(axis=1), [1.0, 1.0], atol=1e-12)
         recombined = sum(
-            w[:, i : i + 1] * enc.outputs[i].value for i in range(enc.length)
+            w[:, i : i + 1] * position(enc, i) for i in range(enc.length)
         )
         np.testing.assert_allclose(result.context.value, recombined, atol=1e-12)
 
@@ -428,7 +431,7 @@ class TestDeterminism:
         enc_a = model.encode(src, train=True, rng=batch_rng_a)
         enc_b = model.encode(src, train=True, rng=batch_rng_b)
         for t in range(3):
-            np.testing.assert_array_equal(enc_a.outputs[t].value, enc_b.outputs[t].value)
+            np.testing.assert_array_equal(position(enc_a, t), position(enc_b, t))
 
     def test_train_mode_without_rng_rejected(self):
         model, _ = tiny_model(seed=36, dropout=0.3)

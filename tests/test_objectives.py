@@ -9,6 +9,7 @@ from bowseq.autodiff import ParameterStore, constant, finite_difference_check
 from bowseq.objectives import (
     AdamState,
     LossBreakdown,
+    NonFiniteGradientError,
     ScheduleParams,
     adam_step,
     bag_loss,
@@ -294,6 +295,16 @@ class TestClipGradients:
     def test_invalid_max_norm_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             clip_gradients(ParameterStore(), max_norm=0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_norm_raises_before_scaling(self, bad):
+        grads = [np.full((2, 2), 100.0), np.array([[1.0, bad]]), np.array([[np.nan]])]
+        store = self._store_with_grads(grads)
+        with pytest.raises(NonFiniteGradientError) as caught:
+            clip_gradients(store, max_norm=1.0)
+        assert caught.value.parameter == "p1"
+        for i, g in enumerate(grads):
+            np.testing.assert_array_equal(store[f"p{i}"].grad, g)
 
 
 class TestAdam:

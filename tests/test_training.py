@@ -4,6 +4,7 @@ feeds through, baseline parity on the word term, and non-finite aborts."""
 import numpy as np
 import pytest
 
+from bowseq import training
 from bowseq.data import EOS, ExamplePair, Vocab, extract_bag
 from bowseq.model import ModelConfig, Seq2SeqModel, load_checkpoint
 from bowseq.objectives import ScheduleParams
@@ -110,6 +111,26 @@ class TestTrainModel:
         model.params["gen.bias"].value[...] = np.nan
         with pytest.raises(TrainingError, match=r"epoch 0, batch 0"):
             train_model(model, pairs, ScheduleParams(), rng, epochs=1, batch_size=4)
+
+    def test_non_finite_gradient_aborts_before_any_update(self, monkeypatch):
+        """A NaN gradient in batch 1 of epoch 1 stops training with that
+        index, and no parameter has moved since its backward pass."""
+        model, pairs, rng = tiny_setup()
+        real_backward = training.ad.backward
+        calls, before = [], {}
+
+        def poisoned_backward(root):
+            real_backward(root)
+            calls.append(len(calls))
+            if len(calls) == 5:  # epoch 1 (3 batches per epoch), batch 1
+                before.update({name: node.value.copy() for name, node in model.params.items()})
+                model.params["enc.l0.bwd.w_rec"].grad[0, 3] = np.nan
+
+        monkeypatch.setattr(training.ad, "backward", poisoned_backward)
+        with pytest.raises(TrainingError, match=r"epoch 1, batch 1\b.*'enc.l0.bwd.w_rec'"):
+            train_model(model, pairs, ScheduleParams(), rng, epochs=2, batch_size=4)
+        for name, node in model.params.items():
+            assert node.value.tobytes() == before[name].tobytes(), name
 
     def test_validation_columns_filled_when_requested(self):
         model, pairs, rng = tiny_setup()
