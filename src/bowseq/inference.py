@@ -1,11 +1,19 @@
-"""Decoding: beam search with length normalization, plus greedy utilities.
+"""Decoding: one batched beam search, and step-by-step reference decoders.
 
 Hypothesis scores are accumulated log-likelihoods of emitted tokens (EOS
 included).  ``max_length`` caps the emitted token count including EOS; a
 hypothesis that reaches the cap is force-terminated through the decoder's
 real distribution so its score still equals the sum of its step log
-probabilities.  Ties anywhere break toward the lexicographically smaller
-token sequence, which makes decoding fully deterministic.
+probabilities.
+
+The search encodes B sentences once as a padded batch and steps k*B decoder
+rows at a time: row j*B + b holds beam j of sentence b (rows past a
+sentence's live beams are unread carriers), so attention reads the beam
+index as its step index and never copies the encoder memory.  Each sentence
+keeps its top ``width`` expansions by (-log-likelihood, tokens): ties break
+toward the smaller token sequence.  Greedy batch decoding is width 1;
+``greedy_decode`` and ``score_sequence``, one hypothesis at a time, are the
+references the search is tested against.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import BOS, EOS
-from .model import DecoderState, EncoderStates, Seq2SeqModel
+from .data import BOS, EOS, _pad_matrix
+from .model import DecoderState, Seq2SeqModel
 
 #: Probability floor applied before log purely to avoid -inf scores.
 PROB_FLOOR = 1e-300
@@ -59,13 +67,6 @@ def normalized_score(
     return hyp.log_likelihood / (hyp.length ** length_exponent)
 
 
-@dataclass
-class _BeamItem:
-    tokens: tuple[int, ...]
-    ll: float
-    state: DecoderState | None
-
-
 def _check_source(model: Seq2SeqModel, source: Sequence[int]) -> np.ndarray:
     src = np.asarray(list(source), dtype=np.int64)
     if src.ndim != 1 or src.size == 0:
@@ -84,50 +85,91 @@ def _step_logprobs(model: Seq2SeqModel, prev: int, state, encoded) -> tuple[np.n
     return logp, out.state
 
 
+def _expansions(
+    probs: np.ndarray, live: np.ndarray, at_cap: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, token, log-probability) of the expansions of the ``live`` rows:
+    EOS alone for a row ``at_cap``, else its ``width`` most probable tokens
+    plus every token tied with the last of them, which the (-ll, tokens)
+    sort then cuts back as a stable sort would.  Nothing sorts the vocabulary.
+    """
+    k = min(width, probs.shape[1])
+    if k == 1:
+        rows, tokens = live, np.where(at_cap, EOS, probs.argmax(axis=1)[live])
+    else:
+        free, ends = live[~at_cap], live[at_cap]
+        kept = probs[free]
+        kth = np.partition(kept, -k, axis=1)[:, -k]
+        kth[kth <= PROB_FLOOR] = 0.0  # below the floor every token scores the floor
+        at, tokens = np.divmod(np.flatnonzero(kept >= kth[:, None]), probs.shape[1])
+        rows = np.concatenate([free[at], ends])
+        tokens = np.concatenate([tokens, np.full(ends.size, EOS)])
+    return rows, tokens, np.log(np.maximum(probs[rows, tokens], PROB_FLOOR))
+
+
+def _search(
+    model: Seq2SeqModel, sources: Sequence[Sequence[int]], config: BeamConfig
+) -> list[list[Hypothesis]]:
+    """Ranked finished hypotheses (best first) for each source sentence.  A
+    sentence stops once ``width`` of them have finished or none is live."""
+    src, lengths, mask = _pad_matrix([_check_source(model, source)[0] for source in sources])
+    batch = len(lengths)
+    caps = np.full(batch, config.max_length) if config.max_length else 2 * lengths + 10
+    encoded = model.encode(src, mask)
+    state = model.initial_decoder_state(encoded)
+    prev = np.full(batch, BOS)
+    live = {b: ((), 0.0, b) for b in range(batch)}  # row -> (tokens, log-likelihood, parent row)
+    finished: list[list[Hypothesis]] = [[] for _ in range(batch)]
+    for step in range(caps.max()):
+        out = model.decode_step(prev, state, encoded)
+        rows = np.fromiter(live, dtype=np.int64, count=len(live))
+        expanded = _expansions(out.probs.value, rows, caps[rows % batch] == step + 1, config.width)
+        candidates: list[list] = [[] for _ in range(batch)]
+        for row, tok, lp in zip(*(a.tolist() for a in expanded)):
+            tokens, ll, _ = live[row]
+            candidates[row % batch].append((-(ll + lp), tokens + (tok,), row))
+        live = {}
+        for b, ranked in enumerate(candidates):
+            ranked.sort()
+            beam = []
+            for neg, seq, row in ranked[: config.width]:
+                if seq[-1] == EOS:
+                    finished[b].append(Hypothesis(seq, -neg, True))
+                else:
+                    beam.append((seq, -neg, row))
+            if len(finished[b]) < config.width:
+                for j, hyp in enumerate(beam):
+                    live[j * batch + b] = hyp
+        if not live:
+            break
+        index = np.arange((max(live) // batch + 1) * batch) % batch  # carriers copy slot 0
+        prev = np.full(index.size, EOS)
+        for new, (tokens, _, row) in live.items():
+            index[new], prev[new] = row, tokens[-1]
+        state = out.state.gather(index)
+
+    def rank(h: Hypothesis) -> tuple:
+        return (-normalized_score(h, config.length_normalize, config.length_exponent), h.tokens)
+
+    return [sorted(hyps, key=rank)[: config.width] for hyps in finished]
+
+
 def beam_search(
     model: Seq2SeqModel, source: Sequence[int], config: BeamConfig = BeamConfig()
 ) -> list[Hypothesis]:
-    """Ranked finished hypotheses (best first) for one source sentence.
+    """Ranked finished hypotheses (best first) for one source sentence."""
+    return _search(model, [source], config)[0]
 
-    Each step expands every live hypothesis over its top ``width`` tokens,
-    keeps the global top ``width`` expansions by accumulated log-likelihood,
-    and sets finished ones aside.  The search stops once ``width`` hypotheses
-    have finished or nothing is live; the final ranking uses the normalized
-    score.
-    """
-    src = _check_source(model, source)
-    encoded = model.encode(src)
-    max_length = config.max_length or 2 * src.shape[1] + 10
-    live = [_BeamItem((), 0.0, model.initial_decoder_state(encoded))]
-    finished: list[Hypothesis] = []
 
-    while live and len(finished) < config.width:
-        candidates: list[_BeamItem] = []
-        for item in live:
-            prev = item.tokens[-1] if item.tokens else BOS
-            logp, state = _step_logprobs(model, prev, item.state, encoded)
-            if len(item.tokens) == max_length - 1:
-                candidates.append(_BeamItem(item.tokens + (EOS,), item.ll + logp[EOS], None))
-                continue
-            top = np.argsort(-logp, kind="stable")[: config.width]
-            for tok in top:
-                tok = int(tok)
-                candidates.append(_BeamItem(item.tokens + (tok,), item.ll + logp[tok], state))
-        candidates.sort(key=lambda c: (-c.ll, c.tokens))
-        live = []
-        for cand in candidates[: config.width]:
-            if cand.tokens[-1] == EOS:
-                finished.append(Hypothesis(cand.tokens, cand.ll, True))
-            else:
-                live.append(cand)
-
-    finished.sort(
-        key=lambda h: (
-            -normalized_score(h, config.length_normalize, config.length_exponent),
-            h.tokens,
-        )
-    )
-    return finished[: config.width]
+def greedy_decode_batch(
+    model: Seq2SeqModel, sources: Sequence[Sequence[int]], max_length: int | None = None
+) -> list[list[int]]:
+    """Greedy-decode many sentences in one padded batch: the search at
+    width 1.  Returns the emitted tokens without the final EOS."""
+    if not sources:
+        return []
+    config = BeamConfig(width=1, max_length=max_length)
+    return [list(hyps[0].tokens[:-1]) for hyps in _search(model, sources, config)]
 
 
 def greedy_decode(
@@ -148,52 +190,6 @@ def greedy_decode(
         ll += float(logp[tok])
         if tok == EOS:
             return Hypothesis(tuple(tokens), ll, True)
-
-
-def greedy_decode_batch(
-    model: Seq2SeqModel, sources: Sequence[Sequence[int]], max_length: int | None = None
-) -> list[list[int]]:
-    """Greedy-decode many sentences in one padded batch.
-
-    Returns content tokens only (no EOS).  Each row stops at its own EOS or
-    at 2 * its source length + 10; rows that finish early keep stepping as
-    carriers but their outputs are ignored.
-    """
-    if not sources:
-        return []
-    from .data import PAD
-
-    lengths = [len(s) for s in sources]
-    width = max(lengths)
-    batch = len(sources)
-    src = np.full((batch, width), PAD, dtype=np.int64)
-    mask = np.zeros((batch, width), dtype=np.float64)
-    for i, s in enumerate(sources):
-        src[i, : len(s)] = list(s)
-        mask[i, : len(s)] = 1.0
-    encoded = model.encode(src, mask)
-    state = model.initial_decoder_state(encoded)
-
-    caps = [max_length or 2 * n + 10 for n in lengths]
-    done = [False] * batch
-    outputs: list[list[int]] = [[] for _ in range(batch)]
-    prev = np.full(batch, BOS, dtype=np.int64)
-    for step in range(max(caps)):
-        out = model.decode_step(prev, state, encoded)
-        state = out.state
-        picks = np.argmax(out.probs.value, axis=1)
-        for i in range(batch):
-            if done[i]:
-                continue
-            tok = int(picks[i])
-            if tok == EOS or step + 1 >= caps[i]:
-                done[i] = True
-            elif tok != PAD:
-                outputs[i].append(tok)
-            prev[i] = tok
-        if all(done):
-            break
-    return outputs
 
 
 def score_sequence(model: Seq2SeqModel, source: Sequence[int], tokens: Sequence[int]) -> float:

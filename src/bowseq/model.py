@@ -87,6 +87,13 @@ class AttentionResult:
 class DecoderState:
     layers: list[tuple[Node, Node]]  # (h, c) per layer, bottom first
 
+    def gather(self, rows: np.ndarray) -> DecoderState:
+        """The state of the given rows, in that order, as constants, so no
+        graph outlives the decoding step that built it."""
+        return DecoderState(
+            [(ad.constant(h.value[rows]), ad.constant(c.value[rows])) for h, c in self.layers]
+        )
+
 
 @dataclass
 class StepOutput:

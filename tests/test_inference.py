@@ -10,6 +10,7 @@ from bowseq.data import BOS, EOS
 from bowseq.inference import (
     BeamConfig,
     Hypothesis,
+    _search,
     beam_search,
     greedy_decode,
     greedy_decode_batch,
@@ -52,8 +53,9 @@ def enumerate_ranked(model, source, max_length, length_normalize=True, length_ex
 class _ScriptedModel:
     """Decoder stub that emits a fixed peaked distribution per step.
 
-    The decoder state is just the step index; after the script runs out the
-    peak moves to EOS.  Exercises the search logic without real parameters.
+    The decoder state holds each row's step index; after the script runs out
+    the peak moves to EOS.  Exercises the search logic without real
+    parameters.
     """
 
     def __init__(self, script, vocab=7, peak=0.9):
@@ -63,10 +65,10 @@ class _ScriptedModel:
         self.peak = peak
 
     def encode(self, src, mask=None, train=False, rng=None):
-        return None
+        return len(src)
 
     def initial_decoder_state(self, encoded):
-        return 0
+        return _ScriptedState(np.zeros(encoded, dtype=np.int64))
 
     def distribution(self, step):
         tok = self.script[step] if step < len(self.script) else EOS
@@ -75,10 +77,18 @@ class _ScriptedModel:
         return dist
 
     def decode_step(self, prev, state, encoded):
-        dist = self.distribution(state)
+        dists = np.stack([self.distribution(step) for step in state.steps])
         return SimpleNamespace(
-            probs=SimpleNamespace(value=dist[None, :]), state=state + 1
+            probs=SimpleNamespace(value=dists), state=_ScriptedState(state.steps + 1)
         )
+
+
+class _ScriptedState:
+    def __init__(self, steps):
+        self.steps = steps
+
+    def gather(self, rows):
+        return _ScriptedState(self.steps[rows])
 
 
 class TestExhaustiveAgreement:
@@ -123,15 +133,40 @@ class TestGreedyEquivalence:
         np.testing.assert_allclose(beam.log_likelihood, greedy.log_likelihood, atol=1e-12)
 
     def test_batch_greedy_matches_single(self):
-        model = tiny_model(55, tgt_vocab=8)
+        # A zero-initialised model is uniform everywhere, so it emits PAD until the cap.
+        zero = Seq2SeqModel(tiny_model(55, tgt_vocab=8).config)
         sources = [[4, 5, 6], [7, 8], [4, 4, 4, 4]]
-        batched = greedy_decode_batch(model, sources)
-        for src, got in zip(sources, batched):
-            solo = greedy_decode(model, src)
-            assert got == [t for t in solo.tokens if t != EOS]
+        for model in (tiny_model(55, tgt_vocab=8), zero):
+            batched = greedy_decode_batch(model, sources)
+            for src, got in zip(sources, batched):
+                solo = greedy_decode(model, src)
+                assert got == [t for t in solo.tokens if t != EOS]
 
     def test_batch_greedy_empty_input(self):
         assert greedy_decode_batch(tiny_model(56), []) == []
+
+
+class TestBatchedSearch:
+    def test_one_decoder_call_per_search_step(self):
+        model = tiny_model(66)
+        calls = []
+        step = model.decode_step
+        model.decode_step = lambda *args: calls.append(args) or step(*args)
+        hyps = beam_search(model, [4, 5], BeamConfig(width=4, max_length=5))
+        assert len(hyps) == 4
+        assert len(calls) <= 5
+
+    def test_sentences_searched_together_match_one_at_a_time(self):
+        # With this seed the sentences finish at different steps, so the search
+        # steps carrier rows and forces EOS at the cap.
+        model = tiny_model(68, tgt_vocab=7)
+        sources = [[4, 5, 6], [7], [8, 4, 4, 5, 6]]
+        config = BeamConfig(width=3, max_length=6)
+        for src, got in zip(sources, _search(model, sources, config)):
+            solo = beam_search(model, src, config)
+            assert [h.tokens for h in got] == [h.tokens for h in solo]
+            for g, w in zip(got, solo):
+                np.testing.assert_allclose(g.log_likelihood, w.log_likelihood, atol=1e-12)
 
 
 class TestScoreRecompute:
@@ -216,10 +251,14 @@ class TestValidation:
             beam_search(model, [4, 99])
         with pytest.raises(ValueError, match="out of range"):
             greedy_decode(model, [-1])
+        with pytest.raises(ValueError, match="out of range"):
+            greedy_decode_batch(model, [[4, 99]])
 
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             beam_search(tiny_model(100), [])
+        with pytest.raises(ValueError, match="non-empty"):
+            greedy_decode_batch(tiny_model(100), [[4, 5], []])
 
     def test_bad_beam_config_rejected(self):
         with pytest.raises(ValueError, match="width"):
