@@ -278,15 +278,19 @@ def softmax_rows(a: Node, mask: np.ndarray | None = None) -> Node:
         with np.errstate(invalid="ignore"):
             e = np.where(mask > 0, np.exp(shifted), 0.0)
     else:
-        e = np.exp(x - x.max(axis=1, keepdims=True))
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Node(y, parents=(a,))
+        e = x - x.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    out = Node(e, parents=(a,))
 
     def backward(out: Node) -> None:
         if a.requires_grad:
-            g = out.grad
-            inner = (g * out.value).sum(axis=1, keepdims=True)
-            _accumulate(a, out.value * (g - inner))
+            g, y = out.grad, out.value
+            fresh = g * y
+            inner = fresh.sum(axis=1, keepdims=True)
+            np.subtract(g, inner, out=fresh)
+            fresh *= y
+            _accumulate(a, fresh)
 
     out._backward = backward
     return out
@@ -716,7 +720,8 @@ class ParameterStore:
     def create(self, name: str, value: np.ndarray) -> Node:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name!r}")
-        node = parameter(value)
+        # C order, so that the optimizer can walk a parameter as a flat view.
+        node = parameter(np.asarray(value, order="C"))
         self._params[name] = node
         return node
 

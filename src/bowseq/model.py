@@ -19,6 +19,7 @@ over all T steps; a decoding step is the same code at T=1.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -371,6 +372,10 @@ def save_checkpoint(model: Seq2SeqModel, path: str | Path) -> None:
     """Binary layout: magic, version, config JSON, then each parameter as
     (name length, name bytes, rank, dims, little-endian float64 row-major).
     Parameters appear in registration order, making files bit-reproducible.
+
+    The bytes go to a sibling ``<name>.tmp`` file, which is flushed to disk
+    and then renamed over ``path``: a crash leaves either the old checkpoint
+    or the new one, never a truncated file.
     """
     header = json.dumps(asdict(model.config), sort_keys=True).encode("utf-8")
     chunks = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION)]
@@ -386,7 +391,17 @@ def save_checkpoint(model: Seq2SeqModel, path: str | Path) -> None:
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(arr.tobytes(order="C"))
-    Path(path).write_bytes(b"".join(chunks))
+    path = Path(path)
+    partial = path.with_name(path.name + ".tmp")
+    try:
+        with partial.open("wb") as out:
+            out.writelines(chunks)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 class CheckpointError(ValueError):

@@ -178,18 +178,45 @@ class AdamState:
         return state
 
 
+# 256 KB of float64 per array: a block's value, gradient, moments and scratch
+# stay in cache across the update's dozen elementwise operations.
+_ADAM_BLOCK = 1 << 15
+
+
 def adam_step(store: ParameterStore, state: AdamState) -> None:
-    """One bias-corrected Adam update from the currently accumulated gradients."""
+    """One bias-corrected Adam update from the currently accumulated gradients.
+
+    Walks each parameter in cache-sized blocks through two scratch arrays, so
+    no operation makes a full-size temporary; the arithmetic is elementwise
+    and in the whole-array formula's order, so the result is bit-identical.
+    """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     correct1 = 1.0 - b1 ** state.step
     correct2 = 1.0 - b2 ** state.step
+    scratch = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
     for name, node in store.items():
-        g = node.grad
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        node.value -= state.lr * (m / correct1) / (np.sqrt(v / correct2) + state.eps)
+        # Views: the stored arrays are C-contiguous (see ParameterStore.create).
+        x = node.value.reshape(-1)
+        m = state.m[name].reshape(-1)
+        v = state.v[name].reshape(-1)
+        g = node.grad.reshape(-1)
+        for lo in range(0, x.size, _ADAM_BLOCK):
+            hi = lo + _ADAM_BLOCK
+            gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+            s, t = scratch[0][: gb.size], scratch[1][: gb.size]
+            mb *= b1
+            np.multiply(1.0 - b1, gb, out=s)
+            mb += s
+            vb *= b2
+            np.multiply(gb, gb, out=s)
+            s *= 1.0 - b2
+            vb += s
+            # x -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(vb, correct2, out=s)
+            np.sqrt(s, out=s)
+            s += state.eps
+            np.divide(mb, correct1, out=t)
+            t *= state.lr
+            t /= s
+            x[lo:hi] -= t

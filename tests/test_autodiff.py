@@ -77,6 +77,29 @@ class TestPrimitiveValues:
         assert out.value[1, 1] == 0.0 and out.value[1, 2] == 0.0
         np.testing.assert_allclose(out.value.sum(axis=1), [1.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_softmax_rows_is_the_textbook_formula_and_keeps_its_inputs(self, masked):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(6, 9)) * 4.0
+        upstream = rng.normal(size=(6, 9))
+        mask = None
+        keep = np.ones((6, 9), dtype=bool)
+        if masked:
+            keep = rng.random((6, 9)) < 0.6
+            keep[:, 0] = True
+            mask = keep.astype(np.float64)
+        a = parameter(x.copy())
+        y = ad.softmax_rows(a, mask)
+        backward(ad.sum_all(ad.mul(y, constant(upstream))))
+        top = np.where(keep, x, -np.inf).max(axis=1, keepdims=True)
+        e = np.where(keep, np.exp(np.where(keep, x, top) - top), 0.0)
+        expected = e / e.sum(axis=1, keepdims=True)
+        assert np.array_equal(y.value, expected)
+        inner = (upstream * expected).sum(axis=1, keepdims=True)
+        assert np.array_equal(a.grad, expected * (upstream - inner))
+        assert np.array_equal(a.value, x)
+        assert np.array_equal(y.grad, upstream)
+
     def test_softmax_fully_masked_row_rejected(self):
         with pytest.raises(ValueError, match="fully masked"):
             ad.softmax_rows(constant(np.ones((2, 2))), np.array([[1.0, 0.0], [0.0, 0.0]]))

@@ -1,6 +1,9 @@
 """Model tests: scalar-loop oracles for the LSTM cell and attention,
 padding neutrality, the bag-probability reduction, and checkpoint I/O."""
 
+import errno
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -362,6 +365,35 @@ class TestForwardTeacherForced:
             )
 
 
+class _DiskFullFile:
+    """A binary file that takes ``budget`` bytes, then fails as a full disk does."""
+
+    def __init__(self, file, budget: int) -> None:
+        self.file, self.budget = file, budget
+
+    def write(self, data) -> int:
+        data = bytes(data)
+        self.file.write(data[: self.budget])
+        if len(data) > self.budget:
+            self.budget = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return len(data)
+
+    def writelines(self, chunks) -> None:
+        for chunk in chunks:
+            self.write(chunk)
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
+
+
 class TestCheckpoints:
     def test_roundtrip_bitwise_parameters(self, tmp_path):
         model, rng = tiny_model(seed=24, enc_layers=2, dec_layers=2)
@@ -392,6 +424,25 @@ class TestCheckpoints:
         save_checkpoint(model, tmp_path / "a.ckpt")
         save_checkpoint(model, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_failed_write_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        model, _ = tiny_model(seed=28)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        before = path.read_bytes()
+        for _, node in model.params.items():
+            node.value[...] += 1.0
+        real_open = Path.open
+
+        def open_on_full_disk(self, mode="r", *args, **kwargs):
+            return _DiskFullFile(real_open(self, mode, *args, **kwargs), len(before) // 2)
+
+        monkeypatch.setattr(Path, "open", open_on_full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            save_checkpoint(model, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -351,6 +351,33 @@ class TestAdam:
         assert state.v["b"].shape == (1, 4)
         assert state.step == 0
 
+    def test_blocked_update_is_bit_identical_to_whole_array_formula(self):
+        # Three blocks plus a remainder, a single element, exactly one block.
+        rng = np.random.default_rng(17)
+        store = ParameterStore()
+        for name, shape in (("blocks", (3, 40000)), ("single", (1, 1)), ("one", (1, 1 << 15))):
+            store.create(name, rng.normal(size=shape))
+        state = AdamState.for_store(store, lr=1e-2)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        expected = {
+            name: (node.value.copy(), np.zeros(node.shape), np.zeros(node.shape))
+            for name, node in store.items()
+        }
+        for step in range(1, 4):
+            for name, node in store.items():
+                node.grad = rng.normal(size=node.shape) * 10.0 ** rng.integers(-4, 3, node.shape)
+                x, m, v = expected[name]
+                m = b1 * m + (1.0 - b1) * node.grad
+                v = b2 * v + (1.0 - b2) * (node.grad * node.grad)
+                x = x - lr * (m / (1.0 - b1**step)) / (np.sqrt(v / (1.0 - b2**step)) + eps)
+                expected[name] = (x, m, v)
+            adam_step(store, state)
+            for name, node in store.items():
+                x, m, v = expected[name]
+                assert np.array_equal(node.value, x), (step, name)
+                assert np.array_equal(state.m[name], m), (step, name)
+                assert np.array_equal(state.v[name], v), (step, name)
+
     def test_steps_are_counted(self):
         store = ParameterStore()
         store.create("w", np.ones((1, 1)))
