@@ -15,9 +15,10 @@ allocate one.
 
 Most of the model runs on coarse primitives with hand-written backward
 rules: a fused LSTM cell step, attention weights and contexts batched over
-all decoder steps, and row blocks (``concat_rows``, ``slice_rows``,
+all decoder steps, row blocks (``concat_rows``, ``slice_rows``,
 ``sum_steps``) that let a teacher-forced pass treat its T steps of B rows
-as one time-major (T*B)-row matrix.
+as one time-major (T*B)-row matrix, and the training losses in log space on
+the scores (``cross_entropy_rows``, ``softplus``).
 
 Broadcasting is deliberately restricted.  Elementwise ops require equal
 shapes, with two sanctioned exceptions: a scalar combined with a tensor,
@@ -235,6 +236,72 @@ def sigmoid(a: Node) -> Node:
     def backward(out: Node) -> None:
         if a.requires_grad:
             _accumulate(a, out.grad * out.value * (1.0 - out.value))
+
+    out._backward = backward
+    return out
+
+
+def softplus(a: Node) -> Node:
+    """log(1 + e^a), which is -log sigmoid(-a); its gradient is sigmoid(a),
+    so it never vanishes the way a floored log of a probability does."""
+    with np.errstate(invalid="ignore"):  # NaN in, NaN out, caught by the caller
+        out = Node(np.logaddexp(0.0, a.value), parents=(a,))
+
+    def backward(out: Node) -> None:
+        if a.requires_grad:
+            _accumulate(a, out.grad * _stable_sigmoid(a.value))
+
+    out._backward = backward
+    return out
+
+
+def cross_entropy_rows(scores: Node, targets: np.ndarray, mask: np.ndarray) -> Node:
+    """Masked negative log-likelihood of gold columns under the row softmax
+    of time-major (T*B, V) scores, summed and divided by B.
+
+    ``targets`` and ``mask`` are (B, T), so row t*B + b of ``scores`` holds
+    step t of sentence b.  Each row costs logsumexp(row) - gold score, in
+    log space, so no probability is floored.  The backward rule writes
+    (softmax - one-hot) * mask / B into one array that the scores adopt.
+    """
+    targets = np.asarray(targets)
+    mask = np.asarray(mask, dtype=np.float64)
+    x = scores.value
+    if (
+        x.ndim != 2
+        or targets.ndim != 2
+        or mask.shape != targets.shape
+        or x.shape[0] != targets.size
+    ):
+        raise ShapeError("cross_entropy_rows", x.shape, targets.shape, mask.shape)
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise ValueError("cross_entropy_rows: targets must be integers")
+    if targets.size and (targets.min() < 0 or targets.max() >= x.shape[1]):
+        raise IndexError("cross_entropy_rows: target index out of range")
+    batch = targets.shape[0]
+    rows = np.arange(x.shape[0])
+    gold = targets.T.reshape(-1)
+    weight = mask.T.reshape(-1, 1)
+    # Non-finite scores give a NaN loss, which the caller reports.
+    with np.errstate(invalid="ignore"):
+        top = x.max(axis=1, keepdims=True)
+        e = x - top
+        np.exp(e, out=e)
+        total = e.sum(axis=1, keepdims=True)
+        nll = np.log(total[:, 0]) - (x[rows, gold] - top[:, 0])
+        value = np.sum(nll.reshape(-1, batch).T * mask) * (1.0 / batch)
+    held = [e]
+    out = Node(value, parents=(scores,))
+
+    def backward(out: Node) -> None:
+        if scores.requires_grad:
+            # The first pass normalises the forward's exp array in place;
+            # a second pass over the same graph recomputes it.
+            grad = held.pop() if held else np.exp(x - top)
+            grad /= total
+            grad[rows, gold] -= 1.0  # exact for gold probabilities of 1/2 and above
+            grad *= weight * (float(out.grad) / batch)
+            _accumulate(scores, grad)
 
     out._backward = backward
     return out

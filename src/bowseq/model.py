@@ -12,8 +12,9 @@ sigmoid of the scores summed over the real target timesteps.
 Sequences are time-major (T*B)-row matrices: rows t*B .. t*B+B-1 hold step
 t.  Each LSTM layer projects all its inputs with one matmul, and only the
 fused cell steps run one position at a time.  The decoder has no input
-feeding, so under teacher forcing attention, generator and softmax run once
-over all T steps; a decoding step is the same code at T=1.
+feeding, so under teacher forcing attention and generator run once over all
+T steps; a decoding step is the same code at T=1.  Word distributions are
+built only when read: training takes its losses from the scores.
 """
 
 from __future__ import annotations
@@ -98,27 +99,43 @@ class DecoderState:
 
 @dataclass
 class StepOutput:
-    """Decoder outputs of T steps (T = 1 for a decoding step), time-major."""
+    """Decoder outputs of T steps (T = 1 for a decoding step), time-major.
+
+    ``probs``, the (T*B, V) word distributions, is built on first read.
+    """
 
     scores: Node                    # (T*B, V) pre-softmax s_t
-    probs: Node                     # (T*B, V) word distributions
     state: DecoderState
     attention: AttentionResult
+
+    @cached_property
+    def probs(self) -> Node:
+        return ad.softmax_rows(self.scores)
 
 
 @dataclass
 class ForwardPass:
     """Teacher-forced outputs of all T steps, time-major (T*B, V) matrices.
 
-    ``step_scores`` and ``step_probs`` are the per-step (B, V) row views.
+    Training reads only the scores.  The probabilities, and the per-step
+    (B, V) row views ``step_scores`` and ``step_probs``, are built on first
+    read, so a training batch never holds a softmax.
     """
 
     scores: Node
-    probs: Node
-    bag_probs: Node                  # (B, V) sentence-level sigmoid probabilities
+    bag_scores: Node                 # (B, V) scores summed over real target steps
+
+    @cached_property
+    def probs(self) -> Node:
+        return ad.softmax_rows(self.scores)
+
+    @cached_property
+    def bag_probs(self) -> Node:
+        """(B, V) sentence-level sigmoid probabilities."""
+        return ad.sigmoid(self.bag_scores)
 
     def _steps(self, node: Node) -> list[Node]:
-        batch = self.bag_probs.value.shape[0]
+        batch = self.bag_scores.value.shape[0]
         return [
             ad.slice_rows(node, lo, lo + batch) for lo in range(0, node.value.shape[0], batch)
         ]
@@ -132,31 +149,25 @@ class ForwardPass:
         return self._steps(self.probs)
 
 
-def ordered_sum(nodes: Sequence[Node], labels: Sequence[int] | None = None) -> Node:
-    """Left-fold addition in ascending label order.
-
-    Floating-point addition does not associate, so a canonical operand order
-    is what makes the result invariant to how callers permute their inputs.
-    Labels default to list positions.
-    """
-    nodes = list(nodes)
-    if not nodes:
-        raise ValueError("ordered_sum: empty input")
-    if labels is None:
-        labels = range(len(nodes))
-    labels = list(labels)
-    if len(labels) != len(nodes) or len(set(labels)) != len(labels):
-        raise ValueError("ordered_sum: labels must be unique and match the inputs")
-    ranked = [n for _, n in sorted(zip(labels, nodes), key=lambda kv: kv[0])]
-    total = ranked[0]
-    for n in ranked[1:]:
-        total = ad.add(total, n)
-    return total
-
-
 def bow_probabilities(step_scores: Sequence[Node], timesteps: Sequence[int] | None = None) -> Node:
-    """Sentence-level bag probabilities: sigmoid of scores summed over steps."""
-    return ad.sigmoid(ordered_sum(step_scores, timesteps))
+    """Sentence-level bag probabilities: sigmoid of scores summed over steps.
+
+    The steps are added by ``sum_steps``, the kernel training uses, in
+    ascending timestep order.  Floating-point addition does not associate, so
+    that canonical order is what makes the result invariant to how callers
+    permute their inputs.  Timesteps default to list positions.
+    """
+    step_scores = list(step_scores)
+    if not step_scores:
+        raise ValueError("bow_probabilities: empty input")
+    if timesteps is None:
+        timesteps = range(len(step_scores))
+    timesteps = list(timesteps)
+    if len(timesteps) != len(step_scores) or len(set(timesteps)) != len(timesteps):
+        raise ValueError("bow_probabilities: timesteps must be unique and match the inputs")
+    ranked = [n for _, n in sorted(zip(timesteps, step_scores), key=lambda kv: kv[0])]
+    units = np.ones((ranked[0].value.shape[0], len(ranked)))
+    return ad.sigmoid(ad.sum_steps(ad.concat_rows(ranked), units))
 
 
 class LstmCell:
@@ -314,8 +325,8 @@ class Seq2SeqModel:
         rng: np.random.Generator | None,
     ) -> StepOutput:
         """Run the decoder over time-major previous tokens (T, B); the
-        output's scores and probs are (T*B, V), its state the one after the
-        last step."""
+        output's scores are (T*B, V), its state the one after the last
+        step."""
         tokens = np.asarray(prev_tokens).reshape(-1)
         x = self._maybe_dropout(ad.embedding_lookup(self.tgt_embed, tokens), train, rng)
         new_layers = []
@@ -331,7 +342,7 @@ class Seq2SeqModel:
         else:
             gen_in = ad.concat_cols([x, attention.context])
         scores = ad.affine(gen_in, self.gen_weight, self.gen_bias)
-        return StepOutput(scores, ad.softmax_rows(scores), DecoderState(new_layers), attention)
+        return StepOutput(scores, DecoderState(new_layers), attention)
 
     def decode_step(
         self,
@@ -356,11 +367,7 @@ class Seq2SeqModel:
         bos = np.full((1, batch.size), BOS, dtype=np.int64)
         prev = np.concatenate([bos, batch.target[:, :-1].T])
         out = self._decode(prev, self.initial_decoder_state(encoded), encoded, train, rng)
-        return ForwardPass(
-            scores=out.scores,
-            probs=out.probs,
-            bag_probs=ad.sigmoid(ad.sum_steps(out.scores, batch.target_mask)),
-        )
+        return ForwardPass(out.scores, ad.sum_steps(out.scores, batch.target_mask))
 
     # -- checkpoints ----------------------------------------------------------
 

@@ -5,6 +5,12 @@ log probability of each gold token, summed over real target positions.  The
 bag loss scores the sentence-level sigmoid probabilities against the bag
 indicator; the default variant penalizes only the words present in the bag,
 while ``full-bce`` adds the complement term for absent words.
+
+Training computes both terms from the scores, in log space
+(``word_loss_on_scores``, ``bag_loss_on_scores``), so no gradient is cut off
+at a floor.  ``word_loss`` and ``bag_loss`` take probabilities and clamp
+their logs at ``LOG_FLOOR``; they are the references the score forms are
+tested against.
 """
 
 from __future__ import annotations
@@ -92,6 +98,17 @@ def word_loss(step_probs: Sequence[Node], targets: np.ndarray, mask: np.ndarray)
     return ad.scale(ad.sum_all(ad.mul(ad.log(gold), ad.constant(mask))), -1.0 / batch)
 
 
+def _check_bag(bag: Node, indicator: np.ndarray, variant: str) -> np.ndarray:
+    if variant not in BAG_LOSS_VARIANTS:
+        raise ValueError(f"unknown bag loss variant {variant!r}; choose from {BAG_LOSS_VARIANTS}")
+    indicator = np.asarray(indicator, dtype=np.float64)
+    if indicator.shape != bag.value.shape:
+        raise ValueError(
+            f"indicator shape {indicator.shape} does not match the bag {bag.value.shape}"
+        )
+    return indicator
+
+
 def bag_loss(bag_probs: Node, indicator: np.ndarray, variant: str = "paper") -> Node:
     """Mean over the batch of the bag negative log likelihood.
 
@@ -99,14 +116,7 @@ def bag_loss(bag_probs: Node, indicator: np.ndarray, variant: str = "paper") -> 
     kept); rows with an empty bag contribute zero.  The ``full-bce`` variant
     adds -(1 - b) * log(1 - p) for absent words.
     """
-    if variant not in BAG_LOSS_VARIANTS:
-        raise ValueError(f"unknown bag loss variant {variant!r}; choose from {BAG_LOSS_VARIANTS}")
-    indicator = np.asarray(indicator, dtype=np.float64)
-    if indicator.shape != bag_probs.value.shape:
-        raise ValueError(
-            f"indicator shape {indicator.shape} does not match bag probabilities "
-            f"{bag_probs.value.shape}"
-        )
+    indicator = _check_bag(bag_probs, indicator, variant)
     batch = indicator.shape[0]
     positive = ad.sum_all(ad.mul(ad.log(bag_probs), ad.constant(indicator)))
     if variant == "paper":
@@ -117,11 +127,35 @@ def bag_loss(bag_probs: Node, indicator: np.ndarray, variant: str = "paper") -> 
     return ad.scale(ad.add(positive, negative), -1.0 / batch)
 
 
+def word_loss_on_scores(scores: Node, targets: np.ndarray, mask: np.ndarray) -> Node:
+    """``word_loss`` from the time-major (T*B, V) pre-softmax scores, as
+    logsumexp minus the gold score; targets and mask are (B, T)."""
+    return ad.cross_entropy_rows(scores, targets, mask)
+
+
+def bag_loss_on_scores(bag_scores: Node, indicator: np.ndarray, variant: str = "paper") -> Node:
+    """``bag_loss`` from the (B, V) step-summed scores s: -log sigmoid(s) is
+    softplus(-s), and ``full-bce``'s -log(1 - sigmoid(s)) is softplus(s)."""
+    indicator = _check_bag(bag_scores, indicator, variant)
+    batch = indicator.shape[0]
+    positive = ad.sum_all(ad.mul(ad.softplus(ad.scale(bag_scores, -1.0)), ad.constant(indicator)))
+    if variant == "paper":
+        return ad.scale(positive, 1.0 / batch)
+    negative = ad.sum_all(ad.mul(ad.softplus(bag_scores), ad.constant(1.0 - indicator)))
+    return ad.scale(ad.add(positive, negative), 1.0 / batch)
+
+
 def total_loss(word: Node, bag: Node | None, weight: float) -> Node:
     """word + weight * bag; the bag term is left out of the graph at weight 0."""
     if bag is None or weight == 0.0:
         return word
     return ad.add(word, ad.scale(bag, float(weight)))
+
+
+# 256 KB of float64 per array: a block's value, gradient, moments and scratch
+# stay in cache across Adam's dozen elementwise operations, and clipping's
+# squares need no full-size temporary.
+_BLOCK = 1 << 15
 
 
 class NonFiniteGradientError(FloatingPointError):
@@ -139,13 +173,20 @@ def clip_gradients(store: ParameterStore, max_norm: float = 10.0) -> float:
     Returns the factor applied (1.0 when no clipping was needed).  A
     non-finite norm raises NonFiniteGradientError before any gradient is
     touched: scaling an inf entry by a zero factor would only turn it into
-    NaN.
+    NaN.  Squares are summed block by block through one scratch array, in a
+    fixed order that does not depend on the BLAS thread count.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
+    scratch = np.empty(_BLOCK)
     total = 0.0
     for name, node in store.items():
-        total += float(np.sum(node.grad * node.grad))
+        g = node.grad.reshape(-1)
+        for lo in range(0, g.size, _BLOCK):
+            block = g[lo : lo + _BLOCK]
+            squares = scratch[: block.size]
+            np.multiply(block, block, out=squares)
+            total += float(squares.sum())
         if not math.isfinite(total):
             raise NonFiniteGradientError(name)
     norm = math.sqrt(total)
@@ -178,11 +219,6 @@ class AdamState:
         return state
 
 
-# 256 KB of float64 per array: a block's value, gradient, moments and scratch
-# stay in cache across the update's dozen elementwise operations.
-_ADAM_BLOCK = 1 << 15
-
-
 def adam_step(store: ParameterStore, state: AdamState) -> None:
     """One bias-corrected Adam update from the currently accumulated gradients.
 
@@ -194,15 +230,15 @@ def adam_step(store: ParameterStore, state: AdamState) -> None:
     b1, b2 = state.beta1, state.beta2
     correct1 = 1.0 - b1 ** state.step
     correct2 = 1.0 - b2 ** state.step
-    scratch = np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)
+    scratch = np.empty(_BLOCK), np.empty(_BLOCK)
     for name, node in store.items():
         # Views: the stored arrays are C-contiguous (see ParameterStore.create).
         x = node.value.reshape(-1)
         m = state.m[name].reshape(-1)
         v = state.v[name].reshape(-1)
         g = node.grad.reshape(-1)
-        for lo in range(0, x.size, _ADAM_BLOCK):
-            hi = lo + _ADAM_BLOCK
+        for lo in range(0, x.size, _BLOCK):
+            hi = lo + _BLOCK
             gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
             s, t = scratch[0][: gb.size], scratch[1][: gb.size]
             mb *= b1

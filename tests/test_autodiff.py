@@ -259,6 +259,46 @@ class TestBackwardRules:
         weights = constant(rng.normal(size=(3, 4)))
         self._check(lambda: ad.sum_all(ad.mul(ad.softmax_rows(a, mask), weights)), [a])
 
+    def test_softplus(self):
+        rng = np.random.default_rng(31)
+        a = parameter(rng.uniform(-4.0, 4.0, size=(3, 4)))
+        weights = constant(rng.normal(size=(3, 4)))
+        self._check(lambda: ad.sum_all(ad.mul(ad.softplus(a), weights)), [a])
+
+    def test_cross_entropy_rows_with_padding(self):
+        """T=3 steps of B=2 rows; row t*B + b is step t of sentence b, and
+        masked steps neither cost nor get a gradient."""
+        rng = np.random.default_rng(32)
+        a = parameter(rng.normal(size=(6, 5)) * 2.0)
+        targets = np.array([[1, 4, 0], [3, 3, 2]])
+        mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        self._check(lambda: ad.scale(ad.cross_entropy_rows(a, targets, mask), 0.7), [a])
+        np.testing.assert_array_equal(a.grad[[3, 5]], 0.0)
+        probs = np.exp(a.value) / np.exp(a.value).sum(axis=1, keepdims=True)
+        want = -sum(np.log(probs[t * 2 + b, targets[b, t]])
+                    for b in range(2) for t in range(3) if mask[b, t]) / 2
+        np.testing.assert_allclose(
+            ad.cross_entropy_rows(a, targets, mask).value, want, rtol=0, atol=1e-12
+        )
+
+    def test_cross_entropy_rows_backward_twice_doubles(self):
+        """The first pass consumes the forward's exp array; a second pass
+        over the same graph must still add the same gradient."""
+        rng = np.random.default_rng(33)
+        a = parameter(rng.normal(size=(4, 3)))
+        loss = ad.cross_entropy_rows(a, np.array([[0, 2], [1, 1]]), np.ones((2, 2)))
+        backward(loss)
+        once = a.grad.copy()
+        backward(loss)
+        np.testing.assert_allclose(a.grad, 2 * once, rtol=0, atol=1e-15)
+
+    def test_cross_entropy_rows_rejects_bad_targets(self):
+        a = constant(np.zeros((4, 3)))
+        with pytest.raises(ShapeError, match="cross_entropy_rows"):
+            ad.cross_entropy_rows(a, np.zeros((2, 3), dtype=int), np.ones((2, 3)))
+        with pytest.raises(IndexError, match="out of range"):
+            ad.cross_entropy_rows(a, np.full((2, 2), 3), np.ones((2, 2)))
+
     def test_embedding_scatter_adds_repeated_rows(self):
         table = parameter(np.random.default_rng(6).normal(size=(5, 3)))
         idx = np.array([1, 1, 4])

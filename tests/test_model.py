@@ -16,7 +16,6 @@ from bowseq.model import (
     Seq2SeqModel,
     bow_probabilities,
     load_checkpoint,
-    ordered_sum,
     save_checkpoint,
 )
 
@@ -308,10 +307,10 @@ class TestBagProbabilities:
         with pytest.raises(ValueError, match="empty"):
             bow_probabilities([])
 
-    def test_ordered_sum_duplicate_labels_rejected(self):
+    def test_duplicate_timesteps_rejected(self):
         a = constant(np.ones((1, 1)))
         with pytest.raises(ValueError, match="unique"):
-            ordered_sum([a, a], labels=[0, 0])
+            bow_probabilities([a, a], timesteps=[0, 0])
 
 
 class TestForwardTeacherForced:

@@ -1,11 +1,15 @@
-"""Objective tests: scalar-loop oracles for both loss terms, the weight
-schedule, gradient clipping, and the Adam optimizer."""
+"""Objective tests: scalar-loop oracles for both loss terms, the log-space
+score forms against them, the weight schedule, gradient clipping, and the
+Adam optimizer."""
 
 import numpy as np
 import pytest
 
 from bowseq import autodiff as ad
 from bowseq.autodiff import ParameterStore, constant, finite_difference_check
+from bowseq.cli import _random_batch
+from bowseq.data import EOS, ExamplePair, extract_bag, make_batches
+from bowseq.model import ModelConfig, Seq2SeqModel
 from bowseq.objectives import (
     AdamState,
     LossBreakdown,
@@ -13,12 +17,14 @@ from bowseq.objectives import (
     ScheduleParams,
     adam_step,
     bag_loss,
+    bag_loss_on_scores,
     bag_weight,
     clip_gradients,
     floor_hit_count,
     reset_floor_hits,
     total_loss,
     word_loss,
+    word_loss_on_scores,
 )
 
 
@@ -256,6 +262,113 @@ class TestTotalLoss:
         np.testing.assert_allclose(breakdown.total, 2.1, atol=1e-15)
 
 
+def step_views(node, batch):
+    return [ad.slice_rows(node, lo, lo + batch) for lo in range(0, node.value.shape[0], batch)]
+
+
+class TestScoreForms:
+    """The log-space losses training runs, against the probability-domain
+    references ``word_loss`` and ``bag_loss``."""
+
+    def test_word_equals_reference_on_random_cases(self):
+        rng = np.random.default_rng(314)
+        for _ in range(100):
+            batch = int(rng.integers(1, 5))
+            steps = int(rng.integers(1, 6))
+            vocab = int(rng.integers(2, 9))
+            scores = constant(np.log(rng.uniform(0.01, 1.0, size=(steps * batch, vocab))))
+            targets = rng.integers(0, vocab, size=(batch, steps))
+            mask = (rng.random((batch, steps)) < 0.8).astype(np.float64)
+            got = word_loss_on_scores(scores, targets, mask)
+            want = word_loss(step_views(ad.softmax_rows(scores), batch), targets, mask)
+            np.testing.assert_allclose(got.value, want.value, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["paper", "full-bce"])
+    def test_bag_equals_reference_on_random_cases(self, variant):
+        rng = np.random.default_rng(315)
+        for _ in range(100):
+            batch = int(rng.integers(1, 5))
+            vocab = int(rng.integers(2, 9))
+            p = rng.uniform(0.05, 0.95, size=(batch, vocab))
+            scores = constant(np.log(p / (1.0 - p)))
+            indicator = (rng.random((batch, vocab)) < 0.4).astype(np.float64)
+            got = bag_loss_on_scores(scores, indicator, variant)
+            want = bag_loss(ad.sigmoid(scores), indicator, variant)
+            np.testing.assert_allclose(got.value, want.value, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("variant", ["paper", "full-bce"])
+    def test_model_batch_with_padding_matches_reference(self, variant):
+        config = ModelConfig(src_vocab_size=14, tgt_vocab_size=14, emb_size=6, hidden_size=5,
+                             dropout=0.0, generator_input="concat")
+        rng = np.random.default_rng(316)
+        model = Seq2SeqModel(config, init_rng=rng)
+        pairs = []
+        for n in (2, 5, 3):
+            src = tuple(int(t) for t in rng.integers(4, 14, size=n + 1))
+            tgt = tuple(int(t) for t in rng.integers(4, 14, size=n)) + (EOS,)
+            pairs.append(ExamplePair(src, tgt, extract_bag(tgt)))
+        (batch,) = make_batches(pairs, 3, 14, seed=0)
+        assert not np.all(batch.target_mask > 0)
+
+        def run(score_forms):
+            forward = model.forward_teacher_forced(batch)
+            if score_forms:
+                word = word_loss_on_scores(forward.scores, batch.target, batch.target_mask)
+                bag = bag_loss_on_scores(forward.bag_scores, batch.bag_indicator, variant)
+            else:
+                word = word_loss(forward.step_probs, batch.target, batch.target_mask)
+                bag = bag_loss(forward.bag_probs, batch.bag_indicator, variant)
+            model.params.zero_gradients()
+            ad.backward(total_loss(word, bag, 0.5))
+            grads = {name: node.grad.copy() for name, node in model.params.items()}
+            return float(word.value), float(bag.value), grads
+
+        word, bag, grads = run(True)
+        ref_word, ref_bag, ref_grads = run(False)
+        assert abs(word - ref_word) < 1e-12 and abs(bag - ref_bag) < 1e-12
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("variant", ["paper", "full-bce"])
+    def test_full_model_finite_differences(self, variant):
+        """A1's model, batch, check point, step and tolerance, on the score forms."""
+        config = ModelConfig(
+            src_vocab_size=20, tgt_vocab_size=20, emb_size=8, hidden_size=8,
+            enc_layers=1, dec_layers=1, dropout=0.0, generator_input="concat",
+        )
+        rng = np.random.default_rng(0)
+        model = Seq2SeqModel(config, init_rng=rng)
+        for _, node in model.params.items():
+            node.value[...] = rng.uniform(-1.0, 1.0, node.value.shape)
+        batch = _random_batch(rng, 2, 3, 4, 20, 20)
+
+        def loss_fn(_params):
+            forward = model.forward_teacher_forced(batch)
+            l_word = word_loss_on_scores(forward.scores, batch.target, batch.target_mask)
+            l_bag = bag_loss_on_scores(forward.bag_scores, batch.bag_indicator, variant)
+            return total_loss(l_word, l_bag, 1.0)
+
+        report = finite_difference_check(loss_fn, model.params, step=1e-4, tolerance=1e-4)
+        assert report.passed, report.format()
+        assert {"attn.bilinear", "gen.weight", "gen.bias"} <= set(model.params.names())
+
+    def test_gold_gradient_survives_a_gap_of_30_nats(self):
+        scores = ParameterStore().create("s", np.array([[30.0, 0.0, 0.0]]))
+        ad.backward(word_loss_on_scores(scores, np.array([[1]]), np.ones((1, 1))))
+        assert scores.grad[0, 1] < -0.99
+
+    @pytest.mark.parametrize("variant", ["paper", "full-bce"])
+    def test_bag_gradient_survives_a_score_of_minus_40(self, variant):
+        scores = ParameterStore().create("s", np.array([[-40.0, 0.0]]))
+        ad.backward(bag_loss_on_scores(scores, np.array([[1.0, 0.0]]), variant))
+        assert scores.grad[0, 0] < -0.99
+
+    def test_absent_word_gradient_survives_a_score_of_40(self):
+        scores = ParameterStore().create("s", np.array([[40.0, 0.0]]))
+        ad.backward(bag_loss_on_scores(scores, np.array([[0.0, 1.0]]), "full-bce"))
+        assert scores.grad[0, 0] > 0.99
+
+
 class TestClipGradients:
     def _store_with_grads(self, grads):
         store = ParameterStore()
@@ -286,6 +399,21 @@ class TestClipGradients:
         np.testing.assert_allclose(
             store["p0"].grad, grads[0] * factor, rtol=0, atol=1e-15
         )
+
+    def test_blocked_sum_spans_many_blocks(self):
+        """A parameter several summation blocks long; its last block is
+        partial, and a NaN in a later block still names that parameter."""
+        rng = np.random.default_rng(19)
+        grads = [rng.normal(size=(3, 2)), rng.normal(size=(300, 401)), rng.normal(size=(1, 5))]
+        want = 10.0 / np.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        factor = clip_gradients(self._store_with_grads(grads), max_norm=10.0)
+        np.testing.assert_allclose(factor, want, rtol=1e-13)
+        grads[1][-1, -1] = np.nan
+        store = self._store_with_grads(grads)
+        with pytest.raises(NonFiniteGradientError) as caught:
+            clip_gradients(store, max_norm=10.0)
+        assert caught.value.parameter == "p1"
+        assert np.isnan(store["p1"].grad[-1, -1]) and store["p0"].grad[0, 0] == grads[0][0, 0]
 
     def test_zero_gradients_are_a_no_op(self):
         store = self._store_with_grads([np.zeros((3, 3))])

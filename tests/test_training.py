@@ -1,13 +1,16 @@
 """Training-loop tests: checkpoints and logs land where asked, the schedule
 feeds through, baseline parity on the word term, and non-finite aborts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from bowseq import autodiff as ad
 from bowseq import training
-from bowseq.data import EOS, ExamplePair, Vocab, extract_bag
+from bowseq.data import EOS, ExamplePair, Vocab, extract_bag, make_batches
 from bowseq.model import ModelConfig, Seq2SeqModel, load_checkpoint
-from bowseq.objectives import ScheduleParams
+from bowseq.objectives import AdamState, ScheduleParams
 from bowseq.training import (
     LOG_HEADER,
     EpochStats,
@@ -111,6 +114,35 @@ class TestTrainModel:
         model.params["gen.bias"].value[...] = np.nan
         with pytest.raises(TrainingError, match=r"epoch 0, batch 0"):
             train_model(model, pairs, ScheduleParams(), rng, epochs=1, batch_size=4)
+
+    def test_non_finite_scores_raise_only_the_training_error(self):
+        """NaN scores reach the log-space loss kernels: they stay silent, the
+        loss check reports the batch, and no parameter moves."""
+        model, pairs, rng = tiny_setup()
+        model.params["gen.weight"].value[0, 0] = np.nan
+        before = {name: node.value.tobytes() for name, node in model.params.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for variant in ("paper", "full-bce"):
+                with pytest.raises(TrainingError, match=r"non-finite loss at epoch 0, batch 0"):
+                    train_model(model, pairs, ScheduleParams(), rng, epochs=1, batch_size=4,
+                                bag_variant=variant)
+        for name, node in model.params.items():
+            assert node.value.tobytes() == before[name], name
+
+    def test_training_batch_builds_no_softmax(self, monkeypatch):
+        model, pairs, rng = tiny_setup()
+        (batch,) = make_batches(pairs, len(pairs), 16, seed=0)
+
+        def no_softmax(*args, **kwargs):
+            raise AssertionError("a training batch built a softmax")
+
+        monkeypatch.setattr(ad, "softmax_rows", no_softmax)
+        adam = AdamState.for_store(model.params)
+        before = model.params["gen.weight"].value.copy()
+        breakdown = training._train_batch(model, batch, 0.5, "full-bce", 1.0, adam, rng, 0, 0)
+        assert np.isfinite(breakdown.total) and adam.step == 1
+        assert not np.array_equal(model.params["gen.weight"].value, before)
 
     def test_non_finite_gradient_aborts_before_any_update(self, monkeypatch):
         """A NaN gradient in batch 1 of epoch 1 stops training with that
