@@ -17,15 +17,16 @@ Most of the model runs on coarse primitives with hand-written backward
 rules: a fused LSTM cell step, attention weights and contexts batched over
 all decoder steps, row blocks (``concat_rows``, ``slice_rows``,
 ``sum_steps``) that let a teacher-forced pass treat its T steps of B rows
-as one time-major (T*B)-row matrix, and the training losses in log space on
-the scores (``cross_entropy_rows``, ``softplus``).
+as one time-major (T*B)-row matrix, and the losses in log space on the
+scores (``cross_entropy_rows``, ``softplus``).  Nothing floors a
+probability: there is no word softmax and no log node.
 
 Broadcasting is deliberately restricted.  Elementwise ops require equal
 shapes, with two sanctioned exceptions: a scalar combined with a tensor,
 and a (1, n) row-vector bias added to an (m, n) matrix.  Anything richer
-(column picking, row blocks, attention over a memory) is its own primitive
-with an explicit backward rule, so no gradient ever flows through an
-implicit numpy broadcast.
+(gold-column losses, row blocks, attention over a memory) is its own
+primitive with an explicit backward rule, so no gradient ever flows through
+an implicit numpy broadcast.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-
-LOG_FLOOR = 1e-12
 
 
 class ShapeError(ValueError):
@@ -242,10 +241,12 @@ def sigmoid(a: Node) -> Node:
 
 
 def softplus(a: Node) -> Node:
-    """log(1 + e^a), which is -log sigmoid(-a); its gradient is sigmoid(a),
-    so it never vanishes the way a floored log of a probability does."""
+    """log(1 + e^a), which is -log sigmoid(-a), as max(a, 0) + log1p(e^-|a|)
+    so no exp overflows; its gradient is sigmoid(a), which never vanishes
+    the way the gradient of a floored log of a probability does."""
+    x = a.value
     with np.errstate(invalid="ignore"):  # NaN in, NaN out, caught by the caller
-        out = Node(np.logaddexp(0.0, a.value), parents=(a,))
+        out = Node(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), parents=(a,))
 
     def backward(out: Node) -> None:
         if a.requires_grad:
@@ -307,62 +308,6 @@ def cross_entropy_rows(scores: Node, targets: np.ndarray, mask: np.ndarray) -> N
     return out
 
 
-def log(a: Node) -> Node:
-    """Natural log with the argument clamped at LOG_FLOOR.
-
-    Inside the clamped region the gradient is 0 (the clamp is a plateau),
-    which keeps finite differences and the analytic rule consistent.
-    """
-    clamped = np.maximum(a.value, LOG_FLOOR)
-    out = Node(np.log(clamped), parents=(a,))
-
-    def backward(out: Node) -> None:
-        if a.requires_grad:
-            _accumulate(a, np.where(a.value > LOG_FLOOR, out.grad / clamped, 0.0))
-
-    out._backward = backward
-    return out
-
-
-def softmax_rows(a: Node, mask: np.ndarray | None = None) -> Node:
-    """Row-wise softmax of an (m, n) matrix.
-
-    ``mask`` is a 0/1 float array of the same shape; masked entries come out
-    exactly 0 and take no part in the normalization.  A fully masked row is
-    an error.
-    """
-    if a.value.ndim != 2:
-        raise ShapeError("softmax_rows", a.value.shape)
-    x = a.value
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if mask.shape != x.shape:
-            raise ShapeError("softmax_rows", x.shape, mask.shape)
-        if np.any(mask.sum(axis=1) == 0.0):
-            raise ValueError("softmax_rows: fully masked row")
-        shifted = np.where(mask > 0, x, -np.inf)
-        shifted = shifted - shifted.max(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            e = np.where(mask > 0, np.exp(shifted), 0.0)
-    else:
-        e = x - x.max(axis=1, keepdims=True)
-        np.exp(e, out=e)
-    e /= e.sum(axis=1, keepdims=True)
-    out = Node(e, parents=(a,))
-
-    def backward(out: Node) -> None:
-        if a.requires_grad:
-            g, y = out.grad, out.value
-            fresh = g * y
-            inner = fresh.sum(axis=1, keepdims=True)
-            np.subtract(g, inner, out=fresh)
-            fresh *= y
-            _accumulate(a, fresh)
-
-    out._backward = backward
-    return out
-
-
 def sum_all(a: Node) -> Node:
     """Reduce to a 0-d scalar."""
     out = Node(a.value.sum(), parents=(a,))
@@ -412,27 +357,6 @@ def concat_cols(nodes: Sequence[Node]) -> Node:
         for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             if n.requires_grad:
                 n.grad += out.grad[:, lo:hi]
-
-    out._backward = backward
-    return out
-
-
-def pick_columns(a: Node, indices: np.ndarray) -> Node:
-    """out[i, 0] = a[i, indices[i]] for an (m, n) matrix."""
-    if a.value.ndim != 2:
-        raise ShapeError("pick_columns", a.value.shape)
-    idx = np.asarray(indices)
-    m = a.value.shape[0]
-    if idx.shape != (m,) or not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError("pick_columns: indices must be a length-m integer vector")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.value.shape[1]):
-        raise IndexError("pick_columns: column index out of range")
-    rows = np.arange(m)
-    out = Node(a.value[rows, idx][:, None], parents=(a,))
-
-    def backward(out: Node) -> None:
-        if a.requires_grad:
-            a.grad[rows, idx] += out.grad[:, 0]  # one entry per row, so no repeats
 
     out._backward = backward
     return out
@@ -527,7 +451,9 @@ def sum_steps(a: Node, weights: np.ndarray) -> Node:
 
     def backward(out: Node) -> None:
         if a.requires_grad:
-            _accumulate(a, (weights.T[:, :, None] * out.grad).reshape(a.value.shape))
+            grad = a.grad
+            for t in range(steps):
+                grad[t * batch : (t + 1) * batch] += out.grad * weights[:, t : t + 1]
 
     out._backward = backward
     return out

@@ -40,9 +40,9 @@ from .model import (
 from .objectives import (
     BAG_LOSS_VARIANTS,
     ScheduleParams,
-    bag_loss_on_scores,
+    bag_loss,
     total_loss,
-    word_loss_on_scores,
+    word_loss,
 )
 from .training import ValidationSet, train_model
 
@@ -488,8 +488,8 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
 
     def loss_fn(_params):
         forward = model.forward_teacher_forced(batch)
-        l_word = word_loss_on_scores(forward.scores, batch.target, batch.target_mask)
-        l_bag = bag_loss_on_scores(forward.bag_scores, batch.bag_indicator)
+        l_word = word_loss(forward.scores, batch.target, batch.target_mask)
+        l_bag = bag_loss(forward.bag_scores, batch.bag_indicator)
         return total_loss(l_word, l_bag, 1.0)
 
     report = ad.finite_difference_check(

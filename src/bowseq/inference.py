@@ -1,10 +1,11 @@
 """Decoding: one batched beam search, and step-by-step reference decoders.
 
 Hypothesis scores are accumulated log-likelihoods of emitted tokens (EOS
-included).  ``max_length`` caps the emitted token count including EOS; a
-hypothesis that reaches the cap is force-terminated through the decoder's
-real distribution so its score still equals the sum of its step log
-probabilities.
+included), read from the log-softmax of the decoder's scores, so no
+probability is floored.  ``max_length`` caps the emitted token count
+including EOS; a hypothesis that reaches the cap is force-terminated through
+the decoder's real distribution so its score still equals the sum of its
+step log probabilities.
 
 The search encodes B sentences once as a padded batch and steps k*B decoder
 rows at a time: row j*B + b holds beam j of sentence b (rows past a
@@ -25,9 +26,6 @@ import numpy as np
 
 from .data import BOS, EOS, _pad_matrix
 from .model import DecoderState, Seq2SeqModel
-
-#: Probability floor applied before log purely to avoid -inf scores.
-PROB_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -79,32 +77,43 @@ def _check_source(model: Seq2SeqModel, source: Sequence[int]) -> np.ndarray:
     return src[None, :]
 
 
+def _log_probs(scores: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of (rows, V) scores in one (rows, V) buffer:
+    each row minus its max, exponentiated and summed, then the scores minus
+    (max + log of that sum)."""
+    top = scores.max(axis=1, keepdims=True)
+    out = np.subtract(scores, top)
+    np.exp(out, out=out)
+    norm = np.log(out.sum(axis=1, keepdims=True))
+    norm += top
+    return np.subtract(scores, norm, out=out)
+
+
 def _step_logprobs(model: Seq2SeqModel, prev: int, state, encoded) -> tuple[np.ndarray, DecoderState]:
     out = model.decode_step(np.array([prev], dtype=np.int64), state, encoded)
-    logp = np.log(np.maximum(out.probs.value[0], PROB_FLOOR))
-    return logp, out.state
+    return _log_probs(out.scores.value)[0], out.state
 
 
 def _expansions(
-    probs: np.ndarray, live: np.ndarray, at_cap: np.ndarray, width: int
+    logp: np.ndarray, live: np.ndarray, at_cap: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, token, log-probability) of the expansions of the ``live`` rows:
-    EOS alone for a row ``at_cap``, else its ``width`` most probable tokens
-    plus every token tied with the last of them, which the (-ll, tokens)
-    sort then cuts back as a stable sort would.  Nothing sorts the vocabulary.
+    """(row, token, log-probability) of the expansions of the ``live`` rows
+    of the log-probabilities ``logp``: EOS alone for a row ``at_cap``, else
+    its ``width`` most probable tokens plus every token tied with the last of
+    them, which the (-ll, tokens) sort then cuts back as a stable sort would.
+    Nothing sorts the vocabulary.
     """
-    k = min(width, probs.shape[1])
+    k = min(width, logp.shape[1])
     if k == 1:
-        rows, tokens = live, np.where(at_cap, EOS, probs.argmax(axis=1)[live])
+        rows, tokens = live, np.where(at_cap, EOS, logp.argmax(axis=1)[live])
     else:
         free, ends = live[~at_cap], live[at_cap]
-        kept = probs[free]
+        kept = logp[free]
         kth = np.partition(kept, -k, axis=1)[:, -k]
-        kth[kth <= PROB_FLOOR] = 0.0  # below the floor every token scores the floor
-        at, tokens = np.divmod(np.flatnonzero(kept >= kth[:, None]), probs.shape[1])
+        at, tokens = np.divmod(np.flatnonzero(kept >= kth[:, None]), logp.shape[1])
         rows = np.concatenate([free[at], ends])
         tokens = np.concatenate([tokens, np.full(ends.size, EOS)])
-    return rows, tokens, np.log(np.maximum(probs[rows, tokens], PROB_FLOOR))
+    return rows, tokens, logp[rows, tokens]
 
 
 def _search(
@@ -123,7 +132,8 @@ def _search(
     for step in range(caps.max()):
         out = model.decode_step(prev, state, encoded)
         rows = np.fromiter(live, dtype=np.int64, count=len(live))
-        expanded = _expansions(out.probs.value, rows, caps[rows % batch] == step + 1, config.width)
+        at_cap = caps[rows % batch] == step + 1
+        expanded = _expansions(_log_probs(out.scores.value), rows, at_cap, config.width)
         candidates: list[list] = [[] for _ in range(batch)]
         for row, tok, lp in zip(*(a.tolist() for a in expanded)):
             tokens, ll, _ = live[row]

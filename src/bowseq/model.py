@@ -13,8 +13,9 @@ Sequences are time-major (T*B)-row matrices: rows t*B .. t*B+B-1 hold step
 t.  Each LSTM layer projects all its inputs with one matmul, and only the
 fused cell steps run one position at a time.  The decoder has no input
 feeding, so under teacher forcing attention and generator run once over all
-T steps; a decoding step is the same code at T=1.  Word distributions are
-built only when read: training takes its losses from the scores.
+T steps; a decoding step is the same code at T=1.  The model outputs
+scores only: training takes its losses from them in log space, and decoding
+turns them into log-probabilities.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import json
 import os
 import struct
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -99,54 +99,19 @@ class DecoderState:
 
 @dataclass
 class StepOutput:
-    """Decoder outputs of T steps (T = 1 for a decoding step), time-major.
-
-    ``probs``, the (T*B, V) word distributions, is built on first read.
-    """
+    """Decoder outputs of T steps (T = 1 for a decoding step), time-major."""
 
     scores: Node                    # (T*B, V) pre-softmax s_t
     state: DecoderState
     attention: AttentionResult
 
-    @cached_property
-    def probs(self) -> Node:
-        return ad.softmax_rows(self.scores)
-
 
 @dataclass
 class ForwardPass:
-    """Teacher-forced outputs of all T steps, time-major (T*B, V) matrices.
+    """Teacher-forced outputs of all T steps; the losses read only these."""
 
-    Training reads only the scores.  The probabilities, and the per-step
-    (B, V) row views ``step_scores`` and ``step_probs``, are built on first
-    read, so a training batch never holds a softmax.
-    """
-
-    scores: Node
+    scores: Node                     # (T*B, V) pre-softmax scores, time-major
     bag_scores: Node                 # (B, V) scores summed over real target steps
-
-    @cached_property
-    def probs(self) -> Node:
-        return ad.softmax_rows(self.scores)
-
-    @cached_property
-    def bag_probs(self) -> Node:
-        """(B, V) sentence-level sigmoid probabilities."""
-        return ad.sigmoid(self.bag_scores)
-
-    def _steps(self, node: Node) -> list[Node]:
-        batch = self.bag_scores.value.shape[0]
-        return [
-            ad.slice_rows(node, lo, lo + batch) for lo in range(0, node.value.shape[0], batch)
-        ]
-
-    @cached_property
-    def step_scores(self) -> list[Node]:
-        return self._steps(self.scores)
-
-    @cached_property
-    def step_probs(self) -> list[Node]:
-        return self._steps(self.probs)
 
 
 def bow_probabilities(step_scores: Sequence[Node], timesteps: Sequence[int] | None = None) -> Node:

@@ -1,42 +1,25 @@
 """Training objectives: word loss, bag loss, weight schedule, optimizer.
 
-Both loss terms are means over the batch.  The word loss is the negative
-log probability of each gold token, summed over real target positions.  The
-bag loss scores the sentence-level sigmoid probabilities against the bag
+Both loss terms are means over the batch and take pre-softmax scores, so
+they are computed in log space and no probability is floored.  The word
+loss is the negative log-likelihood of each gold token under the softmax of
+its step's scores, summed over real target positions.  The bag loss scores
+the sentence-level sigmoid of the step-summed scores against the bag
 indicator; the default variant penalizes only the words present in the bag,
 while ``full-bce`` adds the complement term for absent words.
-
-Training computes both terms from the scores, in log space
-(``word_loss_on_scores``, ``bag_loss_on_scores``), so no gradient is cut off
-at a floor.  ``word_loss`` and ``bag_loss`` take probabilities and clamp
-their logs at ``LOG_FLOOR``; they are the references the score forms are
-tested against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import LOG_FLOOR, Node, ParameterStore
+from .autodiff import Node, ParameterStore
 
 BAG_LOSS_VARIANTS = ("paper", "full-bce")
-
-_floor_hits = 0
-
-
-def floor_hit_count() -> int:
-    """How many gold probabilities have been clamped at the log floor."""
-    return _floor_hits
-
-
-def reset_floor_hits() -> None:
-    global _floor_hits
-    _floor_hits = 0
 
 
 @dataclass(frozen=True)
@@ -75,68 +58,29 @@ class LossBreakdown:
         return self.word + self.weight * self.bag
 
 
-def word_loss(step_probs: Sequence[Node], targets: np.ndarray, mask: np.ndarray) -> Node:
-    """Mean over the batch of the summed gold-token negative log likelihood.
-
-    Positions with mask 0 contribute nothing.  Gold probabilities at or
-    below the log floor are clamped (the log primitive does this) and
-    counted on a module-level warning counter.
-    """
-    global _floor_hits
-    targets = np.asarray(targets)
-    mask = np.asarray(mask, dtype=np.float64)
-    steps = len(step_probs)
-    if targets.ndim != 2 or targets.shape[1] != steps or mask.shape != targets.shape:
-        raise ValueError(
-            f"targets/mask of shape {targets.shape}/{mask.shape} do not cover {steps} steps"
-        )
-    batch = targets.shape[0]
-    gold = ad.concat_cols(
-        [ad.pick_columns(probs, targets[:, t]) for t, probs in enumerate(step_probs)]
-    )
-    _floor_hits += int(np.sum((gold.value <= LOG_FLOOR) & (mask > 0)))
-    return ad.scale(ad.sum_all(ad.mul(ad.log(gold), ad.constant(mask))), -1.0 / batch)
-
-
-def _check_bag(bag: Node, indicator: np.ndarray, variant: str) -> np.ndarray:
-    if variant not in BAG_LOSS_VARIANTS:
-        raise ValueError(f"unknown bag loss variant {variant!r}; choose from {BAG_LOSS_VARIANTS}")
-    indicator = np.asarray(indicator, dtype=np.float64)
-    if indicator.shape != bag.value.shape:
-        raise ValueError(
-            f"indicator shape {indicator.shape} does not match the bag {bag.value.shape}"
-        )
-    return indicator
-
-
-def bag_loss(bag_probs: Node, indicator: np.ndarray, variant: str = "paper") -> Node:
-    """Mean over the batch of the bag negative log likelihood.
-
-    ``indicator`` rows hold the bag membership (counts when duplicates are
-    kept); rows with an empty bag contribute zero.  The ``full-bce`` variant
-    adds -(1 - b) * log(1 - p) for absent words.
-    """
-    indicator = _check_bag(bag_probs, indicator, variant)
-    batch = indicator.shape[0]
-    positive = ad.sum_all(ad.mul(ad.log(bag_probs), ad.constant(indicator)))
-    if variant == "paper":
-        return ad.scale(positive, -1.0 / batch)
-    ones = ad.constant(np.ones_like(indicator))
-    complement = ad.add(ones, ad.scale(bag_probs, -1.0))
-    negative = ad.sum_all(ad.mul(ad.log(complement), ad.constant(1.0 - indicator)))
-    return ad.scale(ad.add(positive, negative), -1.0 / batch)
-
-
-def word_loss_on_scores(scores: Node, targets: np.ndarray, mask: np.ndarray) -> Node:
-    """``word_loss`` from the time-major (T*B, V) pre-softmax scores, as
-    logsumexp minus the gold score; targets and mask are (B, T)."""
+def word_loss(scores: Node, targets: np.ndarray, mask: np.ndarray) -> Node:
+    """Mean over the batch of the summed gold-token negative log-likelihood,
+    from the time-major (T*B, V) pre-softmax scores as logsumexp minus the
+    gold score.  ``targets`` and ``mask`` are (B, T); positions with mask 0
+    contribute nothing."""
     return ad.cross_entropy_rows(scores, targets, mask)
 
 
-def bag_loss_on_scores(bag_scores: Node, indicator: np.ndarray, variant: str = "paper") -> Node:
-    """``bag_loss`` from the (B, V) step-summed scores s: -log sigmoid(s) is
-    softplus(-s), and ``full-bce``'s -log(1 - sigmoid(s)) is softplus(s)."""
-    indicator = _check_bag(bag_scores, indicator, variant)
+def bag_loss(bag_scores: Node, indicator: np.ndarray, variant: str = "paper") -> Node:
+    """Mean over the batch of the bag negative log-likelihood, from the
+    (B, V) step-summed scores s: -log sigmoid(s) is softplus(-s), and
+    ``full-bce`` adds -log(1 - sigmoid(s)) = softplus(s) for absent words.
+
+    ``indicator`` rows hold the bag membership (counts when duplicates are
+    kept); rows with an empty bag contribute zero.
+    """
+    if variant not in BAG_LOSS_VARIANTS:
+        raise ValueError(f"unknown bag loss variant {variant!r}; choose from {BAG_LOSS_VARIANTS}")
+    indicator = np.asarray(indicator, dtype=np.float64)
+    if indicator.shape != bag_scores.value.shape:
+        raise ValueError(
+            f"indicator shape {indicator.shape} does not match the bag {bag_scores.value.shape}"
+        )
     batch = indicator.shape[0]
     positive = ad.sum_all(ad.mul(ad.softplus(ad.scale(bag_scores, -1.0)), ad.constant(indicator)))
     if variant == "paper":

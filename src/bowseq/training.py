@@ -26,12 +26,12 @@ from .objectives import (
     NonFiniteGradientError,
     ScheduleParams,
     adam_step,
+    bag_loss,
     bag_weight,
     clip_gradients,
     total_loss,
+    word_loss,
 )
-# The log-space score forms, under the names the benchmark's tracer wraps.
-from .objectives import bag_loss_on_scores as bag_loss, word_loss_on_scores as word_loss
 from . import autodiff as ad
 
 LOG_HEADER = (

@@ -94,8 +94,8 @@ class TestA1GradientCorrectness:
 
         def loss_fn(_params):
             forward = model.forward_teacher_forced(batch)
-            l_word = word_loss(forward.step_probs, batch.target, batch.target_mask)
-            l_bag = bag_loss(forward.bag_probs, batch.bag_indicator)
+            l_word = word_loss(forward.scores, batch.target, batch.target_mask)
+            l_bag = bag_loss(forward.bag_scores, batch.bag_indicator)
             return total_loss(l_word, l_bag, 1.0)
 
         result = finite_difference_check(loss_fn, model.params, step=1e-4, tolerance=1e-4)
@@ -133,24 +133,29 @@ class TestA2ScheduleExactness:
 
 
 class TestA3LossOracles:
+    """The losses training runs, on scores: the word loss reads time-major
+    (T*B, V) scores, row t*B + b being step t of sentence b, and the bag
+    loss reads (B, V) step-summed scores."""
+
     @staticmethod
-    def _word_oracle(probs, targets, mask):
+    def _word_oracle(scores, targets, mask):
         batch, steps = targets.shape
         total = 0.0
         for b in range(batch):
             for t in range(steps):
                 if mask[b, t] > 0:
-                    total -= math.log(max(probs[t][b, targets[b, t]], 1e-12))
+                    row = scores[t * batch + b]
+                    total += math.log(sum(math.exp(v) for v in row)) - row[targets[b, t]]
         return total / batch
 
     @staticmethod
-    def _bag_oracle(p, indicator):
+    def _bag_oracle(s, indicator):
         batch, vocab = indicator.shape
         total = 0.0
         for b in range(batch):
             for w in range(vocab):
                 if indicator[b, w] > 0:
-                    total -= indicator[b, w] * math.log(max(p[b, w], 1e-12))
+                    total += indicator[b, w] * math.log(1.0 + math.exp(-s[b, w]))
         return total / batch
 
     def test_loss_oracles(self):
@@ -161,19 +166,21 @@ class TestA3LossOracles:
             steps = int(rng.integers(1, 6))
             vocab = int(rng.integers(2, 9))
             probs = [rng.uniform(0.01, 1.0, size=(batch, vocab)) for _ in range(steps)]
+            scores = np.log(np.concatenate(probs))  # word scores = log p, time-major
             targets = rng.integers(0, vocab, size=(batch, steps))
             mask = (rng.random((batch, steps)) < 0.8).astype(np.float64)
-            got = word_loss([constant(p) for p in probs], targets, mask)
-            worst = max(worst, abs(float(got.value) - self._word_oracle(probs, targets, mask)))
+            got = word_loss(constant(scores), targets, mask)
+            worst = max(worst, abs(float(got.value) - self._word_oracle(scores, targets, mask)))
 
             p = rng.uniform(0.05, 0.95, size=(batch, vocab))
+            bag_scores = np.log(p / (1.0 - p))  # bag scores = logit p
             indicator = (rng.random((batch, vocab)) < 0.4).astype(np.float64)
-            got_bag = bag_loss(constant(p), indicator)
-            worst = max(worst, abs(float(got_bag.value) - self._bag_oracle(p, indicator)))
+            got_bag = bag_loss(constant(bag_scores), indicator)
+            worst = max(worst, abs(float(got_bag.value) - self._bag_oracle(bag_scores, indicator)))
         cases_ok = worst < 1e-10
 
         vocab, steps, batch = 17, 6, 3
-        uniform = [constant(np.full((batch, vocab), 1.0 / vocab)) for _ in range(steps)]
+        uniform = constant(np.zeros((steps * batch, vocab)))  # equal scores: uniform words
         targets = np.tile(np.arange(steps) % vocab, (batch, 1))
         got = word_loss(uniform, targets, np.ones((batch, steps)))
         uniform_err = abs(float(got.value) - steps * math.log(vocab))
@@ -432,11 +439,8 @@ class TestA7DeterminismPersistence:
         batch = random_batch(np.random.default_rng(77), 3, 4, 5, 18, 18)
         out_a = model.forward_teacher_forced(batch)
         out_b = again.forward_teacher_forced(batch)
-        forward_same = np.array_equal(
-            out_a.bag_probs.value, out_b.bag_probs.value
-        ) and all(
-            np.array_equal(pa.value, pb.value)
-            for pa, pb in zip(out_a.step_probs, out_b.step_probs)
+        forward_same = np.array_equal(out_a.scores.value, out_b.scores.value) and np.array_equal(
+            out_a.bag_scores.value, out_b.bag_scores.value
         )
 
         ok = ckpt_same and logs_same and forward_same

@@ -10,6 +10,7 @@ from bowseq.data import BOS, EOS
 from bowseq.inference import (
     BeamConfig,
     Hypothesis,
+    _log_probs,
     _search,
     beam_search,
     greedy_decode,
@@ -79,7 +80,7 @@ class _ScriptedModel:
     def decode_step(self, prev, state, encoded):
         dists = np.stack([self.distribution(step) for step in state.steps])
         return SimpleNamespace(
-            probs=SimpleNamespace(value=dists), state=_ScriptedState(state.steps + 1)
+            scores=SimpleNamespace(value=np.log(dists)), state=_ScriptedState(state.steps + 1)
         )
 
 
@@ -176,6 +177,28 @@ class TestScoreRecompute:
         for hyp in beam_search(model, source, BeamConfig(width=4, max_length=5)):
             again = score_sequence(model, source, hyp.tokens)
             np.testing.assert_allclose(hyp.log_likelihood, again, atol=1e-9)
+
+
+class TestLogProbs:
+    def test_rows_are_normalised_log_softmax(self):
+        rng = np.random.default_rng(0)
+        scores = rng.uniform(-30.0, 30.0, size=(4, 9))
+        kept = scores.copy()
+        got = _log_probs(scores)
+        want = scores - np.log(np.exp(scores).sum(axis=1, keepdims=True))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.exp(got).sum(axis=1), np.ones(4), rtol=0, atol=1e-12)
+        assert np.array_equal(scores, kept)
+
+    def test_score_far_below_the_rest_is_read_exactly(self):
+        """A token 800 nats behind every other one: its probability
+        underflows, but its log-probability is still -800 - log(V - 1)."""
+        model = tiny_model(57)
+        model.gen_weight.value[...] = 0.0
+        model.gen_bias.value[...] = 0.0
+        model.gen_bias.value[0, 4] = -800.0
+        got = score_sequence(model, [4, 5], [4])
+        np.testing.assert_allclose(got, -800.0 - np.log(4), rtol=0, atol=1e-9)
 
 
 class TestScriptedSearch:

@@ -24,6 +24,11 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def softmax(scores):
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def lstm_step_oracle(x, h, c, w_in, w_rec, bias):
     """Scalar-loop LSTM step; gate order [input, forget, cell, output]."""
     batch, hidden = h.shape
@@ -246,14 +251,14 @@ class TestDecoder:
         model.gen_bias.value[...] = 0.0
         enc = model.encode(np.array([[4, 5]]))
         out = model.decode_step(np.array([BOS]), model.initial_decoder_state(enc), enc)
-        np.testing.assert_allclose(out.probs.value, np.full((1, 13), 1 / 13), atol=1e-12)
+        np.testing.assert_allclose(softmax(out.scores.value), np.full((1, 13), 1 / 13), atol=1e-12)
 
     def test_large_bias_concentrates_mass(self):
         model, rng = tiny_model(seed=13)
         model.gen_bias.value[0, 7] = 50.0
         enc = model.encode(np.array([[4, 5]]))
         out = model.decode_step(np.array([BOS]), model.initial_decoder_state(enc), enc)
-        assert out.probs.value[0, 7] > 0.999
+        assert softmax(out.scores.value)[0, 7] > 0.999
 
     def test_state_advances_between_steps(self):
         model, rng = tiny_model(seed=14)
@@ -324,18 +329,16 @@ class TestForwardTeacherForced:
             prev = np.full(2, BOS) if t == 0 else batch.target[:, t - 1]
             out = model.decode_step(prev, state, enc)
             state = out.state
-            np.testing.assert_array_equal(forward.step_probs[t].value, out.probs.value)
+            np.testing.assert_array_equal(forward.scores.value[2 * t : 2 * t + 2], out.scores.value)
 
     def test_bag_probs_only_cover_real_positions(self):
         model, rng = tiny_model(seed=20)
         batch = toy_batch(model, rng, batch_size=2, src_len=3, tgt_len=4)
         batch.target_mask[1, 2:] = 0.0
         forward = model.forward_teacher_forced(batch)
-        summed = sum(
-            forward.step_scores[t].value[1] * batch.target_mask[1, t] for t in range(4)
-        )
+        summed = sum(forward.scores.value[2 * t + 1] * batch.target_mask[1, t] for t in range(4))
         np.testing.assert_allclose(
-            forward.bag_probs.value[1], 1 / (1 + np.exp(-summed)), atol=1e-12
+            sigmoid(forward.bag_scores.value[1]), sigmoid(summed), atol=1e-12
         )
 
     def test_padded_row_probs_match_unbatched_prefix(self):
@@ -360,7 +363,9 @@ class TestForwardTeacherForced:
         alone = model.forward_teacher_forced(solo)
         for t in range(2):
             np.testing.assert_allclose(
-                batched.step_probs[t].value[1], alone.step_probs[t].value[0], atol=1e-10
+                softmax(batched.scores.value[2 * t + 1 : 2 * t + 2]),
+                softmax(alone.scores.value[t : t + 1]),
+                atol=1e-10,
             )
 
 
@@ -412,11 +417,8 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         after = loaded.forward_teacher_forced(batch)
-        for t in range(len(before.step_probs)):
-            np.testing.assert_array_equal(
-                before.step_probs[t].value, after.step_probs[t].value
-            )
-        np.testing.assert_array_equal(before.bag_probs.value, after.bag_probs.value)
+        np.testing.assert_array_equal(before.scores.value, after.scores.value)
+        np.testing.assert_array_equal(before.bag_scores.value, after.bag_scores.value)
 
     def test_save_deterministic_bytes(self, tmp_path):
         model, _ = tiny_model(seed=26)
@@ -471,7 +473,7 @@ class TestDeterminism:
         batch = toy_batch(model, rng)
         first = model.forward_teacher_forced(batch)
         second = model.forward_teacher_forced(batch)
-        np.testing.assert_array_equal(first.bag_probs.value, second.bag_probs.value)
+        np.testing.assert_array_equal(first.bag_scores.value, second.bag_scores.value)
 
     def test_dropout_draws_follow_generator(self):
         model, _ = tiny_model(seed=35, dropout=0.5)

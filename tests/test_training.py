@@ -6,11 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from bowseq import autodiff as ad
 from bowseq import training
-from bowseq.data import EOS, ExamplePair, Vocab, extract_bag, make_batches
+from bowseq.data import EOS, ExamplePair, Vocab, extract_bag
 from bowseq.model import ModelConfig, Seq2SeqModel, load_checkpoint
-from bowseq.objectives import AdamState, ScheduleParams
+from bowseq.objectives import ScheduleParams
 from bowseq.training import (
     LOG_HEADER,
     EpochStats,
@@ -129,20 +128,6 @@ class TestTrainModel:
                                 bag_variant=variant)
         for name, node in model.params.items():
             assert node.value.tobytes() == before[name], name
-
-    def test_training_batch_builds_no_softmax(self, monkeypatch):
-        model, pairs, rng = tiny_setup()
-        (batch,) = make_batches(pairs, len(pairs), 16, seed=0)
-
-        def no_softmax(*args, **kwargs):
-            raise AssertionError("a training batch built a softmax")
-
-        monkeypatch.setattr(ad, "softmax_rows", no_softmax)
-        adam = AdamState.for_store(model.params)
-        before = model.params["gen.weight"].value.copy()
-        breakdown = training._train_batch(model, batch, 0.5, "full-bce", 1.0, adam, rng, 0, 0)
-        assert np.isfinite(breakdown.total) and adam.step == 1
-        assert not np.array_equal(model.params["gen.weight"].value, before)
 
     def test_non_finite_gradient_aborts_before_any_update(self, monkeypatch):
         """A NaN gradient in batch 1 of epoch 1 stops training with that
