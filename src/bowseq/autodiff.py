@@ -15,11 +15,13 @@ allocate one.
 
 Most of the model runs on coarse primitives with hand-written backward
 rules: a fused LSTM cell step, attention weights and contexts batched over
-all decoder steps, row blocks (``concat_rows``, ``slice_rows``,
-``sum_steps``) that let a teacher-forced pass treat its T steps of B rows
-as one time-major (T*B)-row matrix, and the losses in log space on the
-scores (``cross_entropy_rows``, ``softplus``).  Nothing floors a
-probability: there is no word softmax and no log node.
+all decoder steps, row blocks (``concat_rows``, ``sum_steps``) that let a
+teacher-forced pass treat its T steps of B rows as one time-major
+(T*B)-row matrix, and the losses in log space on the scores.
+``generator_losses`` fuses the generator with the word loss and the bag
+sum, so that training never holds the (T*B, V) scores whole, and the bag
+loss reads the bag through ``softplus``.  Nothing floors a probability:
+there is no word softmax and no log node.
 
 Broadcasting is deliberately restricted.  Elementwise ops require equal
 shapes, with two sanctioned exceptions: a scalar combined with a tensor,
@@ -256,58 +258,6 @@ def softplus(a: Node) -> Node:
     return out
 
 
-def cross_entropy_rows(scores: Node, targets: np.ndarray, mask: np.ndarray) -> Node:
-    """Masked negative log-likelihood of gold columns under the row softmax
-    of time-major (T*B, V) scores, summed and divided by B.
-
-    ``targets`` and ``mask`` are (B, T), so row t*B + b of ``scores`` holds
-    step t of sentence b.  Each row costs logsumexp(row) - gold score, in
-    log space, so no probability is floored.  The backward rule writes
-    (softmax - one-hot) * mask / B into one array that the scores adopt.
-    """
-    targets = np.asarray(targets)
-    mask = np.asarray(mask, dtype=np.float64)
-    x = scores.value
-    if (
-        x.ndim != 2
-        or targets.ndim != 2
-        or mask.shape != targets.shape
-        or x.shape[0] != targets.size
-    ):
-        raise ShapeError("cross_entropy_rows", x.shape, targets.shape, mask.shape)
-    if not np.issubdtype(targets.dtype, np.integer):
-        raise ValueError("cross_entropy_rows: targets must be integers")
-    if targets.size and (targets.min() < 0 or targets.max() >= x.shape[1]):
-        raise IndexError("cross_entropy_rows: target index out of range")
-    batch = targets.shape[0]
-    rows = np.arange(x.shape[0])
-    gold = targets.T.reshape(-1)
-    weight = mask.T.reshape(-1, 1)
-    # Non-finite scores give a NaN loss, which the caller reports.
-    with np.errstate(invalid="ignore"):
-        top = x.max(axis=1, keepdims=True)
-        e = x - top
-        np.exp(e, out=e)
-        total = e.sum(axis=1, keepdims=True)
-        nll = np.log(total[:, 0]) - (x[rows, gold] - top[:, 0])
-        value = np.sum(nll.reshape(-1, batch).T * mask) * (1.0 / batch)
-    held = [e]
-    out = Node(value, parents=(scores,))
-
-    def backward(out: Node) -> None:
-        if scores.requires_grad:
-            # The first pass normalises the forward's exp array in place;
-            # a second pass over the same graph recomputes it.
-            grad = held.pop() if held else np.exp(x - top)
-            grad /= total
-            grad[rows, gold] -= 1.0  # exact for gold probabilities of 1/2 and above
-            grad *= weight * (float(out.grad) / batch)
-            _accumulate(scores, grad)
-
-    out._backward = backward
-    return out
-
-
 def sum_all(a: Node) -> Node:
     """Reduce to a 0-d scalar."""
     out = Node(a.value.sum(), parents=(a,))
@@ -413,20 +363,6 @@ def concat_rows(nodes: Sequence[Node]) -> Node:
         for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             if n.requires_grad:
                 n.grad += out.grad[lo:hi]
-
-    out._backward = backward
-    return out
-
-
-def slice_rows(a: Node, start: int, stop: int) -> Node:
-    """The row block [start, stop) of an (m, n) matrix, as a view of its value."""
-    if a.value.ndim != 2 or not (0 <= start < stop <= a.value.shape[0]):
-        raise ShapeError("slice_rows", a.value.shape, (start, stop))
-    out = Node(a.value[start:stop], parents=(a,))
-
-    def backward(out: Node) -> None:
-        if a.requires_grad:
-            a.grad[start:stop] += out.grad
 
     out._backward = backward
     return out
@@ -647,6 +583,146 @@ def attention_context(weights: Node, memory: Node) -> Node:
 
     out._backward = backward
     return out
+
+
+#: Most score entries ``generator_losses`` holds at once: 2^23 float64
+#: entries, 64 MiB.
+_SCORE_BUDGET = 1 << 23
+
+
+def generator_losses(
+    x: Node, weight: Node, bias: Node, targets: np.ndarray, mask: np.ndarray
+) -> tuple[Node, Node]:
+    """The generator scores x @ weight + bias of T*B time-major rows, fused
+    with the masked word loss and the bag sum that read them.
+
+    ``targets`` and ``mask`` are (B, T), so row t*B + b of ``x`` holds step
+    t of sentence b.  Returns the nodes (word, bag):
+
+    - word: the negative log-likelihood of the gold columns under the row
+      softmax, logsumexp(row) - gold score, summed over real steps and
+      divided by B.  No probability is floored.
+    - bag: the (B, V) scores summed over the steps with ``mask`` as weights,
+      a left fold in ascending t as in ``sum_steps``.
+
+    The (T*B, V) scores are never whole.  Chunks of steps go through one
+    buffer of at most ``_SCORE_BUDGET`` entries (one step at least), and
+    each row keeps only its max, its exp sum and its gold score.  The
+    backward rule walks the chunks in reverse, recomputing each one's scores
+    except the last forward chunk, which is still in the buffer.  It writes
+    (softmax - one-hot) * mask * d(word) / B + d(bag) * mask into the buffer
+    and accumulates the gradients of x, weight and bias chunk by chunk.  At
+    one chunk this is the arithmetic of separate affine, cross-entropy and
+    ``sum_steps`` nodes, bit for bit.
+
+    As in ``lstm_cell``, word is a child of bag whose own rule only hands
+    its gradient over, and bag's rule does the work for both.  When nothing
+    read the bag, its gradient stays unallocated and the bag term is skipped.
+    """
+    targets = np.asarray(targets)
+    mask = np.asarray(mask, dtype=np.float64)
+    xv, w, b = x.value, weight.value, bias.value
+    if (
+        xv.ndim != 2
+        or w.ndim != 2
+        or xv.shape[1] != w.shape[0]
+        or b.shape != (1, w.shape[1])
+        or targets.ndim != 2
+        or targets.size == 0
+        or mask.shape != targets.shape
+        or xv.shape[0] != targets.size
+    ):
+        raise ShapeError("generator_losses", xv.shape, w.shape, b.shape, targets.shape,
+                         mask.shape)
+    if not np.issubdtype(targets.dtype, np.integer):
+        raise ValueError("generator_losses: targets must be integers")
+    batch, steps = targets.shape
+    vocab = w.shape[1]
+    if targets.min() < 0 or targets.max() >= vocab:
+        raise IndexError("generator_losses: target index out of range")
+    span = min(steps, max(1, _SCORE_BUDGET // (batch * vocab)))  # steps per chunk
+    chunks = [(t, min(t + span, steps)) for t in range(0, steps, span)]
+    gold = targets.T.reshape(-1)
+    row_mask = mask.T.reshape(-1, 1)
+    top = np.empty((xv.shape[0], 1))
+    total = np.empty((xv.shape[0], 1))
+    gold_score = np.empty(xv.shape[0])
+
+    def scores(t0: int, t1: int, buffer: np.ndarray) -> np.ndarray:
+        """The scores of steps [t0, t1), written into the buffer's first rows."""
+        s = buffer[: (t1 - t0) * batch]
+        np.matmul(xv[t0 * batch : t1 * batch], w, out=s)
+        s += b
+        return s
+
+    buffer = np.empty((span * batch, vocab))
+    term = np.empty((batch, vocab))
+    # Non-finite scores give a NaN loss, which the caller reports.
+    with np.errstate(invalid="ignore"):
+        bag = None
+        for t0, t1 in chunks:
+            rows = slice(t0 * batch, t1 * batch)
+            s = scores(t0, t1, buffer)
+            for t in range(t0, t1):
+                block = s[(t - t0) * batch : (t - t0 + 1) * batch]
+                if bag is None:
+                    bag = block * mask[:, t : t + 1]
+                else:
+                    np.multiply(block, mask[:, t : t + 1], out=term)
+                    bag += term
+            gold_score[rows] = s[np.arange(s.shape[0]), gold[rows]]
+            np.max(s, axis=1, keepdims=True, out=top[rows])
+            s -= top[rows]
+            np.exp(s, out=s)
+            np.sum(s, axis=1, keepdims=True, out=total[rows])
+        nll = np.log(total[:, 0]) - (gold_score - top[:, 0])
+        value = np.sum(nll.reshape(-1, batch).T * mask) * (1.0 / batch)
+    held = [buffer]  # the last chunk's exp, for the first backward pass
+    bag_out = Node(bag, parents=(x, weight, bias))
+    word_out = Node(value, parents=(bag_out,))
+    handed_over: list[float] = []
+
+    def backward_word(out: Node) -> None:
+        handed_over.append(float(out.grad))
+
+    def backward_bag(out: Node) -> None:
+        d_word = handed_over.pop() if handed_over else 0.0
+        d_bag = out._grad
+        # The first pass takes over the forward's buffer and releases it; a
+        # later pass recomputes every chunk in a buffer of its own.
+        kept = bool(held)
+        buffer = held.pop() if kept else np.empty((span * batch, vocab))
+        row_scale = row_mask * (d_word / batch)
+        spread = np.empty((batch, vocab)) if d_bag is not None else None
+        d_weight = np.empty_like(w) if weight.requires_grad else None
+        for index in reversed(range(len(chunks))):
+            t0, t1 = chunks[index]
+            rows = slice(t0 * batch, t1 * batch)
+            if kept and index == len(chunks) - 1:
+                e = buffer[: (t1 - t0) * batch]
+            else:
+                e = scores(t0, t1, buffer)
+                e -= top[rows]
+                np.exp(e, out=e)
+            e /= total[rows]
+            # Exact for gold probabilities of 1/2 and above.
+            e[np.arange(e.shape[0]), gold[rows]] -= 1.0
+            e *= row_scale[rows]
+            if d_bag is not None:
+                for t in range(t0, t1):
+                    np.multiply(d_bag, mask[:, t : t + 1], out=spread)
+                    e[(t - t0) * batch : (t - t0 + 1) * batch] += spread
+            if x.requires_grad:
+                x.grad[rows] += e @ w.T
+            if weight.requires_grad:
+                np.matmul(xv[rows].T, e, out=d_weight)
+                weight.grad += d_weight
+            if bias.requires_grad:
+                bias.grad += e.sum(axis=0, keepdims=True)
+
+    word_out._backward = backward_word
+    bag_out._backward = backward_bag
+    return word_out, bag_out
 
 
 # ---------------------------------------------------------------------------

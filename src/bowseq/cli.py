@@ -344,14 +344,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     src_vocab = _load_or_build_vocab(args.src_vocab, args.train_src, max_size, ckpt_dir / "src.vocab")
     tgt_vocab = _load_or_build_vocab(args.tgt_vocab, args.train_tgt, max_size, ckpt_dir / "tgt.vocab")
 
+    max_length = s.get("max-sent-len")
     pairs = load_pairs(
         args.train_src,
         args.train_tgt,
         src_vocab,
         tgt_vocab,
-        max_length=s.get("max-sent-len"),
+        max_length=max_length,
         keep_duplicates=s.get("bag-keep-duplicates"),
     )
+    read = len(read_corpus(args.train_src))
+    print(f"dropped {read - len(pairs)} of {read} training pairs longer than {max_length} tokens")
     if not pairs:
         raise ValueError("training corpus is empty after length filtering")
 
@@ -488,7 +491,7 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
 
     def loss_fn(_params):
         forward = model.forward_teacher_forced(batch)
-        l_word = word_loss(forward.scores, batch.target, batch.target_mask)
+        l_word = word_loss(forward)
         l_bag = bag_loss(forward.bag_scores, batch.bag_indicator)
         return total_loss(l_word, l_bag, 1.0)
 

@@ -13,9 +13,10 @@ Sequences are time-major (T*B)-row matrices: rows t*B .. t*B+B-1 hold step
 t.  Each LSTM layer projects all its inputs with one matmul, and only the
 fused cell steps run one position at a time.  The decoder has no input
 feeding, so under teacher forcing attention and generator run once over all
-T steps; a decoding step is the same code at T=1.  The model outputs
-scores only: training takes its losses from them in log space, and decoding
-turns them into log-probabilities.
+T steps; a decoding step is the same code at T=1.  Decoding turns the
+scores into log-probabilities.  Training never builds the (T*B, V) scores
+whole: one fused primitive takes the word loss and the bag sum from them
+in log space, step chunk by step chunk.
 """
 
 from __future__ import annotations
@@ -110,17 +111,26 @@ class StepOutput:
 class ForwardPass:
     """Teacher-forced outputs of all T steps; the losses read only these."""
 
-    scores: Node                     # (T*B, V) pre-softmax scores, time-major
+    word: Node                       # word negative log-likelihood, mean over the batch
     bag_scores: Node                 # (B, V) scores summed over real target steps
+    generator_input: Node            # (T*B, H or 2H) the generator's input, time-major
+    generator: tuple[Node, Node]     # its weight and bias
+
+    @property
+    def scores(self) -> Node:
+        """The (T*B, V) pre-softmax scores, time-major, built anew on every
+        read: training never holds them whole."""
+        return ad.affine(self.generator_input, *self.generator)
 
 
 def bow_probabilities(step_scores: Sequence[Node], timesteps: Sequence[int] | None = None) -> Node:
     """Sentence-level bag probabilities: sigmoid of scores summed over steps.
 
-    The steps are added by ``sum_steps``, the kernel training uses, in
-    ascending timestep order.  Floating-point addition does not associate, so
-    that canonical order is what makes the result invariant to how callers
-    permute their inputs.  Timesteps default to list positions.
+    The steps are added by ``sum_steps`` in ascending timestep order, the
+    fold that training's ``generator_losses`` uses for the bag.
+    Floating-point addition does not associate, so that canonical order is
+    what makes the result invariant to how callers permute their inputs.
+    Timesteps default to list positions.
     """
     step_scores = list(step_scores)
     if not step_scores:
@@ -288,10 +298,10 @@ class Seq2SeqModel:
         encoded: EncoderStates,
         train: bool,
         rng: np.random.Generator | None,
-    ) -> StepOutput:
-        """Run the decoder over time-major previous tokens (T, B); the
-        output's scores are (T*B, V), its state the one after the last
-        step."""
+    ) -> tuple[Node, DecoderState, AttentionResult]:
+        """Run the decoder over time-major previous tokens (T, B); returns
+        the generator's (T*B, H or 2H) input, the state after the last step
+        and the attention."""
         tokens = np.asarray(prev_tokens).reshape(-1)
         x = self._maybe_dropout(ad.embedding_lookup(self.tgt_embed, tokens), train, rng)
         new_layers = []
@@ -306,8 +316,7 @@ class Seq2SeqModel:
             gen_in = attention.context
         else:
             gen_in = ad.concat_cols([x, attention.context])
-        scores = ad.affine(gen_in, self.gen_weight, self.gen_bias)
-        return StepOutput(scores, DecoderState(new_layers), attention)
+        return gen_in, DecoderState(new_layers), attention
 
     def decode_step(
         self,
@@ -318,7 +327,10 @@ class Seq2SeqModel:
         rng: np.random.Generator | None = None,
     ) -> StepOutput:
         """One step for previous tokens (B,): the decoder pass at T = 1."""
-        return self._decode(np.asarray(prev_tokens)[None, :], state, encoded, train, rng)
+        gen_in, state, attention = self._decode(
+            np.asarray(prev_tokens)[None, :], state, encoded, train, rng
+        )
+        return StepOutput(ad.affine(gen_in, self.gen_weight, self.gen_bias), state, attention)
 
     # -- full teacher-forced pass -------------------------------------------
 
@@ -328,11 +340,15 @@ class Seq2SeqModel:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> ForwardPass:
+        """The decoder under teacher forcing, ending in the fused generator,
+        word loss and bag sum of ``generator_losses``."""
         encoded = self.encode(batch.source, batch.source_mask, train, rng)
         bos = np.full((1, batch.size), BOS, dtype=np.int64)
         prev = np.concatenate([bos, batch.target[:, :-1].T])
-        out = self._decode(prev, self.initial_decoder_state(encoded), encoded, train, rng)
-        return ForwardPass(out.scores, ad.sum_steps(out.scores, batch.target_mask))
+        gen_in, _, _ = self._decode(prev, self.initial_decoder_state(encoded), encoded, train, rng)
+        generator = (self.gen_weight, self.gen_bias)
+        word, bag = ad.generator_losses(gen_in, *generator, batch.target, batch.target_mask)
+        return ForwardPass(word, bag, gen_in, generator)
 
     # -- checkpoints ----------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Training objectives: word loss, bag loss, weight schedule, optimizer.
 
-Both loss terms are means over the batch and take pre-softmax scores, so
-they are computed in log space and no probability is floored.  The word
+Both loss terms are means over the batch and come from pre-softmax scores,
+so they are computed in log space and no probability is floored.  The word
 loss is the negative log-likelihood of each gold token under the softmax of
-its step's scores, summed over real target positions.  The bag loss scores
+its step's scores, summed over real target positions; the teacher-forced
+pass computes it, fused with the generator.  The bag loss scores
 the sentence-level sigmoid of the step-summed scores against the bag
 indicator; the default variant penalizes only the words present in the bag,
 while ``full-bce`` adds the complement term for absent words.
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node, ParameterStore
+from .model import ForwardPass
 
 BAG_LOSS_VARIANTS = ("paper", "full-bce")
 
@@ -52,18 +54,20 @@ class LossBreakdown:
     word: float
     bag: float
     weight: float
+    clip_factor: float = 1.0        # what clip_gradients scaled the gradients by
 
     @property
     def total(self) -> float:
         return self.word + self.weight * self.bag
 
 
-def word_loss(scores: Node, targets: np.ndarray, mask: np.ndarray) -> Node:
+def word_loss(forward: ForwardPass) -> Node:
     """Mean over the batch of the summed gold-token negative log-likelihood,
-    from the time-major (T*B, V) pre-softmax scores as logsumexp minus the
-    gold score.  ``targets`` and ``mask`` are (B, T); positions with mask 0
-    contribute nothing."""
-    return ad.cross_entropy_rows(scores, targets, mask)
+    logsumexp minus the gold score of each real target step's scores.  The
+    teacher-forced pass computes it inside ``generator_losses``, together
+    with the bag sum, so that the (T*B, V) scores are never built whole;
+    this reads that node."""
+    return forward.word
 
 
 def bag_loss(bag_scores: Node, indicator: np.ndarray, variant: str = "paper") -> Node:

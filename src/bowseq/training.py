@@ -96,7 +96,7 @@ def _train_batch(
     next batch builds its own.
     """
     forward = model.forward_teacher_forced(batch, train=True, rng=rng)
-    l_word = word_loss(forward.scores, batch.target, batch.target_mask)
+    l_word = word_loss(forward)
     l_bag = bag_loss(forward.bag_scores, batch.bag_indicator, bag_variant)
     loss = total_loss(l_word, l_bag, weight)
     breakdown = LossBreakdown(float(l_word.value), float(l_bag.value), weight)
@@ -108,7 +108,7 @@ def _train_batch(
     model.params.zero_gradients()
     ad.backward(loss)
     try:
-        clip_gradients(model.params, clip_norm)
+        breakdown.clip_factor = clip_gradients(model.params, clip_norm)
     except NonFiniteGradientError as err:
         raise TrainingError(
             f"non-finite gradient at epoch {epoch}, batch {index}: "

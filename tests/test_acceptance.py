@@ -94,7 +94,7 @@ class TestA1GradientCorrectness:
 
         def loss_fn(_params):
             forward = model.forward_teacher_forced(batch)
-            l_word = word_loss(forward.scores, batch.target, batch.target_mask)
+            l_word = word_loss(forward)
             l_bag = bag_loss(forward.bag_scores, batch.bag_indicator)
             return total_loss(l_word, l_bag, 1.0)
 
@@ -133,9 +133,10 @@ class TestA2ScheduleExactness:
 
 
 class TestA3LossOracles:
-    """The losses training runs, on scores: the word loss reads time-major
-    (T*B, V) scores, row t*B + b being step t of sentence b, and the bag
-    loss reads (B, V) step-summed scores."""
+    """The losses training runs, on scores: the word loss of the fused
+    generator primitive, given time-major (T*B, V) scores through an
+    identity generator, row t*B + b being step t of sentence b, and the bag
+    loss on (B, V) step-summed scores."""
 
     @staticmethod
     def _word_oracle(scores, targets, mask):
@@ -169,7 +170,7 @@ class TestA3LossOracles:
             scores = np.log(np.concatenate(probs))  # word scores = log p, time-major
             targets = rng.integers(0, vocab, size=(batch, steps))
             mask = (rng.random((batch, steps)) < 0.8).astype(np.float64)
-            got = word_loss(constant(scores), targets, mask)
+            got, _ = conftest.score_losses(scores, targets, mask)
             worst = max(worst, abs(float(got.value) - self._word_oracle(scores, targets, mask)))
 
             p = rng.uniform(0.05, 0.95, size=(batch, vocab))
@@ -182,7 +183,7 @@ class TestA3LossOracles:
         vocab, steps, batch = 17, 6, 3
         uniform = constant(np.zeros((steps * batch, vocab)))  # equal scores: uniform words
         targets = np.tile(np.arange(steps) % vocab, (batch, 1))
-        got = word_loss(uniform, targets, np.ones((batch, steps)))
+        got, _ = conftest.score_losses(uniform, targets, np.ones((batch, steps)))
         uniform_err = abs(float(got.value) - steps * math.log(vocab))
         uniform_ok = uniform_err < 1e-9
 

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import score_losses
+
 from bowseq import autodiff as ad
 from bowseq.autodiff import (
     Node,
@@ -68,7 +70,7 @@ class TestPrimitiveValues:
     def test_concat_then_slice_roundtrip(self):
         a, b = np.ones((2, 3)), np.full((4, 3), 2.0)
         joined = ad.concat_rows([constant(a), constant(b)])
-        np.testing.assert_array_equal(ad.slice_rows(joined, 2, 6).value, b)
+        np.testing.assert_array_equal(joined.value[2:6], b)
         np.testing.assert_array_equal(ad.concat_cols([constant(a), constant(a)]).value,
                                       np.ones((2, 6)))
 
@@ -207,39 +209,90 @@ class TestBackwardRules:
         weights = constant(rng.normal(size=(3, 4)))
         self._check(lambda: ad.sum_all(ad.mul(ad.softplus(a), weights)), [a])
 
-    def test_cross_entropy_rows_with_padding(self):
-        """T=3 steps of B=2 rows; row t*B + b is step t of sentence b, and
-        masked steps neither cost nor get a gradient."""
+    def test_generator_losses_with_padding(self, monkeypatch):
+        """T=5 steps of B=2 rows in chunks of 2, 2 and 1 steps; row t*B + b
+        is step t of sentence b.  The word loss and an upstream on the bag
+        against finite differences; masked steps neither cost nor give x a
+        gradient."""
+        monkeypatch.setattr(ad, "_SCORE_BUDGET", 2 * 2 * 6)
         rng = np.random.default_rng(32)
-        a = parameter(rng.normal(size=(6, 5)) * 2.0)
-        targets = np.array([[1, 4, 0], [3, 3, 2]])
-        mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-        self._check(lambda: ad.scale(ad.cross_entropy_rows(a, targets, mask), 0.7), [a])
-        np.testing.assert_array_equal(a.grad[[3, 5]], 0.0)
-        probs = np.exp(a.value) / np.exp(a.value).sum(axis=1, keepdims=True)
+        x = parameter(rng.normal(size=(10, 3)))
+        w = parameter(rng.normal(size=(3, 6)))
+        bias = parameter(rng.normal(size=(1, 6)))
+        targets = np.array([[1, 4, 0, 5, 2], [3, 3, 2, 0, 1]])
+        mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0, 0.0]])
+        upstream = constant(rng.normal(size=(2, 6)))
+
+        def build():
+            word, bag = ad.generator_losses(x, w, bias, targets, mask)
+            return ad.add(ad.scale(word, 0.7), ad.sum_all(ad.mul(bag, upstream)))
+
+        self._check(build, [x, w, bias])
+        np.testing.assert_array_equal(x.grad[[5, 7, 8, 9]], 0.0)
+        scores = x.value @ w.value + bias.value
+        probs = np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True)
         want = -sum(np.log(probs[t * 2 + b, targets[b, t]])
-                    for b in range(2) for t in range(3) if mask[b, t]) / 2
-        np.testing.assert_allclose(
-            ad.cross_entropy_rows(a, targets, mask).value, want, rtol=0, atol=1e-12
-        )
+                    for b in range(2) for t in range(5) if mask[b, t]) / 2
+        word, bag = ad.generator_losses(x, w, bias, targets, mask)
+        np.testing.assert_allclose(word.value, want, rtol=0, atol=1e-12)
+        summed = sum(scores[2 * t : 2 * t + 2] * mask[:, t : t + 1] for t in range(5))
+        np.testing.assert_allclose(bag.value, summed, rtol=0, atol=1e-12)
 
-    def test_cross_entropy_rows_backward_twice_doubles(self):
-        """The first pass consumes the forward's exp array; a second pass
-        over the same graph must still add the same gradient."""
+    def test_generator_losses_chunks_match_one_chunk(self, monkeypatch):
+        """Chunking changes no score: the loss and the bag are the same bits
+        at one chunk and at chunks of 2 steps with a remainder.  The
+        gradients add their chunks in another order, so they agree to 1e-12
+        of their largest entry."""
+        rng = np.random.default_rng(34)
+        batch, steps, hidden, vocab = 3, 7, 16, 300
+        x = parameter(rng.normal(size=(steps * batch, hidden)))
+        w = parameter(rng.normal(size=(hidden, vocab)) * 0.3)
+        bias = parameter(rng.normal(size=(1, vocab)))
+        targets = rng.integers(0, vocab, size=(batch, steps))
+        mask = (rng.random((batch, steps)) < 0.8).astype(np.float64)
+        upstream = constant(rng.normal(size=(batch, vocab)))
+
+        def run(budget):
+            monkeypatch.setattr(ad, "_SCORE_BUDGET", budget)
+            for p in (x, w, bias):
+                p.grad = None
+            word, bag = ad.generator_losses(x, w, bias, targets, mask)
+            backward(ad.add(word, ad.sum_all(ad.mul(bag, upstream))))
+            return word.value, bag.value, [p.grad for p in (x, w, bias)]
+
+        one = run(steps * batch * vocab)
+        chunked = run(2 * batch * vocab)
+        assert np.array_equal(one[0], chunked[0])
+        assert np.array_equal(one[1], chunked[1])
+        for whole, parts in zip(one[2], chunked[2]):
+            assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+    def test_generator_losses_backward_twice_doubles(self, monkeypatch):
+        """The first pass takes over the forward's buffer; a second pass over
+        the same graph recomputes every chunk and adds the same gradient, up
+        to the order in which the chunks add into it."""
+        monkeypatch.setattr(ad, "_SCORE_BUDGET", 2 * 2 * 3)  # chunks of 2 steps and 1
         rng = np.random.default_rng(33)
-        a = parameter(rng.normal(size=(4, 3)))
-        loss = ad.cross_entropy_rows(a, np.array([[0, 2], [1, 1]]), np.ones((2, 2)))
+        x = parameter(rng.normal(size=(6, 4)))
+        w, bias = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(1, 3)))
+        word, bag = ad.generator_losses(x, w, bias, np.array([[0, 2, 1], [1, 1, 0]]),
+                                        np.ones((2, 3)))
+        loss = ad.add(word, ad.sum_all(ad.softplus(bag)))
         backward(loss)
-        once = a.grad.copy()
+        once = [p.grad.copy() for p in (x, w, bias)]
         backward(loss)
-        np.testing.assert_allclose(a.grad, 2 * once, rtol=0, atol=1e-15)
+        for p, g in zip((x, w, bias), once):
+            np.testing.assert_allclose(p.grad, 2 * g, rtol=1e-15, atol=1e-15)
 
-    def test_cross_entropy_rows_rejects_bad_targets(self):
-        a = constant(np.zeros((4, 3)))
-        with pytest.raises(ShapeError, match="cross_entropy_rows"):
-            ad.cross_entropy_rows(a, np.zeros((2, 3), dtype=int), np.ones((2, 3)))
+    def test_generator_losses_rejects_bad_targets(self):
+        x, w = constant(np.zeros((4, 2))), constant(np.zeros((2, 3)))
+        bias = constant(np.zeros((1, 3)))
+        with pytest.raises(ShapeError, match="generator_losses"):
+            ad.generator_losses(x, w, bias, np.zeros((2, 3), dtype=int), np.ones((2, 3)))
         with pytest.raises(IndexError, match="out of range"):
-            ad.cross_entropy_rows(a, np.full((2, 2), 3), np.ones((2, 2)))
+            ad.generator_losses(x, w, bias, np.full((2, 2), 3), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="integers"):
+            ad.generator_losses(x, w, bias, np.zeros((2, 2)), np.ones((2, 2)))
 
     def test_embedding_scatter_adds_repeated_rows(self):
         table = parameter(np.random.default_rng(6).normal(size=(5, 3)))
@@ -247,7 +300,7 @@ class TestBackwardRules:
         self._check(lambda: ad.sum_all(ad.sigmoid(ad.embedding_lookup(table, idx))), [table])
         backward(ad.sum_all(ad.embedding_lookup(table, idx)))
 
-    def test_pick_slice_rows_concat(self):
+    def test_pick_and_concat_rows_cols(self):
         rng = np.random.default_rng(7)
         a = parameter(rng.normal(size=(3, 4)))
         b = parameter(rng.normal(size=(2, 4)))
@@ -256,9 +309,10 @@ class TestBackwardRules:
 
         def build():
             stacked = ad.concat_rows([a, b, a])
-            picked = ad.cross_entropy_rows(stacked, picks, np.ones((2, 4)))
+            picked, _ = score_losses(stacked, picks, np.ones((2, 4)))
             joined = ad.concat_cols([stacked, ad.sigmoid(stacked)])
-            spread = ad.sum_all(ad.mul(ad.slice_rows(joined, 0, 3), ad.slice_rows(joined, 4, 7)))
+            swapped = ad.concat_cols([ad.concat_rows([b, a, a]), ad.concat_rows([a, a, b])])
+            spread = ad.sum_all(ad.mul(joined, swapped))
             return ad.add(spread, picked)
 
         self._check(build, [a, b])
@@ -400,7 +454,7 @@ class TestGraphLifetime:
         gc.disable()
         try:
             forward = model.forward_teacher_forced(batch, train=True, rng=rng)
-            word = word_loss(forward.scores, batch.target, batch.target_mask)
+            word = word_loss(forward)
             loss = total_loss(word, bag_loss(forward.bag_scores, batch.bag_indicator), 0.5)
             backward(loss)
             del forward, word, loss
@@ -457,6 +511,8 @@ class TestFiniteDifferenceHarness:
         store.create("b1", rng.normal(0.0, 1.0, size=(1, 8)))
         store.create("w_rec", rng.normal(0.0, 1.0, size=(2, 8)))
         store.create("w2", rng.normal(0.0, 1.0, size=(2, 5)))
+        store.create("w3", np.linspace(-1.0, 1.0, 25).reshape(5, 5))
+        store.create("b3", np.linspace(-0.5, 0.5, 5).reshape(1, 5))
         idx = np.array([0, 3, 5, 1, 2, 2])   # T=3 steps of B=2 rows
         picks = np.array([[1, 3, 2], [0, 4, 0]])  # (B, T) gold columns
         steps = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
@@ -474,11 +530,9 @@ class TestFiniteDifferenceHarness:
             memory = ad.concat_rows(states)
             weights = ad.attention_weights(memory, memory, steps)
             context = ad.attention_context(weights, memory)
-            hidden = ad.concat_cols([ad.slice_rows(memory, 0, 6), context])
-            scores = ad.sigmoid(ad.matmul(ad.slice_rows(hidden, 0, 6), ad.concat_rows(
-                [s["w2"], s["w2"]])))
-            nll = ad.cross_entropy_rows(scores, picks, steps)
-            bag = ad.sum_steps(scores, steps)
+            hidden = ad.concat_cols([memory, context])
+            features = ad.sigmoid(ad.matmul(hidden, ad.concat_rows([s["w2"], s["w2"]])))
+            nll, bag = ad.generator_losses(features, s["w3"], s["b3"], picks, steps)
             spread = ad.sum_all(ad.mul(ad.softplus(bag), bag))
             return ad.add(ad.add(nll, ad.scale(spread, 0.5)), constant(np.asarray(0.25)))
 

@@ -123,6 +123,21 @@ class TestPipeline:
             ).read_text()
 
 
+class TestTrainCommand:
+    def test_reports_pairs_dropped_for_length(self, tmp_path, capsys):
+        (tmp_path / "train.src").write_text("a b\nc d e f g h\nb a\n", encoding="utf-8")
+        (tmp_path / "train.tgt").write_text("x y\nz\ny x\n", encoding="utf-8")
+        assert main([
+            "train", "--train-src", str(tmp_path / "train.src"),
+            "--train-tgt", str(tmp_path / "train.tgt"), "--ckpt-dir", str(tmp_path / "run"),
+            "--max-sent-len", "5", "--emb-size", "4", "--hidden-size", "4",
+            "--enc-layers", "1", "--dec-layers", "1", "--epochs", "1", "--batch-size", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "dropped 1 of 3 training pairs longer than 5 tokens" in out
+        assert "trained 1 epochs on 2 pairs" in out
+
+
 class TestGradCheckCommand:
     def test_small_model_passes(self, capsys):
         rc = main([

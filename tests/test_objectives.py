@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import score_losses
+
 from bowseq import autodiff as ad
 from bowseq.autodiff import ParameterStore, constant, finite_difference_check
 from bowseq.cli import _random_batch
@@ -63,6 +65,9 @@ def bag_loss_oracle(s, indicator, variant="paper"):
 
 
 class TestWordLoss:
+    """The word loss of the fused generator primitive, on chosen scores
+    through an identity generator (``conftest.score_losses``)."""
+
     def test_matches_oracle_on_random_cases(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -73,7 +78,7 @@ class TestWordLoss:
             scores = np.log(np.concatenate(probs))  # time-major (T*B, V)
             targets = rng.integers(0, vocab, size=(batch, steps))
             mask = (rng.random((batch, steps)) < 0.8).astype(np.float64)
-            got = word_loss(constant(scores), targets, mask)
+            got, _ = score_losses(scores, targets, mask)
             want = word_loss_oracle(scores, targets, mask)
             np.testing.assert_allclose(got.value, want, rtol=0, atol=1e-10)
 
@@ -82,7 +87,7 @@ class TestWordLoss:
         scores = constant(np.zeros((steps * batch, vocab)))
         targets = np.tile(np.arange(steps) % vocab, (batch, 1))
         mask = np.ones((batch, steps))
-        got = word_loss(scores, targets, mask)
+        got, _ = score_losses(scores, targets, mask)
         np.testing.assert_allclose(got.value, steps * np.log(vocab), atol=1e-9)
 
     def test_masked_positions_do_not_contribute(self):
@@ -93,14 +98,14 @@ class TestWordLoss:
         targets = rng.integers(0, 5, size=(2, 3))
         dirty[2 * 2 + 0, targets[0, 2]] = -800.0
         dirty[1 * 2 + 1, targets[1, 1]] = -800.0
-        a = word_loss(constant(clean), targets, mask)
-        b = word_loss(constant(dirty), targets, mask)
+        a, _ = score_losses(clean, targets, mask)
+        b, _ = score_losses(dirty, targets, mask)
         np.testing.assert_array_equal(a.value, b.value)
 
     def test_shape_mismatch_rejected(self):
         scores = constant(np.zeros((2, 4)))
         with pytest.raises(ValueError, match="incompatible shapes"):
-            word_loss(scores, np.zeros((2, 2), dtype=int), np.ones((2, 2)))
+            score_losses(scores, np.zeros((2, 2), dtype=int), np.ones((2, 2)))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -110,7 +115,7 @@ class TestWordLoss:
         mask = np.ones((3, 1))
 
         def loss_fn(_store):
-            return word_loss(raw, targets, mask)
+            return score_losses(raw, targets, mask)[0]
 
         report = finite_difference_check(loss_fn, store, step=1e-6, tolerance=1e-6)
         assert report.passed, report.format()
@@ -244,8 +249,8 @@ class TestTotalLoss:
         def run(include_bag):
             store = ParameterStore()
             raw = store.create("logits", values.copy())
-            word = word_loss(raw, targets, mask)
-            bag = bag_loss(raw, indicator) if include_bag else None
+            word, bag_scores = score_losses(raw, targets, mask)
+            bag = bag_loss(bag_scores, indicator) if include_bag else None
             store.zero_gradients()
             ad.backward(total_loss(word, bag, 0.0))
             return raw.grad.copy()
@@ -270,7 +275,7 @@ class TestScoreForms:
             scores = np.log(rng.uniform(0.01, 1.0, size=(steps * batch, vocab)))
             targets = rng.integers(0, vocab, size=(batch, steps))
             mask = (rng.random((batch, steps)) < 0.8).astype(np.float64)
-            got = word_loss(constant(scores), targets, mask)
+            got, _ = score_losses(scores, targets, mask)
             want = word_loss_oracle(scores, targets, mask)
             np.testing.assert_allclose(got.value, want, rtol=0, atol=1e-12)
 
@@ -307,7 +312,7 @@ class TestScoreForms:
 
         def loss_fn(_params):
             forward = model.forward_teacher_forced(batch)
-            word = word_loss(forward.scores, batch.target, batch.target_mask)
+            word = word_loss(forward)
             bag = bag_loss(forward.bag_scores, batch.bag_indicator, variant)
             return total_loss(word, bag, 0.5)
 
@@ -329,7 +334,7 @@ class TestScoreForms:
 
         def loss_fn(_params):
             forward = model.forward_teacher_forced(batch)
-            l_word = word_loss(forward.scores, batch.target, batch.target_mask)
+            l_word = word_loss(forward)
             l_bag = bag_loss(forward.bag_scores, batch.bag_indicator, variant)
             return total_loss(l_word, l_bag, 1.0)
 
@@ -339,7 +344,7 @@ class TestScoreForms:
 
     def test_gold_gradient_survives_a_gap_of_30_nats(self):
         scores = ParameterStore().create("s", np.array([[30.0, 0.0, 0.0]]))
-        ad.backward(word_loss(scores, np.array([[1]]), np.ones((1, 1))))
+        ad.backward(score_losses(scores, np.array([[1]]), np.ones((1, 1)))[0])
         assert scores.grad[0, 1] < -0.99
 
     @pytest.mark.parametrize("variant", ["paper", "full-bce"])

@@ -1,15 +1,18 @@
 """Training-loop tests: checkpoints and logs land where asked, the schedule
-feeds through, baseline parity on the word term, and non-finite aborts."""
+feeds through, baseline parity on the word term, non-finite aborts, the
+recorded clip factor and a training batch's peak memory."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from bowseq import autodiff as ad
 from bowseq import training
-from bowseq.data import EOS, ExamplePair, Vocab, extract_bag
+from bowseq.data import EOS, ExamplePair, Vocab, extract_bag, make_batches
 from bowseq.model import ModelConfig, Seq2SeqModel, load_checkpoint
-from bowseq.objectives import ScheduleParams
+from bowseq.objectives import AdamState, ScheduleParams
 from bowseq.training import (
     LOG_HEADER,
     EpochStats,
@@ -148,6 +151,44 @@ class TestTrainModel:
             train_model(model, pairs, ScheduleParams(), rng, epochs=2, batch_size=4)
         for name, node in model.params.items():
             assert node.value.tobytes() == before[name].tobytes(), name
+
+    def test_batches_record_the_clip_factor(self):
+        factors = {}
+        for clip_norm in (1e-6, 1e9):
+            model, pairs, rng = tiny_setup()
+            history = train_model(model, pairs, ScheduleParams(), rng, epochs=1, batch_size=4,
+                                  clip_norm=clip_norm, record_batches=True)
+            factors[clip_norm] = [b.clip_factor for b in history[0].batches]
+        assert len(factors[1e-6]) == 3
+        assert all(0.0 < f < 1.0 for f in factors[1e-6])
+        assert factors[1e9] == [1.0, 1.0, 1.0]
+
+    def test_batch_peaks_below_one_score_matrix(self, monkeypatch):
+        """T=40 target steps over a 4000-word vocabulary, with the score
+        budget at 4 steps: the generator runs in 10 chunks, and one training
+        batch, backward and Adam included, allocates less at its peak than
+        one (T*B, V) float64 score matrix."""
+        batch_size, steps, vocab = 2, 40, 4000
+        monkeypatch.setattr(ad, "_SCORE_BUDGET", 4 * batch_size * vocab)
+        config = ModelConfig(src_vocab_size=16, tgt_vocab_size=vocab, emb_size=8,
+                             hidden_size=8, dropout=0.0)
+        rng = np.random.default_rng(21)
+        model = Seq2SeqModel(config, init_rng=rng)
+        pairs = []
+        for _ in range(batch_size):
+            src = tuple(int(t) for t in rng.integers(4, 16, size=5))
+            tgt = tuple(int(t) for t in rng.integers(4, vocab, size=steps - 1)) + (EOS,)
+            pairs.append(ExamplePair(src, tgt, extract_bag(tgt)))
+        (batch,) = make_batches(pairs, batch_size, vocab, seed=0)
+        args = (1.0, "paper", 10.0, AdamState.for_store(model.params), rng, 0, 0)
+        training._train_batch(model, batch, *args)  # gradients exist from here on
+        tracemalloc.start()
+        try:
+            training._train_batch(model, batch, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < steps * batch_size * vocab * 8
 
     def test_validation_columns_filled_when_requested(self):
         model, pairs, rng = tiny_setup()
