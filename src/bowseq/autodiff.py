@@ -14,21 +14,21 @@ is allocated on first read, so forward-only graphs and constants never
 allocate one.
 
 Most of the model runs on coarse primitives with hand-written backward
-rules: a fused LSTM cell step, attention weights and contexts batched over
-all decoder steps, row blocks (``concat_rows``, ``sum_steps``) that let a
-teacher-forced pass treat its T steps of B rows as one time-major
-(T*B)-row matrix, and the losses in log space on the scores.
+rules over time-major (T*B)-row matrices, which hold T steps of B rows:
+``lstm_scan`` runs a whole LSTM layer in one direction, attention weights
+and contexts are batched over all decoder steps, ``sum_steps`` folds row
+blocks, and the losses work in log space on the scores.
 ``generator_losses`` fuses the generator with the word loss and the bag
 sum, so that training never holds the (T*B, V) scores whole, and the bag
 loss reads the bag through ``softplus``.  Nothing floors a probability:
 there is no word softmax and no log node.
 
-Broadcasting is deliberately restricted.  Elementwise ops require equal
-shapes, with two sanctioned exceptions: a scalar combined with a tensor,
-and a (1, n) row-vector bias added to an (m, n) matrix.  Anything richer
-(gold-column losses, row blocks, attention over a memory) is its own
-primitive with an explicit backward rule, so no gradient ever flows through
-an implicit numpy broadcast.
+Nothing broadcasts implicitly.  The elementwise ``add`` and ``mul`` take
+two arrays of one shape; the only bias is the (1, n) row of ``affine``,
+whose backward rule sums it over rows.  Anything richer (gold-column
+losses, row blocks, attention over a memory) is its own primitive with an
+explicit backward rule, so no gradient ever flows through an implicit numpy
+broadcast.
 """
 
 from __future__ import annotations
@@ -156,57 +156,32 @@ def affine(x: Node, w: Node, bias: Node) -> Node:
 
 
 def add(a: Node, b: Node) -> Node:
-    """Addition: equal shapes, scalar-with-tensor, or (1,n) bias onto (m,n)."""
-    sa, sb = a.value.shape, b.value.shape
-    if sa == sb:
-        mode = "equal"
-    elif sb == ():
-        mode = "scalar_b"
-    elif sa == ():
-        mode = "scalar_a"
-    elif len(sa) == 2 and sb == (1, sa[1]):
-        mode = "bias"
-    else:
-        raise ShapeError("add", sa, sb)
+    """Elementwise sum of two arrays of one shape."""
+    if a.value.shape != b.value.shape:
+        raise ShapeError("add", a.value.shape, b.value.shape)
     out = Node(a.value + b.value, parents=(a, b))
 
     def backward(out: Node) -> None:
         if a.requires_grad:
-            a.grad += out.grad if mode != "scalar_a" else out.grad.sum()
+            a.grad += out.grad
         if b.requires_grad:
-            if mode == "equal":
-                b.grad += out.grad
-            elif mode == "bias":
-                b.grad += out.grad.sum(axis=0, keepdims=True)
-            elif mode == "scalar_b":
-                b.grad += out.grad.sum()
-            else:
-                b.grad += out.grad
+            b.grad += out.grad
 
     out._backward = backward
     return out
 
 
 def mul(a: Node, b: Node) -> Node:
-    """Elementwise product; equal shapes or one scalar operand."""
-    sa, sb = a.value.shape, b.value.shape
-    if not (sa == sb or sa == () or sb == ()):
-        raise ShapeError("mul", sa, sb)
+    """Elementwise product of two arrays of one shape."""
+    if a.value.shape != b.value.shape:
+        raise ShapeError("mul", a.value.shape, b.value.shape)
     out = Node(a.value * b.value, parents=(a, b))
 
     def backward(out: Node) -> None:
         if a.requires_grad:
-            g = out.grad * b.value
-            if sa == () and sb != ():
-                a.grad += g.sum()
-            else:
-                _accumulate(a, g)
+            _accumulate(a, out.grad * b.value)
         if b.requires_grad:
-            g = out.grad * a.value
-            if sb == () and sa != ():
-                b.grad += g.sum()
-            else:
-                _accumulate(b, g)
+            _accumulate(b, out.grad * a.value)
 
     out._backward = backward
     return out
@@ -348,12 +323,10 @@ def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: fl
 
 
 def concat_rows(nodes: Sequence[Node]) -> Node:
-    """Stack (m_i, n) matrices along rows; a single matrix is returned as is."""
+    """Stack (m_i, n) matrices along rows."""
     nodes = list(nodes)
     if not nodes:
         raise ValueError("concat_rows: empty input")
-    if len(nodes) == 1:
-        return nodes[0]
     if any(n.value.ndim != 2 for n in nodes) or len({n.value.shape[1] for n in nodes}) != 1:
         raise ShapeError("concat_rows", *(n.value.shape for n in nodes))
     out = Node(np.concatenate([n.value for n in nodes], axis=0), parents=nodes)
@@ -400,92 +373,137 @@ def sum_steps(a: Node, weights: np.ndarray) -> Node:
 # ---------------------------------------------------------------------------
 
 
-def lstm_cell(
+def lstm_scan(
     xw: Node,
-    step: int,
     h: Node,
     c: Node,
     w_rec: Node,
     mask: np.ndarray | None = None,
-) -> tuple[Node, Node]:
-    """One fused LSTM step: gates, state update and the padding carry.
+    reverse: bool = False,
+) -> tuple[Node, Node, Node]:
+    """A whole LSTM layer: every step's gates, state update and padding carry.
 
-    ``xw`` holds the input projections x W_in + bias of a whole sequence,
-    time-major; its rows [step*B, step*B + B) belong to this step, B being
-    the rows of ``h``.  Gates lie along columns as [input, forget, cell,
-    output].  ``mask`` (length B, 0/1) marks real positions: a row with mask
-    0 carries its previous h and c through unchanged.
+    ``xw`` holds the input projections x W_in + bias of T steps of B rows,
+    time-major, B being the rows of the initial (h, c).  Gates lie along
+    columns as [input, forget, cell, output].  The steps run in position
+    order, or last position first if ``reverse``.  ``mask``, a (B, T) 0/1
+    array, marks real positions: a row with mask 0 carries its previous h
+    and c through the step unchanged.
 
-    Returns the nodes (h', c').  They are one primitive: c' holds the
-    backward rule for both, and h' is a child of c' whose own rule only
-    hands its gradient over to that of c'.
+    Returns the nodes (outputs, h', c'): the (T*B, H) states of every step
+    in position order, and the state after the last step taken, all views of
+    the forward's (T, B, ·) buffers.  They are one primitive: c' holds the
+    backward rule, h' is a child of c' and outputs of h', and their own
+    rules only hand their gradients over.  The rule walks the steps in
+    reverse, writes every dz into one (T*B, 4H) array that ``xw`` adopts,
+    and adds the recurrent weight gradient one step at a time.
     """
     batch, hs = h.value.shape
-    lo = step * batch
+    rows = xw.value.shape[0]
     if (
         xw.value.ndim != 2
         or xw.value.shape[1] != 4 * hs
-        or not 0 <= lo <= xw.value.shape[0] - batch
+        or rows == 0
+        or batch == 0
+        or rows % batch
         or c.value.shape != h.value.shape
         or w_rec.value.shape != (hs, 4 * hs)
     ):
-        raise ShapeError("lstm_cell", xw.value.shape, h.value.shape, c.value.shape,
+        raise ShapeError("lstm_scan", xw.value.shape, h.value.shape, c.value.shape,
                          w_rec.value.shape)
-    rows = slice(lo, lo + batch)
+    steps = rows // batch
+    drop = None
+    if mask is not None:
+        if np.shape(mask) != (batch, steps):
+            raise ShapeError("lstm_scan", xw.value.shape, h.value.shape, np.shape(mask))
+        drop = (np.asarray(mask, dtype=np.float64).T <= 0)[:, :, None]  # (T, B, 1)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    xwv = xw.value.reshape(steps, batch, 4 * hs)
+    w = w_rec.value
     # sigmoid(z) = 0.5 + 0.5 tanh(z / 2), so one tanh over the four gate
     # blocks, scaled per column, yields all gate activations at once.
     scale, shift, scale_sq = _gate_columns(hs)
-    t = xw.value[rows] + h.value @ w_rec.value
-    t *= scale
-    np.tanh(t, out=t)
-    act = t * scale + shift
-    i, f, g, o = act[:, :hs], act[:, hs : 2 * hs], act[:, 2 * hs : 3 * hs], act[:, 3 * hs :]
-    c_new = f * c.value + i * g
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
-    keep = None
-    if mask is not None:
-        keep = np.asarray(mask, dtype=np.float64).reshape(-1, 1) > 0
-        if keep.shape != (batch, 1):
-            raise ShapeError("lstm_cell", h.value.shape, np.shape(mask))
-        np.copyto(h_new, h.value, where=~keep)
-        np.copyto(c_new, c.value, where=~keep)
-    c_out = Node(c_new, parents=(xw, h, c, w_rec))
-    h_out = Node(h_new, parents=(c_out,))
-    handed_over: list[np.ndarray] = []
+    tz = np.empty((steps, batch, 4 * hs))   # tanh(scale * z)
+    act = np.empty((steps, batch, 4 * hs))  # [i, f, g, o]
+    c_all = np.empty((steps, batch, hs))
+    tanh_c_all = np.empty((steps, batch, hs))
+    h_all = np.empty((steps, batch, hs))
+    i_all, f_all, g_all, o_all = (act[:, :, k * hs : (k + 1) * hs] for k in range(4))
+    h_prev, c_prev = h.value, c.value
+    for t in order:
+        z = tz[t]
+        np.matmul(h_prev, w, out=z)
+        z += xwv[t]
+        z *= scale
+        np.tanh(z, out=z)
+        np.multiply(z, scale, out=act[t])
+        act[t] += shift
+        np.multiply(f_all[t], c_prev, out=c_all[t])
+        c_all[t] += i_all[t] * g_all[t]
+        np.tanh(c_all[t], out=tanh_c_all[t])
+        np.multiply(o_all[t], tanh_c_all[t], out=h_all[t])
+        if drop is not None:
+            np.copyto(h_all[t], h_prev, where=drop[t])
+            np.copyto(c_all[t], c_prev, where=drop[t])
+        h_prev, c_prev = h_all[t], c_all[t]
+    c_out = Node(c_prev, parents=(xw, h, c, w_rec))
+    h_out = Node(h_prev, parents=(c_out,))
+    outputs = Node(h_all.reshape(rows, hs), parents=(h_out,))
+    handed_over: list[np.ndarray | None] = []
 
-    def backward_h(out: Node) -> None:
-        handed_over.append(out.grad)
+    def hand_over(out: Node) -> None:
+        handed_over.append(out._grad)
 
     def backward_c(out: Node) -> None:
-        dh = handed_over.pop() if handed_over else np.zeros_like(tanh_c)
-        dc = out.grad
-        if keep is not None:
-            # Padded rows hand their gradient straight to the previous state.
-            if h.requires_grad:
-                _accumulate(h, dh * ~keep)
-            if c.requires_grad:
-                _accumulate(c, dc * ~keep)
-            dh, dc = dh * keep, dc * keep
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        dz = np.concatenate([dc * g, dc * c.value, dc * i, dh * tanh_c], axis=1)
-        # d act / d z is (1 - t^2) / 4 on the sigmoid blocks and 1 - t^2 on g.
-        slope = t * t
+        # The outputs rule runs before the h' rule, so h''s gradient pops first.
+        dh = handed_over.pop() if handed_over else None
+        d_outputs = handed_over.pop() if handed_over else None
+        d_steps = None if d_outputs is None else d_outputs.reshape(steps, batch, hs)
+        # An absent child reads as zero.
+        dh = np.zeros((batch, hs)) if dh is None else dh
+        dc = np.zeros((batch, hs)) if out._grad is None else out._grad
+        # d act / d z is (1 - tz^2) / 4 on the sigmoid blocks and 1 - tz^2 on g.
+        slope = tz * tz
         np.subtract(1.0, slope, out=slope)
         slope *= scale_sq
-        dz *= slope
+        d_tanh_c = tanh_c_all * tanh_c_all
+        np.subtract(1.0, d_tanh_c, out=d_tanh_c)
+        dz_all = np.empty((steps, batch, 4 * hs))
+        for t in reversed(order):
+            first = t == order[0]
+            prev = t + 1 if reverse else t - 1
+            if d_steps is not None:
+                dh = dh + d_steps[t]
+            dc_t = dc + dh * o_all[t] * d_tanh_c[t]
+            dz = dz_all[t]
+            np.multiply(dc_t, g_all[t], out=dz[:, :hs])
+            np.multiply(dc_t, c.value if first else c_all[prev], out=dz[:, hs : 2 * hs])
+            np.multiply(dc_t, i_all[t], out=dz[:, 2 * hs : 3 * hs])
+            np.multiply(dh, tanh_c_all[t], out=dz[:, 3 * hs :])
+            dz *= slope[t]
+            dh_prev, dc_prev = dz @ w.T, dc_t * f_all[t]
+            if drop is not None:
+                # Padded rows hand their gradient straight to the previous
+                # state.  That is the sum of the carry and the step's own
+                # terms: on a padded row the terms are zero, on a real row
+                # the carry is.
+                np.copyto(dz, 0.0, where=drop[t])
+                np.copyto(dh_prev, dh, where=drop[t])
+                np.copyto(dc_prev, dc, where=drop[t])
+            if w_rec.requires_grad:
+                _accumulate(w_rec, (h.value if first else h_all[prev]).T @ dz)
+            dh, dc = dh_prev, dc_prev
         if xw.requires_grad:
-            xw.grad[rows] += dz
+            _accumulate(xw, dz_all.reshape(rows, 4 * hs))
         if h.requires_grad:
-            _accumulate(h, dz @ w_rec.value.T)
+            _accumulate(h, dh)
         if c.requires_grad:
-            _accumulate(c, dc * f)
-        if w_rec.requires_grad:
-            _accumulate(w_rec, h.value.T @ dz)
+            _accumulate(c, dc)
 
-    h_out._backward = backward_h
+    outputs._backward = hand_over
+    h_out._backward = hand_over
     c_out._backward = backward_c
-    return h_out, c_out
+    return outputs, h_out, c_out
 
 
 @functools.lru_cache(maxsize=None)
@@ -615,7 +633,7 @@ def generator_losses(
     one chunk this is the arithmetic of separate affine, cross-entropy and
     ``sum_steps`` nodes, bit for bit.
 
-    As in ``lstm_cell``, word is a child of bag whose own rule only hands
+    As in ``lstm_scan``, word is a child of bag whose own rule only hands
     its gradient over, and bag's rule does the work for both.  When nothing
     read the bag, its gradient stays unallocated and the bag term is skipped.
     """
@@ -800,9 +818,6 @@ class ParameterStore:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -812,9 +827,6 @@ class ParameterStore:
     def zero_gradients(self) -> None:
         for node in self._params.values():
             node.grad[...] = 0.0
-
-    def entry_count(self) -> int:
-        return sum(node.value.size for node in self._params.values())
 
 
 @dataclass

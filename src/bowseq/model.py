@@ -10,13 +10,13 @@ over the target vocabulary.  The sentence-level bag-of-words probability is
 sigmoid of the scores summed over the real target timesteps.
 
 Sequences are time-major (T*B)-row matrices: rows t*B .. t*B+B-1 hold step
-t.  Each LSTM layer projects all its inputs with one matmul, and only the
-fused cell steps run one position at a time.  The decoder has no input
-feeding, so under teacher forcing attention and generator run once over all
-T steps; a decoding step is the same code at T=1.  Decoding turns the
-scores into log-probabilities.  Training never builds the (T*B, V) scores
-whole: one fused primitive takes the word loss and the bag sum from them
-in log space, step chunk by step chunk.
+t.  Each LSTM layer and direction is one matmul that projects all its
+inputs and one ``lstm_scan`` primitive that steps through the positions.
+The decoder has no input feeding, so under teacher forcing attention and
+generator run once over all T steps; a decoding step is the same code at
+T=1.  Decoding turns the scores into log-probabilities.  Training never
+builds the (T*B, V) scores whole: one fused primitive takes the word loss
+and the bag sum from them in log space, step chunk by step chunk.
 """
 
 from __future__ import annotations
@@ -164,30 +164,19 @@ class LstmCell:
         self.bias = store.create(f"{prefix}.bias", bias)
 
     def step(
-        self, xw: Node, t: int, h: Node, c: Node, mask: np.ndarray | None = None
-    ) -> tuple[Node, Node]:
-        """Advance (h, c) by step t of the projected inputs ``xw``; rows with
-        mask 0 (trailing PAD) keep their previous state."""
-        return ad.lstm_cell(xw, t, h, c, self.w_rec, mask)
-
-    def scan(
         self,
         x: Node,
         h: Node,
         c: Node,
         mask: np.ndarray | None = None,
         reverse: bool = False,
-    ) -> tuple[list[Node], Node, Node]:
-        """Run over time-major inputs x (T*B, in), last step first if
-        ``reverse``; ``mask`` is (B, T).  Returns the per-step outputs in
-        position order and the final (h, c)."""
+    ) -> tuple[Node, Node, Node]:
+        """Run the layer over time-major inputs x (T*B, in) from the state
+        (h, c), last step first if ``reverse``; rows with ``mask`` (B, T) 0
+        (trailing PAD) keep their previous state.  Returns the (T*B, H)
+        outputs in position order and the final (h, c)."""
         xw = ad.affine(x, self.w_in, self.bias)  # every step's input projection at once
-        steps = x.value.shape[0] // h.value.shape[0]
-        outputs: list[Node] = [None] * steps  # type: ignore[list-item]
-        for t in reversed(range(steps)) if reverse else range(steps):
-            h, c = self.step(xw, t, h, c, None if mask is None else mask[:, t])
-            outputs[t] = h
-        return outputs, h, c
+        return ad.lstm_scan(xw, h, c, self.w_rec, mask, reverse)
 
 
 class Seq2SeqModel:
@@ -266,10 +255,10 @@ class Seq2SeqModel:
         for layer, (fwd, bwd) in enumerate(self.enc_cells):
             if layer > 0:
                 x = self._maybe_dropout(x, train, rng)
-            fwd_out, fh, fc = fwd.scan(x, zeros, zeros, step_mask)
-            bwd_out, bh, bc = bwd.scan(x, zeros, zeros, step_mask, reverse=True)
+            fwd_out, fh, fc = fwd.step(x, zeros, zeros, step_mask)
+            bwd_out, bh, bc = bwd.step(x, zeros, zeros, step_mask, reverse=True)
             finals.append(((fh, fc), (bh, bc)))
-            x = ad.add(ad.concat_rows(fwd_out), ad.concat_rows(bwd_out))
+            x = ad.add(fwd_out, bwd_out)
         return EncoderStates(memory=x, mask=source_mask, finals=finals)
 
     def initial_decoder_state(self, encoded: EncoderStates) -> DecoderState:
@@ -308,9 +297,8 @@ class Seq2SeqModel:
         for layer, cell in enumerate(self.dec_cells):
             if layer > 0:
                 x = self._maybe_dropout(x, train, rng)
-            outputs, h, c = cell.scan(x, *state.layers[layer])
+            x, h, c = cell.step(x, *state.layers[layer])
             new_layers.append((h, c))
-            x = ad.concat_rows(outputs)
         attention = self.attend(x, encoded)
         if self.config.generator_input == "context":
             gen_in = attention.context
@@ -349,11 +337,6 @@ class Seq2SeqModel:
         generator = (self.gen_weight, self.gen_bias)
         word, bag = ad.generator_losses(gen_in, *generator, batch.target, batch.target_mask)
         return ForwardPass(word, bag, gen_in, generator)
-
-    # -- checkpoints ----------------------------------------------------------
-
-    def save(self, path: str | Path) -> None:
-        save_checkpoint(self, path)
 
 
 def save_checkpoint(model: Seq2SeqModel, path: str | Path) -> None:

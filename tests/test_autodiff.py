@@ -47,17 +47,6 @@ class TestPrimitiveValues:
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
         np.testing.assert_array_equal(ad.matmul(constant(a), constant(b)).value, a @ b)
 
-    def test_add_bias_broadcasts_rows(self):
-        a = constant(np.arange(6.0).reshape(2, 3))
-        bias = constant(np.array([[10.0, 20.0, 30.0]]))
-        np.testing.assert_array_equal(
-            ad.add(a, bias).value, np.arange(6.0).reshape(2, 3) + [10, 20, 30]
-        )
-
-    def test_add_scalar(self):
-        out = ad.add(constant(np.ones((2, 2))), constant(np.asarray(2.5)))
-        np.testing.assert_array_equal(out.value, np.full((2, 2), 3.5))
-
     def test_sigmoid_extreme_inputs_stay_finite(self):
         out = ad.sigmoid(constant(np.array([[-1000.0, 0.0, 1000.0]])))
         np.testing.assert_allclose(out.value, [[0.0, 0.5, 1.0]], atol=1e-12)
@@ -91,13 +80,44 @@ class TestPrimitiveValues:
 
     def test_lstm_cell_pad_rows_carry_state_exactly(self):
         rng = np.random.default_rng(12)
-        xw = constant(rng.normal(size=(4, 8)))
+        xw = constant(rng.normal(size=(4, 8)))  # T=2, B=2, H=2
         h, c = constant(rng.normal(size=(2, 2))), constant(rng.normal(size=(2, 2)))
-        h_new, c_new = ad.lstm_cell(xw, 1, h, c, constant(rng.normal(size=(2, 8))),
-                                    np.array([0.0, 1.0]))
+        outputs, h_new, c_new = ad.lstm_scan(xw, h, c, constant(rng.normal(size=(2, 8))),
+                                             np.array([[0.0, 0.0], [1.0, 1.0]]))
+        np.testing.assert_array_equal(outputs.value[[0, 2]], h.value[[0, 0]])
         np.testing.assert_array_equal(h_new.value[0], h.value[0])
         np.testing.assert_array_equal(c_new.value[0], c.value[0])
         assert not np.allclose(h_new.value[1], h.value[1])
+
+    def test_lstm_scan_steps_match_single_step_scans(self):
+        """Each step is computed the same way whatever T is: a scan over T
+        steps gives the bits of T chained scans at T=1, forward and reverse,
+        gradients included."""
+        rng = np.random.default_rng(19)
+        xw_steps = [parameter(rng.normal(size=(2, 4 * 3))) for _ in range(3)]  # B=2, H=3
+        h0, c0 = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(2, 3)))
+        w_rec = parameter(rng.normal(size=(3, 12)))
+        go, gh, gc = (constant(rng.normal(size=s)) for s in ((6, 3), (2, 3), (2, 3)))
+        leaves = xw_steps + [h0, c0, w_rec]
+
+        for reverse in (False, True):
+            runs = []
+            for whole in (True, False):
+                for p in leaves:
+                    p.grad = None
+                if whole:
+                    xw = ad.concat_rows(xw_steps)
+                    outputs, h, c = ad.lstm_scan(xw, h0, c0, w_rec, reverse=reverse)
+                else:
+                    h, c, steps = h0, c0, [None] * 3
+                    for t in (2, 1, 0) if reverse else (0, 1, 2):
+                        steps[t], h, c = ad.lstm_scan(xw_steps[t], h, c, w_rec)
+                    outputs = ad.concat_rows(steps)
+                parts = [ad.sum_all(ad.mul(n, g)) for n, g in ((outputs, go), (h, gh), (c, gc))]
+                backward(ad.add(ad.add(parts[0], parts[1]), parts[2]))
+                runs.append([outputs.value, h.value, c.value] + [p.grad for p in leaves])
+            for whole, chained in zip(*runs):
+                assert np.array_equal(whole, chained)
 
     def test_attention_rows_do_not_depend_on_step_count(self):
         rng = np.random.default_rng(13)
@@ -143,9 +163,15 @@ class TestShapeErrors:
             ad.sum_steps(constant(np.ones((6, 3))), np.ones((2, 2)))
 
     def test_lstm_cell_step_outside_inputs(self):
-        with pytest.raises(ShapeError, match="lstm_cell"):
-            ad.lstm_cell(constant(np.ones((4, 8))), 2, constant(np.ones((2, 2))),
+        with pytest.raises(ShapeError, match="lstm_scan"):  # 5 rows are not whole steps of B=2
+            ad.lstm_scan(constant(np.ones((5, 8))), constant(np.ones((2, 2))),
                          constant(np.ones((2, 2))), constant(np.ones((2, 8))))
+
+    def test_lstm_scan_mask_must_be_batch_by_steps(self):
+        with pytest.raises(ShapeError, match="lstm_scan"):
+            ad.lstm_scan(constant(np.ones((4, 8))), constant(np.ones((2, 2))),
+                         constant(np.ones((2, 2))), constant(np.ones((2, 8))),
+                         np.ones((2, 1)))
 
     def test_attention_memory_must_cover_every_position(self):
         with pytest.raises(ShapeError, match="attention_weights"):
@@ -187,11 +213,6 @@ class TestBackwardRules:
         x, w = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(3, 2)))
         bias = parameter(rng.normal(size=(1, 2)))
         self._check(lambda: ad.sum_all(ad.sigmoid(ad.affine(x, w, bias))), [x, w, bias])
-
-    def test_add_bias_accumulates_over_rows(self):
-        rng = np.random.default_rng(2)
-        a, b = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(1, 3)))
-        self._check(lambda: ad.sum_all(ad.sigmoid(ad.add(a, b))), [a, b])
 
     def test_mul_and_scale(self):
         rng = np.random.default_rng(3)
@@ -349,9 +370,32 @@ class TestBackwardRules:
         gh, gc = constant(rng.normal(size=(3, 2))), constant(rng.normal(size=(3, 2)))
 
         def build():
-            h, c = ad.lstm_cell(xw, 0, h0, c0, w_rec, mask[:, 0])
-            h, c = ad.lstm_cell(xw, 1, h, c, w_rec, mask[:, 1])
+            _, h, c = ad.lstm_scan(xw, h0, c0, w_rec, mask)
             return ad.add(ad.sum_all(ad.mul(h, gh)), ad.sum_all(ad.mul(c, gc)))
+
+        self._check(build, [xw, h0, c0, w_rec])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("reads", ["all", "outputs", "h", "c"])
+    def test_lstm_scan_with_trailing_padding(self, reverse, reads):
+        """T=4 steps of B=3 rows with trailing PAD, walked in either
+        direction, against finite differences.  An upstream sits on the
+        outputs, h' and c', or on one of them alone, so that the rule of c'
+        also runs when a child handing it a gradient is not in the graph."""
+        rng = np.random.default_rng(35)
+        xw = parameter(rng.normal(size=(4 * 3, 4 * 2)))  # T=4, B=3, H=2
+        h0 = parameter(rng.normal(size=(3, 2)))
+        c0 = parameter(rng.normal(size=(3, 2)))
+        w_rec = parameter(rng.normal(size=(2, 8)))
+        mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        upstream = [constant(rng.normal(size=s)) for s in ((12, 2), (3, 2), (3, 2))]
+
+        def build():
+            nodes = ad.lstm_scan(xw, h0, c0, w_rec, mask, reverse=reverse)
+            parts = [ad.sum_all(ad.mul(n, g)) for n, g in zip(nodes, upstream)]
+            if reads != "all":
+                return parts[["outputs", "h", "c"].index(reads)]
+            return ad.add(ad.add(parts[0], parts[1]), parts[2])
 
         self._check(build, [xw, h0, c0, w_rec])
 
@@ -522,12 +566,7 @@ class TestFiniteDifferenceHarness:
         def loss(s):
             x = ad.dropout(ad.embedding_lookup(s["table"], idx), drop)
             xw = ad.affine(x, s["w1"], s["b1"])
-            h, c = h0, c0
-            states = []
-            for t in range(3):
-                h, c = ad.lstm_cell(xw, t, h, c, s["w_rec"], steps[:, t])
-                states.append(h)
-            memory = ad.concat_rows(states)
+            memory, _, _ = ad.lstm_scan(xw, h0, c0, s["w_rec"], steps)
             weights = ad.attention_weights(memory, memory, steps)
             context = ad.attention_context(weights, memory)
             hidden = ad.concat_cols([memory, context])

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bowseq import autodiff as ad
 from bowseq.autodiff import ParameterStore, constant
 from bowseq.data import BOS, EOS, Batch
 from bowseq.model import (
@@ -118,7 +117,7 @@ class TestLstmCell:
         x = rng.normal(size=(2, 3))
         h = rng.normal(size=(2, 4))
         c = rng.normal(size=(2, 4))
-        got_h, got_c = cell.step(ad.affine(constant(x), cell.w_in, cell.bias), 0, constant(h), constant(c))
+        _, got_h, got_c = cell.step(constant(x), constant(h), constant(c))
         want_h, want_c = lstm_step_oracle(
             x, h, c, cell.w_in.value, cell.w_rec.value, cell.bias.value
         )
@@ -140,7 +139,7 @@ class TestLstmCell:
         h = constant(rng.normal(size=(2, 3)))
         c = constant(rng.normal(size=(2, 3)))
         x = constant(rng.normal(size=(2, 2)))
-        h_new, c_new = cell.step(ad.affine(x, cell.w_in, cell.bias), 0, h, c, np.array([1.0, 0.0]))
+        _, h_new, c_new = cell.step(x, h, c, np.array([[1.0], [0.0]]))
         np.testing.assert_array_equal(h_new.value[1], h.value[1])
         np.testing.assert_array_equal(c_new.value[1], c.value[1])
         assert not np.allclose(h_new.value[0], h.value[0])
