@@ -45,6 +45,40 @@ from .objectives import (
 )
 from .training import EpochStats, ValidationSet, train_model
 
+
+def _keep_freed_memory() -> None:
+    """Make glibc's malloc keep freed memory for reuse instead of returning it.
+
+    Every training batch builds the same large temporaries: the LSTM scan
+    buffers, the attention broadcasts and the generator's score buffer.  By
+    default glibc maps blocks above a dynamic threshold (at most 32 MiB) with
+    mmap and trims freed heap tops, so each batch faults its scratch memory
+    in afresh: about 1500 minor page faults per warm batch at the A4 shape,
+    and about 10,500 at V=16000, E=H=128, B=16, T=20, where the 41 MB score
+    buffer is mapped and unmapped on every batch.  Serving every block below
+    64 MiB from the heap and trimming only above 256 MiB of free top keeps
+    that memory faulted in across batches: both counts fall to 0.  Setting
+    either parameter also turns off the dynamic threshold.  Elsewhere this
+    does nothing.
+    """
+    import ctypes
+    import platform
+
+    if platform.libc_ver()[0] != "glibc":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    m_mmap_threshold, m_trim_threshold = -3, -1
+    if mallopt(m_mmap_threshold, 64 << 20):
+        mallopt(m_trim_threshold, 256 << 20)
+
+
+_keep_freed_memory()
+
 __version__ = "0.1.0"
 
 __all__ = [

@@ -74,28 +74,6 @@ def corpus_bleu(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> B
     return BleuReport(bleu, precisions, brevity, hyp_len, ref_len)
 
 
-def sentence_bleu(hypothesis: Tokens, reference: Tokens, smooth_add: float = 1.0) -> float:
-    """Add-k smoothed sentence-level BLEU, for diagnostics only.
-
-    Smoothing applies to orders above 1 so single-sentence scores are not
-    annihilated by a missing higher-order match.
-    """
-    report = corpus_bleu([hypothesis], [reference])
-    if not hypothesis:
-        return 0.0
-    logs = []
-    for n in range(1, 5):
-        total = max(len(hypothesis) - n + 1, 0)
-        match = report.precisions[n - 1] * total
-        if n > 1:
-            match += smooth_add
-            total += smooth_add
-        if total == 0 or match == 0:
-            return 0.0
-        logs.append(math.log(match / total))
-    return report.brevity_penalty * math.exp(sum(logs) / 4.0) * 100.0
-
-
 def bag_overlap(hypotheses: Sequence[Tokens], references: Sequence[Tokens]) -> BagReport:
     """Micro-averaged precision/recall/F1 over unique-token sets per sentence."""
     if len(hypotheses) != len(references):

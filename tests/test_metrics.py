@@ -14,7 +14,6 @@ from bowseq.metrics import (
     bag_overlap,
     corpus_bleu,
     format_report,
-    sentence_bleu,
 )
 
 
@@ -145,23 +144,6 @@ class TestCorpusBleu:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             corpus_bleu([], [])
-
-
-class TestSentenceBleu:
-    def test_perfect_match_scores_hundred(self):
-        np.testing.assert_allclose(
-            sentence_bleu(["a", "b", "c", "d", "e"], ["a", "b", "c", "d", "e"]),
-            100.0,
-            atol=1e-9,
-        )
-
-    def test_smoothing_keeps_partial_matches_positive(self):
-        score = sentence_bleu(["a", "b", "x", "y"], ["a", "b", "c", "d"])
-        assert 0.0 < score < 100.0
-
-    def test_no_unigram_match_is_zero(self):
-        assert sentence_bleu(["x"], ["y"]) == 0.0
-        assert sentence_bleu([], ["y"]) == 0.0
 
 
 class TestBagOverlap:

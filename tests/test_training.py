@@ -1,7 +1,9 @@
 """Training-loop tests: checkpoints and logs land where asked, the schedule
 feeds through, baseline parity on the word term, non-finite aborts, the
-recorded clip factor and a training batch's peak memory."""
+recorded clip factor, a training batch's peak memory and the pages a warm
+batch faults in."""
 
+import platform
 import tracemalloc
 import warnings
 
@@ -189,6 +191,34 @@ class TestTrainModel:
         finally:
             tracemalloc.stop()
         assert peak < steps * batch_size * vocab * 8
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc policy set on glibc only")
+    def test_warm_batches_fault_in_no_fresh_pages(self):
+        """At the A4 shape a warm training batch reuses the heap the previous
+        batch freed; with glibc's default policy it faults in about 900
+        fresh pages each time."""
+        import resource  # Unix only, like glibc
+
+        vocab = 24
+        config = ModelConfig(src_vocab_size=vocab, tgt_vocab_size=vocab, emb_size=64,
+                             hidden_size=64, dropout=0.0, generator_input="concat")
+        rng = np.random.default_rng(4)
+        model = Seq2SeqModel(config, init_rng=rng)
+        pairs = []
+        for _ in range(32):
+            src = tuple(int(t) for t in rng.integers(4, vocab, size=int(rng.integers(5, 11))))
+            tgt = tuple(reversed(src)) + (EOS,)
+            pairs.append(ExamplePair(src, tgt, extract_bag(tgt)))
+        (batch,) = make_batches(pairs, 32, vocab, seed=0)
+        args = (0.1, "paper", 1.0, AdamState.for_store(model.params), rng, 0, 0)
+        for _ in range(2):
+            training._train_batch(model, batch, *args)
+        faults = []
+        for _ in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            training._train_batch(model, batch, *args)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert max(faults) < 100, faults
 
     def test_validation_columns_filled_when_requested(self):
         model, pairs, rng = tiny_setup()
