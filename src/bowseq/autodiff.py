@@ -17,7 +17,10 @@ Most of the model runs on coarse primitives with hand-written backward
 rules over time-major (T*B)-row matrices, which hold T steps of B rows:
 ``lstm_scan`` runs a whole LSTM layer in one direction, attention weights
 and contexts are batched over all decoder steps, ``sum_steps`` folds row
-blocks, and the losses work in log space on the scores.
+blocks, and the losses work in log space on the scores.  The forward
+arithmetic of the LSTM and attention primitives is a plain function on
+arrays (``lstm_forward``, ``attention_weights_forward``,
+``attention_context_forward``), which decoding calls without a graph.
 ``generator_losses`` fuses the generator with the word loss and the bag
 sum, so that training never holds the (T*B, V) scores whole, and the bag
 loss reads the bag through ``softplus``.  Nothing floors a probability:
@@ -245,18 +248,23 @@ def sum_all(a: Node) -> Node:
     return out
 
 
+def embedding_rows(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Rows of a (V, E) table array by an integer index vector; an index
+    outside [0, V) is an error, not a wrap."""
+    idx = np.asarray(indices)
+    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError("embedding_lookup: indices must be a 1-d integer array")
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise IndexError(f"embedding_lookup: index out of range for table of {table.shape[0]} rows")
+    return table[idx]
+
+
 def embedding_lookup(table: Node, indices: np.ndarray) -> Node:
     """Gather rows of a (V, E) table by an integer index vector."""
     if table.value.ndim != 2:
         raise ShapeError("embedding_lookup", table.value.shape)
     idx = np.asarray(indices)
-    if idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError("embedding_lookup: indices must be a 1-d integer array")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.value.shape[0]):
-        raise IndexError(
-            f"embedding_lookup: index out of range for table of {table.value.shape[0]} rows"
-        )
-    out = Node(table.value[idx], parents=(table,))
+    out = Node(embedding_rows(table.value, idx), parents=(table,))
 
     def backward(out: Node) -> None:
         if table.requires_grad:
@@ -396,7 +404,8 @@ def lstm_scan(
     backward rule, h' is a child of c' and outputs of h', and their own
     rules only hand their gradients over.  The rule walks the steps in
     reverse, writes every dz into one (T*B, 4H) array that ``xw`` adopts,
-    and adds the recurrent weight gradient one step at a time.
+    and adds the recurrent weight gradient one step at a time.  The forward
+    is ``lstm_forward``.
     """
     batch, hs = h.value.shape
     rows = xw.value.shape[0]
@@ -418,36 +427,12 @@ def lstm_scan(
             raise ShapeError("lstm_scan", xw.value.shape, h.value.shape, np.shape(mask))
         drop = (np.asarray(mask, dtype=np.float64).T <= 0)[:, :, None]  # (T, B, 1)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    xwv = xw.value.reshape(steps, batch, 4 * hs)
     w = w_rec.value
-    # sigmoid(z) = 0.5 + 0.5 tanh(z / 2), so one tanh over the four gate
-    # blocks, scaled per column, yields all gate activations at once.
-    scale, shift, scale_sq = _gate_columns(hs)
-    tz = np.empty((steps, batch, 4 * hs))   # tanh(scale * z)
-    act = np.empty((steps, batch, 4 * hs))  # [i, f, g, o]
-    c_all = np.empty((steps, batch, hs))
-    tanh_c_all = np.empty((steps, batch, hs))
-    h_all = np.empty((steps, batch, hs))
+    tz, act, c_all, tanh_c_all, h_all = lstm_forward(xw.value, h.value, c.value, w, drop, reverse)
     i_all, f_all, g_all, o_all = (act[:, :, k * hs : (k + 1) * hs] for k in range(4))
-    h_prev, c_prev = h.value, c.value
-    for t in order:
-        z = tz[t]
-        np.matmul(h_prev, w, out=z)
-        z += xwv[t]
-        z *= scale
-        np.tanh(z, out=z)
-        np.multiply(z, scale, out=act[t])
-        act[t] += shift
-        np.multiply(f_all[t], c_prev, out=c_all[t])
-        c_all[t] += i_all[t] * g_all[t]
-        np.tanh(c_all[t], out=tanh_c_all[t])
-        np.multiply(o_all[t], tanh_c_all[t], out=h_all[t])
-        if drop is not None:
-            np.copyto(h_all[t], h_prev, where=drop[t])
-            np.copyto(c_all[t], c_prev, where=drop[t])
-        h_prev, c_prev = h_all[t], c_all[t]
-    c_out = Node(c_prev, parents=(xw, h, c, w_rec))
-    h_out = Node(h_prev, parents=(c_out,))
+    scale_sq = _gate_columns(hs)[2]
+    c_out = Node(c_all[order[-1]], parents=(xw, h, c, w_rec))
+    h_out = Node(h_all[order[-1]], parents=(c_out,))
     outputs = Node(h_all.reshape(rows, hs), parents=(h_out,))
     handed_over: list[np.ndarray | None] = []
 
@@ -506,6 +491,44 @@ def lstm_scan(
     return outputs, h_out, c_out
 
 
+def lstm_forward(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_rec: np.ndarray,
+                 drop: np.ndarray | None = None, reverse: bool = False) -> tuple[np.ndarray, ...]:
+    """The forward arithmetic of ``lstm_scan`` on arrays; ``drop`` is None
+    or the (T, B, 1) bool array of padded rows.  Returns the (T, B, ·)
+    buffers (tz, act, c, tanh(c), h): tanh of the scaled pre-activations,
+    the gates [i, f, g, o] and every step's state, carried on padded rows."""
+    batch, hs = h.shape
+    steps = xw.shape[0] // batch
+    xwv = xw.reshape(steps, batch, 4 * hs)
+    # sigmoid(z) = 0.5 + 0.5 tanh(z / 2), so one tanh over the four gate
+    # blocks, scaled per column, yields all gate activations at once.
+    scale, shift, _ = _gate_columns(hs)
+    tz = np.empty((steps, batch, 4 * hs))   # tanh(scale * z)
+    act = np.empty((steps, batch, 4 * hs))  # [i, f, g, o]
+    c_all = np.empty((steps, batch, hs))
+    tanh_c_all = np.empty((steps, batch, hs))
+    h_all = np.empty((steps, batch, hs))
+    i_all, f_all, g_all, o_all = (act[:, :, k * hs : (k + 1) * hs] for k in range(4))
+    h_prev, c_prev = h, c
+    for t in range(steps - 1, -1, -1) if reverse else range(steps):
+        z = tz[t]
+        np.matmul(h_prev, w_rec, out=z)
+        z += xwv[t]
+        z *= scale
+        np.tanh(z, out=z)
+        np.multiply(z, scale, out=act[t])
+        act[t] += shift
+        np.multiply(f_all[t], c_prev, out=c_all[t])
+        c_all[t] += i_all[t] * g_all[t]
+        np.tanh(c_all[t], out=tanh_c_all[t])
+        np.multiply(o_all[t], tanh_c_all[t], out=h_all[t])
+        if drop is not None:
+            np.copyto(h_all[t], h_prev, where=drop[t])
+            np.copyto(c_all[t], c_prev, where=drop[t])
+        h_prev, c_prev = h_all[t], c_all[t]
+    return tz, act, c_all, tanh_c_all, h_all
+
+
 @functools.lru_cache(maxsize=None)
 def _gate_columns(hs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-column (scale, shift, scale**2) that turn tanh into the [i, f,
@@ -528,6 +551,45 @@ def _attention_shapes(op: str, rows: int, memory: Node, batch: int, length: int)
     return rows // batch, memory.value.shape[1]
 
 
+def attention_keys(memory: np.ndarray, batch: int) -> np.ndarray:
+    """The (B, L, H) layout of a time-major (L*B, H) memory that
+    ``attention_weights_forward`` reads."""
+    return np.ascontiguousarray(memory.reshape(-1, batch, memory.shape[1]).transpose(1, 0, 2))
+
+
+def attention_values(memory: np.ndarray, batch: int) -> np.ndarray:
+    """The (B, H, L) layout of a time-major (L*B, H) memory that
+    ``attention_context_forward`` reads."""
+    return np.ascontiguousarray(memory.reshape(-1, batch, memory.shape[1]).transpose(1, 2, 0))
+
+
+def open_positions(mask: np.ndarray) -> np.ndarray:
+    """The real positions of a (B, L) 0/1 source mask, as bools; every row
+    needs one."""
+    mask = np.asarray(mask, dtype=np.float64)
+    if np.any(mask.sum(axis=1) == 0.0):
+        raise ValueError("attention_weights: fully masked row")
+    return mask > 0
+
+
+def attention_weights_forward(query: np.ndarray, keys: np.ndarray,
+                              open_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward arithmetic of ``attention_weights`` on arrays: the (T, B,
+    L) energies tanh(q . k) and weights of (T*B, H) queries over (B, L, H)
+    keys, softmax-normalised over the ``open_`` positions."""
+    batch, _, hidden = keys.shape
+    act = np.tanh((query.reshape(-1, batch, 1, hidden) * keys).sum(axis=3))
+    e = np.exp(act) * open_
+    return act, e / e.sum(axis=2, keepdims=True)
+
+
+def attention_context_forward(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The forward arithmetic of ``attention_context`` on arrays: the (T,
+    B, H) contexts of (T*B, L) or (T, B, L) weights over (B, H, L) values."""
+    batch, _, length = values.shape
+    return (weights.reshape(-1, batch, 1, length) * values).sum(axis=3)
+
+
 def attention_weights(query: Node, memory: Node, mask: np.ndarray) -> Node:
     """Bilinear-tanh attention weights of T*B queries over a source memory.
 
@@ -539,19 +601,13 @@ def attention_weights(query: Node, memory: Node, mask: np.ndarray) -> Node:
     Every output entry is computed the same way whatever T is, so one
     decoder step gives the same bits as the same step inside a longer pass.
     """
-    mask = np.asarray(mask, dtype=np.float64)
-    batch, length = mask.shape
+    batch, length = np.shape(mask)
     steps, hidden = _attention_shapes("attention_weights", query.value.shape[0], memory,
                                       batch, length)
     if query.value.ndim != 2 or query.value.shape[1] != hidden:
         raise ShapeError("attention_weights", query.value.shape, memory.value.shape)
-    if np.any(mask.sum(axis=1) == 0.0):
-        raise ValueError("attention_weights: fully masked row")
-    mem = np.ascontiguousarray(memory.value.reshape(length, batch, hidden).transpose(1, 0, 2))
-    q = query.value.reshape(steps, batch, 1, hidden)
-    act = np.tanh((q * mem).sum(axis=3))  # (T, B, L)
-    e = np.exp(act) * (mask > 0)
-    w = e / e.sum(axis=2, keepdims=True)
+    mem = attention_keys(memory.value, batch)
+    act, w = attention_weights_forward(query.value, mem, open_positions(mask))
     out = Node(w.reshape(steps * batch, length), parents=(query, memory))
 
     def backward(out: Node) -> None:
@@ -584,9 +640,8 @@ def attention_context(weights: Node, memory: Node) -> Node:
         raise ShapeError("attention_context", weights.value.shape, memory.value.shape)
     batch = memory.value.shape[0] // length
     steps, hidden = _attention_shapes("attention_context", rows, memory, batch, length)
-    mem_t = np.ascontiguousarray(memory.value.reshape(length, batch, hidden).transpose(1, 2, 0))
-    w = weights.value.reshape(steps, batch, 1, length)
-    context = (w * mem_t).sum(axis=3)  # (T, B, H)
+    mem_t = attention_values(memory.value, batch)
+    context = attention_context_forward(weights.value, mem_t)
     out = Node(context.reshape(rows, hidden), parents=(weights, memory))
 
     def backward(out: Node) -> None:

@@ -8,9 +8,10 @@ the decoder's real distribution so its score still equals the sum of its
 step log probabilities.
 
 The search encodes B sentences once as a padded batch and steps k*B decoder
-rows at a time: row j*B + b holds beam j of sentence b (rows past a
-sentence's live beams are unread carriers), so attention reads the beam
-index as its step index and never copies the encoder memory.  Each sentence
+rows at a time, on arrays through the layers' forward kernels, with no
+graph: row j*B + b holds beam j of sentence b (rows past a sentence's live
+beams are unread carriers), so attention reads the beam index as its step
+index and never copies the encoder memory.  Each sentence
 keeps its top ``width`` expansions by (-log-likelihood, tokens): ties break
 toward the smaller token sequence.  Greedy batch decoding is width 1;
 ``greedy_decode`` and ``score_sequence``, one hypothesis at a time, are the
@@ -69,12 +70,16 @@ def _check_source(model: Seq2SeqModel, source: Sequence[int]) -> np.ndarray:
     src = np.asarray(list(source), dtype=np.int64)
     if src.ndim != 1 or src.size == 0:
         raise ValueError("source must be a non-empty token index sequence")
-    if src.min() < 0 or src.max() >= model.config.src_vocab_size:
-        raise ValueError(
-            f"source index out of range for model vocabulary "
-            f"({int(src.max())} vs {model.config.src_vocab_size})"
-        )
+    _check_range("source", src, model.config.src_vocab_size)
     return src[None, :]
+
+
+def _check_range(what: str, tokens: np.ndarray, vocab_size: int) -> None:
+    bad = tokens[(tokens < 0) | (tokens >= vocab_size)]
+    if bad.size:
+        raise ValueError(
+            f"{what} index out of range for model vocabulary ({int(bad[0])} vs {vocab_size})"
+        )
 
 
 def _log_probs(scores: np.ndarray) -> np.ndarray:
@@ -91,7 +96,7 @@ def _log_probs(scores: np.ndarray) -> np.ndarray:
 
 def _step_logprobs(model: Seq2SeqModel, prev: int, state, encoded) -> tuple[np.ndarray, DecoderState]:
     out = model.decode_step(np.array([prev], dtype=np.int64), state, encoded)
-    return _log_probs(out.scores.value)[0], out.state
+    return _log_probs(out.scores)[0], out.state
 
 
 def _expansions(
@@ -133,7 +138,7 @@ def _search(
         out = model.decode_step(prev, state, encoded)
         rows = np.fromiter(live, dtype=np.int64, count=len(live))
         at_cap = caps[rows % batch] == step + 1
-        expanded = _expansions(_log_probs(out.scores.value), rows, at_cap, config.width)
+        expanded = _expansions(_log_probs(out.scores), rows, at_cap, config.width)
         candidates: list[list] = [[] for _ in range(batch)]
         for row, tok, lp in zip(*(a.tolist() for a in expanded)):
             tokens, ll, _ = live[row]
@@ -205,6 +210,7 @@ def greedy_decode(
 def score_sequence(model: Seq2SeqModel, source: Sequence[int], tokens: Sequence[int]) -> float:
     """Teacher-forced log-likelihood of an emitted token sequence."""
     src = _check_source(model, source)
+    _check_range("target", np.asarray(list(tokens), dtype=np.int64), model.config.tgt_vocab_size)
     encoded = model.encode(src)
     state = model.initial_decoder_state(encoded)
     total = 0.0

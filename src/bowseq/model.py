@@ -13,14 +13,16 @@ Sequences are time-major (T*B)-row matrices: rows t*B .. t*B+B-1 hold step
 t.  Each LSTM layer and direction is one matmul that projects all its
 inputs and one ``lstm_scan`` primitive that steps through the positions.
 The decoder has no input feeding, so under teacher forcing attention and
-generator run once over all T steps; a decoding step is the same code at
-T=1.  Decoding turns the scores into log-probabilities.  Training never
-builds the (T*B, V) scores whole: one fused primitive takes the word loss
-and the bag sum from them in log space, step chunk by step chunk.
+generator run once over all T steps.  A decoding step runs the same forward
+kernels at T=1 on arrays and builds no graph; decoding turns its scores
+into log-probabilities.  Training never builds the (T*B, V) scores whole:
+one fused primitive takes the word loss and the bag sum from them in log
+space, step chunk by step chunk.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
@@ -79,6 +81,14 @@ class EncoderStates:
     def length(self) -> int:
         return self.mask.shape[1]
 
+    @functools.cached_property
+    def attention_memory(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The keys, values and open positions the attention kernels read,
+        laid out once per encoding for the decoding steps."""
+        batch, memory = self.mask.shape[0], self.memory.value
+        return (ad.attention_keys(memory, batch), ad.attention_values(memory, batch),
+                ad.open_positions(self.mask))
+
 
 @dataclass
 class AttentionResult:
@@ -88,23 +98,19 @@ class AttentionResult:
 
 @dataclass
 class DecoderState:
-    layers: list[tuple[Node, Node]]  # (h, c) per layer, bottom first
+    layers: list[tuple[np.ndarray, np.ndarray]]  # (h, c) per layer, bottom first
 
     def gather(self, rows: np.ndarray) -> DecoderState:
-        """The state of the given rows, in that order, as constants, so no
-        graph outlives the decoding step that built it."""
-        return DecoderState(
-            [(ad.constant(h.value[rows]), ad.constant(c.value[rows])) for h, c in self.layers]
-        )
+        """The state of the given rows, in that order."""
+        return DecoderState([(h[rows], c[rows]) for h, c in self.layers])
 
 
 @dataclass
 class StepOutput:
-    """Decoder outputs of T steps (T = 1 for a decoding step), time-major."""
+    """One decoding step's outputs."""
 
-    scores: Node                    # (T*B, V) pre-softmax s_t
+    scores: np.ndarray              # (rows, V) pre-softmax s_t
     state: DecoderState
-    attention: AttentionResult
 
 
 @dataclass
@@ -261,14 +267,14 @@ class Seq2SeqModel:
             x = ad.add(fwd_out, bwd_out)
         return EncoderStates(memory=x, mask=source_mask, finals=finals)
 
+    def _seeds(self, encoded: EncoderStates) -> list:
+        """Decoder layer j starts from encoder layer enc_layers - dec_layers + j."""
+        return encoded.finals[self.config.enc_layers - self.config.dec_layers :]
+
     def initial_decoder_state(self, encoded: EncoderStates) -> DecoderState:
-        """Seed decoder layer j from encoder layer (enc_layers - dec_layers + j)."""
-        offset = self.config.enc_layers - self.config.dec_layers
-        layers = []
-        for j in range(self.config.dec_layers):
-            (fh, fc), (bh, bc) = encoded.finals[offset + j]
-            layers.append((ad.add(fh, bh), ad.add(fc, bc)))
-        return DecoderState(layers)
+        seeds = self._seeds(encoded)
+        return DecoderState([(fh.value + bh.value, fc.value + bc.value)
+                             for (fh, fc), (bh, bc) in seeds])
 
     # -- attention ----------------------------------------------------------
 
@@ -280,45 +286,25 @@ class Seq2SeqModel:
 
     # -- decoder ------------------------------------------------------------
 
-    def _decode(
-        self,
-        prev_tokens: np.ndarray,
-        state: DecoderState,
-        encoded: EncoderStates,
-        train: bool,
-        rng: np.random.Generator | None,
-    ) -> tuple[Node, DecoderState, AttentionResult]:
-        """Run the decoder over time-major previous tokens (T, B); returns
-        the generator's (T*B, H or 2H) input, the state after the last step
-        and the attention."""
-        tokens = np.asarray(prev_tokens).reshape(-1)
-        x = self._maybe_dropout(ad.embedding_lookup(self.tgt_embed, tokens), train, rng)
-        new_layers = []
-        for layer, cell in enumerate(self.dec_cells):
-            if layer > 0:
-                x = self._maybe_dropout(x, train, rng)
-            x, h, c = cell.step(x, *state.layers[layer])
-            new_layers.append((h, c))
-        attention = self.attend(x, encoded)
-        if self.config.generator_input == "context":
-            gen_in = attention.context
-        else:
-            gen_in = ad.concat_cols([x, attention.context])
-        return gen_in, DecoderState(new_layers), attention
-
     def decode_step(
-        self,
-        prev_tokens: np.ndarray,
-        state: DecoderState,
-        encoded: EncoderStates,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
+        self, prev_tokens: np.ndarray, state: DecoderState, encoded: EncoderStates
     ) -> StepOutput:
-        """One step for previous tokens (B,): the decoder pass at T = 1."""
-        gen_in, state, attention = self._decode(
-            np.asarray(prev_tokens)[None, :], state, encoded, train, rng
-        )
-        return StepOutput(ad.affine(gen_in, self.gen_weight, self.gen_bias), state, attention)
+        """One step for previous tokens (B,), on arrays: the teacher-forced
+        pass's arithmetic at T = 1, through the same kernels."""
+        x = ad.embedding_rows(self.tgt_embed.value, prev_tokens)
+        layers = []
+        for cell, (h, c) in zip(self.dec_cells, state.layers):
+            xw = x @ cell.w_in.value + cell.bias.value
+            _, _, c_all, _, h_all = ad.lstm_forward(xw, h, c, cell.w_rec.value)
+            x = h_all[0]
+            layers.append((x, c_all[0]))
+        keys, values, open_ = encoded.attention_memory
+        _, weights = ad.attention_weights_forward(x @ self.attn_bilinear.value, keys, open_)
+        context = ad.attention_context_forward(weights, values).reshape(x.shape)
+        gen_in = context if self.config.generator_input == "context" else np.concatenate(
+            [x, context], axis=1)
+        scores = gen_in @ self.gen_weight.value + self.gen_bias.value
+        return StepOutput(scores, DecoderState(layers))
 
     # -- full teacher-forced pass -------------------------------------------
 
@@ -332,8 +318,18 @@ class Seq2SeqModel:
         word loss and bag sum of ``generator_losses``."""
         encoded = self.encode(batch.source, batch.source_mask, train, rng)
         bos = np.full((1, batch.size), BOS, dtype=np.int64)
-        prev = np.concatenate([bos, batch.target[:, :-1].T])
-        gen_in, _, _ = self._decode(prev, self.initial_decoder_state(encoded), encoded, train, rng)
+        prev = np.concatenate([bos, batch.target[:, :-1].T]).reshape(-1)
+        x = self._maybe_dropout(ad.embedding_lookup(self.tgt_embed, prev), train, rng)
+        seeds = self._seeds(encoded)
+        for layer, (cell, ((fh, fc), (bh, bc))) in enumerate(zip(self.dec_cells, seeds)):
+            if layer > 0:
+                x = self._maybe_dropout(x, train, rng)
+            x, _, _ = cell.step(x, ad.add(fh, bh), ad.add(fc, bc))
+        attention = self.attend(x, encoded)
+        if self.config.generator_input == "context":
+            gen_in = attention.context
+        else:
+            gen_in = ad.concat_cols([x, attention.context])
         generator = (self.gen_weight, self.gen_bias)
         word, bag = ad.generator_losses(gen_in, *generator, batch.target, batch.target_mask)
         return ForwardPass(word, bag, gen_in, generator)

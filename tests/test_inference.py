@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bowseq import autodiff as ad
 from bowseq.data import BOS, EOS
 from bowseq.inference import (
     BeamConfig,
@@ -79,9 +80,7 @@ class _ScriptedModel:
 
     def decode_step(self, prev, state, encoded):
         dists = np.stack([self.distribution(step) for step in state.steps])
-        return SimpleNamespace(
-            scores=SimpleNamespace(value=np.log(dists)), state=_ScriptedState(state.steps + 1)
-        )
+        return SimpleNamespace(scores=np.log(dists), state=_ScriptedState(state.steps + 1))
 
 
 class _ScriptedState:
@@ -156,6 +155,24 @@ class TestBatchedSearch:
         hyps = beam_search(model, [4, 5], BeamConfig(width=4, max_length=5))
         assert len(hyps) == 4
         assert len(calls) <= 5
+
+    def test_decoding_steps_build_no_graph(self, monkeypatch):
+        model = tiny_model(67)
+        built, encoded = [], []
+        init, encode = ad.Node.__init__, model.encode
+        monkeypatch.setattr(ad.Node, "__init__", lambda node, *a, **k: built.append(node)
+                            or init(node, *a, **k))
+
+        def counted_encode(*args):
+            result = encode(*args)
+            encoded.append(len(built))
+            built.clear()
+            return result
+
+        model.encode = counted_encode
+        hyps = beam_search(model, [4, 5, 6], BeamConfig(width=4, max_length=6))
+        assert len(hyps) == 4 and encoded[0] > 0
+        assert built == []
 
     def test_sentences_searched_together_match_one_at_a_time(self):
         # With this seed the sentences finish at different steps, so the search
@@ -274,8 +291,16 @@ class TestValidation:
             beam_search(model, [4, 99])
         with pytest.raises(ValueError, match="out of range"):
             greedy_decode(model, [-1])
+        with pytest.raises(ValueError, match=r"out of range .*\(-3 vs 9\)"):
+            greedy_decode(model, [-3, 5])
         with pytest.raises(ValueError, match="out of range"):
             greedy_decode_batch(model, [[4, 99]])
+
+    def test_out_of_range_target_index(self):
+        model = tiny_model(99)
+        for tokens in ([-1], [4, -1], [4, 5], [5, 4], [99]):
+            with pytest.raises(ValueError, match=r"target index out of range .*vs 5\)"):
+                score_sequence(model, [4, 5], tokens)
 
     def test_empty_source_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -250,14 +250,14 @@ class TestDecoder:
         model.gen_bias.value[...] = 0.0
         enc = model.encode(np.array([[4, 5]]))
         out = model.decode_step(np.array([BOS]), model.initial_decoder_state(enc), enc)
-        np.testing.assert_allclose(softmax(out.scores.value), np.full((1, 13), 1 / 13), atol=1e-12)
+        np.testing.assert_allclose(softmax(out.scores), np.full((1, 13), 1 / 13), atol=1e-12)
 
     def test_large_bias_concentrates_mass(self):
         model, rng = tiny_model(seed=13)
         model.gen_bias.value[0, 7] = 50.0
         enc = model.encode(np.array([[4, 5]]))
         out = model.decode_step(np.array([BOS]), model.initial_decoder_state(enc), enc)
-        assert softmax(out.scores.value)[0, 7] > 0.999
+        assert softmax(out.scores)[0, 7] > 0.999
 
     def test_state_advances_between_steps(self):
         model, rng = tiny_model(seed=14)
@@ -265,7 +265,15 @@ class TestDecoder:
         state = model.initial_decoder_state(enc)
         out1 = model.decode_step(np.array([BOS]), state, enc)
         out2 = model.decode_step(np.array([4]), out1.state, enc)
-        assert not np.allclose(out1.state.layers[0][0].value, out2.state.layers[0][0].value)
+        assert not np.allclose(out1.state.layers[0][0], out2.state.layers[0][0])
+
+    def test_out_of_range_previous_token_rejected(self):
+        model, rng = tiny_model(seed=14)
+        enc = model.encode(np.array([[4, 5, 6]]))
+        state = model.initial_decoder_state(enc)
+        for prev in (-1, 13):
+            with pytest.raises(IndexError, match="out of range"):
+                model.decode_step(np.array([prev]), state, enc)
 
     def test_concat_variant_changes_generator_input_width(self):
         model, _ = tiny_model(seed=15, generator_input="concat")
@@ -277,8 +285,8 @@ class TestDecoder:
         state = model.initial_decoder_state(enc)
         for j, (h, c) in enumerate(state.layers):
             (fh, fc), (bh, bc) = enc.finals[1 + j]
-            np.testing.assert_array_equal(h.value, fh.value + bh.value)
-            np.testing.assert_array_equal(c.value, fc.value + bc.value)
+            np.testing.assert_array_equal(h, fh.value + bh.value)
+            np.testing.assert_array_equal(c, fc.value + bc.value)
 
     def test_more_decoder_than_encoder_layers_rejected(self):
         with pytest.raises(ValueError, match="dec_layers"):
@@ -319,16 +327,26 @@ class TestBagProbabilities:
 
 class TestForwardTeacherForced:
     def test_steps_match_manual_decode(self):
-        model, rng = tiny_model(seed=19)
-        batch = toy_batch(model, rng, batch_size=2, src_len=3, tgt_len=4)
-        forward = model.forward_teacher_forced(batch)
-        enc = model.encode(batch.source, batch.source_mask)
-        state = model.initial_decoder_state(enc)
-        for t in range(4):
-            prev = np.full(2, BOS) if t == 0 else batch.target[:, t - 1]
-            out = model.decode_step(prev, state, enc)
-            state = out.state
-            np.testing.assert_array_equal(forward.scores.value[2 * t : 2 * t + 2], out.scores.value)
+        """Decoding steps on arrays give the teacher-forced graph's scores
+        bit for bit, for both generator inputs, one and two layers, and a
+        batch with a padded source row."""
+        for generator_input in ("context", "concat"):
+            for layers in (1, 2):
+                model, rng = tiny_model(seed=19, generator_input=generator_input,
+                                        enc_layers=layers, dec_layers=layers)
+                batch = toy_batch(model, rng, batch_size=3, src_len=3, tgt_len=4)
+                batch.source[1, 2] = 0
+                batch.source_lengths[1] = 2
+                batch.source_mask[1, 2] = 0.0
+                forward = model.forward_teacher_forced(batch)
+                enc = model.encode(batch.source, batch.source_mask)
+                state = model.initial_decoder_state(enc)
+                for t in range(4):
+                    prev = np.full(3, BOS) if t == 0 else batch.target[:, t - 1]
+                    out = model.decode_step(prev, state, enc)
+                    state = out.state
+                    np.testing.assert_array_equal(forward.scores.value[3 * t : 3 * t + 3],
+                                                  out.scores)
 
     def test_bag_probs_only_cover_real_positions(self):
         model, rng = tiny_model(seed=20)
