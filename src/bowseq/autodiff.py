@@ -16,15 +16,16 @@ allocate one.
 Most of the model runs on coarse primitives with hand-written backward
 rules over time-major (T*B)-row matrices, which hold T steps of B rows:
 ``lstm_scan`` runs a whole LSTM layer in one direction, attention weights
-and contexts are batched over all decoder steps, ``sum_steps`` folds row
-blocks, and the losses work in log space on the scores.  The forward
-arithmetic of the LSTM and attention primitives is a plain function on
-arrays (``lstm_forward``, ``attention_weights_forward``,
-``attention_context_forward``), which decoding calls without a graph.
-``generator_losses`` fuses the generator with the word loss and the bag
-sum, so that training never holds the (T*B, V) scores whole, and the bag
-loss reads the bag through ``softplus``.  Nothing floors a probability:
-there is no word softmax and no log node.
+and contexts are batched over all decoder steps, and the losses work in log
+space on the scores.  The forward arithmetic of the LSTM and attention
+primitives is a plain function on arrays (``lstm_forward``,
+``attention_weights_forward``, ``attention_context_forward``), which
+decoding calls without a graph.  ``generator_losses`` fuses the generator
+with the word loss and the bag sum, so that training never holds the (T*B,
+V) scores whole, and the bag loss reads the bag through ``softplus``.  The
+bag sum is ``fold_steps``, the one fold of steps that
+``model.bow_probabilities`` runs too.  Nothing floors a probability: there
+is no word softmax and no log node.
 
 Nothing broadcasts implicitly.  The elementwise ``add`` and ``mul`` take
 two arrays of one shape; the only bias is the (1, n) row of ``affine``,
@@ -323,60 +324,6 @@ def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: fl
 
 
 # ---------------------------------------------------------------------------
-# time-major row blocks
-#
-# A sequence of T steps over a batch of B rows is one (T*B, n) matrix whose
-# rows t*B .. t*B+B-1 belong to step t.
-# ---------------------------------------------------------------------------
-
-
-def concat_rows(nodes: Sequence[Node]) -> Node:
-    """Stack (m_i, n) matrices along rows."""
-    nodes = list(nodes)
-    if not nodes:
-        raise ValueError("concat_rows: empty input")
-    if any(n.value.ndim != 2 for n in nodes) or len({n.value.shape[1] for n in nodes}) != 1:
-        raise ShapeError("concat_rows", *(n.value.shape for n in nodes))
-    out = Node(np.concatenate([n.value for n in nodes], axis=0), parents=nodes)
-    offsets = np.cumsum([0] + [n.value.shape[0] for n in nodes])
-
-    def backward(out: Node) -> None:
-        for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            if n.requires_grad:
-                n.grad += out.grad[lo:hi]
-
-    out._backward = backward
-    return out
-
-
-def sum_steps(a: Node, weights: np.ndarray) -> Node:
-    """out[b] = sum over t of weights[b, t] * a[t*B + b] for a (T*B, n) matrix.
-
-    ``weights`` is a (B, T) array, typically a 0/1 mask of real steps.  The
-    steps are added as a left fold in ascending t, one fixed order whatever
-    produced the rows.
-    """
-    weights = np.asarray(weights, dtype=np.float64)
-    if a.value.ndim != 2 or weights.ndim != 2 or a.value.shape[0] != weights.size:
-        raise ShapeError("sum_steps", a.value.shape, weights.shape)
-    batch, steps = weights.shape
-    blocks = a.value.reshape(steps, batch, -1)
-    total = blocks[0] * weights[:, :1]
-    for t in range(1, steps):
-        total = total + blocks[t] * weights[:, t : t + 1]
-    out = Node(total, parents=(a,))
-
-    def backward(out: Node) -> None:
-        if a.requires_grad:
-            grad = a.grad
-            for t in range(steps):
-                grad[t * batch : (t + 1) * batch] += out.grad * weights[:, t : t + 1]
-
-    out._backward = backward
-    return out
-
-
-# ---------------------------------------------------------------------------
 # fused model kernels
 # ---------------------------------------------------------------------------
 
@@ -658,6 +605,22 @@ def attention_context(weights: Node, memory: Node) -> Node:
     return out
 
 
+def fold_steps(blocks: np.ndarray, weights: np.ndarray,
+               total: np.ndarray | None = None) -> np.ndarray:
+    """The (B, n) sum over t of weights[b, t] * blocks[t, b] of (T, B, n)
+    ``blocks`` and (B, T) ``weights``, typically a 0/1 mask of real steps,
+    added into ``total`` in place when one is given.  The steps are added
+    as a left fold in ascending t, one fixed order whatever produced them."""
+    start = 0
+    if total is None:
+        total, start = blocks[0] * weights[:, :1], 1
+    term = np.empty_like(total)
+    for t in range(start, blocks.shape[0]):
+        np.multiply(blocks[t], weights[:, t : t + 1], out=term)
+        total += term
+    return total
+
+
 #: Most score entries ``generator_losses`` holds at once: 2^23 float64
 #: entries, 64 MiB.
 _SCORE_BUDGET = 1 << 23
@@ -675,8 +638,8 @@ def generator_losses(
     - word: the negative log-likelihood of the gold columns under the row
       softmax, logsumexp(row) - gold score, summed over real steps and
       divided by B.  No probability is floored.
-    - bag: the (B, V) scores summed over the steps with ``mask`` as weights,
-      a left fold in ascending t as in ``sum_steps``.
+    - bag: the (B, V) scores summed over the steps with ``mask`` as weights
+      by ``fold_steps``, chunk after chunk into one total.
 
     The (T*B, V) scores are never whole.  Chunks of steps go through one
     buffer of at most ``_SCORE_BUDGET`` entries (one step at least), and
@@ -685,8 +648,8 @@ def generator_losses(
     except the last forward chunk, which is still in the buffer.  It writes
     (softmax - one-hot) * mask * d(word) / B + d(bag) * mask into the buffer
     and accumulates the gradients of x, weight and bias chunk by chunk.  At
-    one chunk this is the arithmetic of separate affine, cross-entropy and
-    ``sum_steps`` nodes, bit for bit.
+    one chunk the scores and word loss are the arithmetic of separate affine
+    and cross-entropy nodes, bit for bit.
 
     As in ``lstm_scan``, word is a child of bag whose own rule only hands
     its gradient over, and bag's rule does the work for both.  When nothing
@@ -729,20 +692,13 @@ def generator_losses(
         return s
 
     buffer = np.empty((span * batch, vocab))
-    term = np.empty((batch, vocab))
     # Non-finite scores give a NaN loss, which the caller reports.
     with np.errstate(invalid="ignore"):
         bag = None
         for t0, t1 in chunks:
             rows = slice(t0 * batch, t1 * batch)
             s = scores(t0, t1, buffer)
-            for t in range(t0, t1):
-                block = s[(t - t0) * batch : (t - t0 + 1) * batch]
-                if bag is None:
-                    bag = block * mask[:, t : t + 1]
-                else:
-                    np.multiply(block, mask[:, t : t + 1], out=term)
-                    bag += term
+            bag = fold_steps(s.reshape(t1 - t0, batch, vocab), mask[:, t0:t1], bag)
             gold_score[rows] = s[np.arange(s.shape[0]), gold[rows]]
             np.max(s, axis=1, keepdims=True, out=top[rows])
             s -= top[rows]

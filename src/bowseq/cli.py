@@ -21,13 +21,16 @@ from .data import (
     MAX_SENTENCE_LENGTH,
     TOY_TASKS,
     Batch,
+    ExamplePair,
     ToyTaskSpec,
     Vocab,
     build_vocab,
+    encode_pairs,
     extract_bag,
     generate_toy_corpus,
-    load_pairs,
+    pack_batch,
     read_corpus,
+    read_parallel,
 )
 from .inference import BeamConfig, beam_search, normalized_score
 from .metrics import bag_overlap, corpus_bleu, format_report
@@ -345,16 +348,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     tgt_vocab = _load_or_build_vocab(args.tgt_vocab, args.train_tgt, max_size, ckpt_dir / "tgt.vocab")
 
     max_length = s.get("max-sent-len")
-    pairs = load_pairs(
-        args.train_src,
-        args.train_tgt,
-        src_vocab,
-        tgt_vocab,
-        max_length=max_length,
-        keep_duplicates=s.get("bag-keep-duplicates"),
-    )
-    read = len(read_corpus(args.train_src))
-    print(f"dropped {read - len(pairs)} of {read} training pairs longer than {max_length} tokens")
+    lines = read_parallel(args.train_src, args.train_tgt)
+    pairs = encode_pairs(lines, src_vocab, tgt_vocab, max_length, s.get("bag-keep-duplicates"))
+    print(f"dropped {len(lines) - len(pairs)} of {len(lines)} training pairs longer than "
+          f"{max_length} tokens or with a blank side")
     if not pairs:
         raise ValueError("training corpus is empty after length filtering")
 
@@ -362,11 +359,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     if bool(args.valid_src) != bool(args.valid_tgt):
         raise UsageError("--valid-src and --valid-tgt must be given together")
     if args.valid_src:
-        sources = [src_vocab.encode(toks) for toks in read_corpus(args.valid_src)]
-        references = read_corpus(args.valid_tgt)
-        if len(sources) != len(references):
-            raise ValueError("validation corpus sides have different lengths")
-        validation = ValidationSet(sources, references, tgt_vocab)
+        lines = read_parallel(args.valid_src, args.valid_tgt)
+        kept = [(src, tgt) for src, tgt in lines if src and tgt]
+        sources = [src_vocab.encode(src) for src, _ in kept]
+        validation = ValidationSet(sources, [tgt for _, tgt in kept], tgt_vocab)
 
     config = ModelConfig(
         src_vocab_size=len(src_vocab),
@@ -502,24 +498,14 @@ def cmd_grad_check(args: argparse.Namespace) -> int:
     return 0 if report.passed else 2
 
 
-def _random_batch(rng, batch_size, src_len, tgt_len, src_vocab_size, tgt_vocab_size):
+def _random_batch(rng, batch_size, src_len, tgt_len, src_vocab_size, tgt_vocab_size) -> Batch:
     source = rng.integers(4, src_vocab_size, size=(batch_size, src_len))
     content = rng.integers(4, tgt_vocab_size, size=(batch_size, tgt_len - 1))
-    target = np.concatenate([content, np.full((batch_size, 1), EOS)], axis=1)
-    indicator = np.zeros((batch_size, tgt_vocab_size))
-    for i in range(batch_size):
-        for w in extract_bag(tuple(target[i])):
-            indicator[i, w] = 1.0
-    ones = np.ones((batch_size, src_len))
-    return Batch(
-        source=source.astype(np.int64),
-        source_lengths=np.full(batch_size, src_len, dtype=np.int64),
-        source_mask=ones,
-        target=target.astype(np.int64),
-        target_lengths=np.full(batch_size, tgt_len, dtype=np.int64),
-        target_mask=np.ones((batch_size, tgt_len)),
-        bag_indicator=indicator,
-    )
+    pairs = [
+        ExamplePair(tuple(src), tuple(words) + (EOS,), extract_bag(words))
+        for src, words in zip(source.tolist(), content.tolist())
+    ]
+    return pack_batch(pairs, tgt_vocab_size)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -21,6 +21,9 @@ RESERVED = ("<pad>", "<unk>", "<bos>", "<eos>")
 #: Sentences longer than this many tokens are dropped at ingestion.
 MAX_SENTENCE_LENGTH = 50
 
+#: ``make_batches`` sorts by source length within chunks of this many batches.
+SORT_CHUNK_BATCHES = 100
+
 
 class Vocab:
     """Bidirectional token <-> index map with reserved specials at 0-3."""
@@ -54,9 +57,6 @@ class Vocab:
         if strip_special:
             toks = [t for t in toks if t not in RESERVED]
         return toks
-
-    def regular_tokens(self) -> list[str]:
-        return self._itos[4:]
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text("".join(t + "\n" for t in self._itos[4:]), encoding="utf-8")
@@ -184,7 +184,6 @@ def make_batches(
     batch_size: int,
     tgt_vocab_size: int,
     seed: int,
-    sort_chunk_multiplier: int = 100,
 ) -> list[Batch]:
     """Shuffle, then sort by source length within chunks, then cut batches.
 
@@ -198,7 +197,7 @@ def make_batches(
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(pairs))
     shuffled = [pairs[i] for i in order]
-    chunk = batch_size * sort_chunk_multiplier
+    chunk = batch_size * SORT_CHUNK_BATCHES
     arranged: list[ExamplePair] = []
     for lo in range(0, len(shuffled), chunk):
         arranged.extend(sorted(shuffled[lo : lo + chunk], key=lambda p: len(p.source)))
@@ -229,6 +228,32 @@ def write_corpus(path: str | Path, sentences: Iterable[Sequence[str]]) -> None:
     )
 
 
+def read_parallel(src_path: str | Path, tgt_path: str | Path) -> list[tuple[list[str], list[str]]]:
+    """The tokenized line pairs of a parallel corpus, line by line.  A blank
+    line is an empty list, so a blank line on one side never shifts the
+    pairing of the lines after it."""
+    src_lines = Path(src_path).read_text(encoding="utf-8").splitlines()
+    tgt_lines = Path(tgt_path).read_text(encoding="utf-8").splitlines()
+    if len(src_lines) != len(tgt_lines):
+        raise ValueError(f"parallel corpus mismatch: {len(src_lines)} vs {len(tgt_lines)} lines")
+    return [(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)]
+
+
+def encode_pairs(
+    lines: Iterable[tuple[Sequence[str], Sequence[str]]],
+    src_vocab: Vocab,
+    tgt_vocab: Vocab,
+    max_length: int = MAX_SENTENCE_LENGTH,
+    keep_duplicates: bool = False,
+) -> list[ExamplePair]:
+    """Line pairs in index space, dropping those with a blank or over-length side."""
+    return [
+        make_pair(s, t, src_vocab, tgt_vocab, keep_duplicates)
+        for s, t in lines
+        if 0 < len(s) <= max_length and 0 < len(t) <= max_length
+    ]
+
+
 def load_pairs(
     src_path: str | Path,
     tgt_path: str | Path,
@@ -237,19 +262,10 @@ def load_pairs(
     max_length: int = MAX_SENTENCE_LENGTH,
     keep_duplicates: bool = False,
 ) -> list[ExamplePair]:
-    """Read a parallel corpus into index space, dropping over-length pairs."""
-    src_lines = read_corpus(src_path)
-    tgt_lines = read_corpus(tgt_path)
-    if len(src_lines) != len(tgt_lines):
-        raise ValueError(
-            f"parallel corpus mismatch: {len(src_lines)} vs {len(tgt_lines)} sentences"
-        )
-    pairs = []
-    for s, t in zip(src_lines, tgt_lines):
-        if len(s) > max_length or len(t) > max_length:
-            continue
-        pairs.append(make_pair(s, t, src_vocab, tgt_vocab, keep_duplicates))
-    return pairs
+    """Read a parallel corpus (``read_parallel``) into index space
+    (``encode_pairs``), dropping pairs with a blank or over-length side."""
+    return encode_pairs(read_parallel(src_path, tgt_path), src_vocab, tgt_vocab, max_length,
+                        keep_duplicates)
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,12 @@ class ForwardPass:
 def bow_probabilities(step_scores: Sequence[Node], timesteps: Sequence[int] | None = None) -> Node:
     """Sentence-level bag probabilities: sigmoid of scores summed over steps.
 
-    The steps are added by ``sum_steps`` in ascending timestep order, the
-    fold that training's ``generator_losses`` uses for the bag.
+    The (B, V) step scores are added by ``fold_steps`` in ascending timestep
+    order, the fold that training's ``generator_losses`` runs for the bag.
     Floating-point addition does not associate, so that canonical order is
     what makes the result invariant to how callers permute their inputs.
-    Timesteps default to list positions.
+    Timesteps default to list positions.  The result is a constant: no
+    gradient flows back to the step scores.
     """
     step_scores = list(step_scores)
     if not step_scores:
@@ -146,9 +147,10 @@ def bow_probabilities(step_scores: Sequence[Node], timesteps: Sequence[int] | No
     timesteps = list(timesteps)
     if len(timesteps) != len(step_scores) or len(set(timesteps)) != len(timesteps):
         raise ValueError("bow_probabilities: timesteps must be unique and match the inputs")
-    ranked = [n for _, n in sorted(zip(timesteps, step_scores), key=lambda kv: kv[0])]
-    units = np.ones((ranked[0].value.shape[0], len(ranked)))
-    return ad.sigmoid(ad.sum_steps(ad.concat_rows(ranked), units))
+    ranked = sorted(zip(timesteps, step_scores), key=lambda kv: kv[0])
+    blocks = np.stack([n.value for _, n in ranked])
+    units = np.ones((blocks.shape[1], len(blocks)))
+    return ad.sigmoid(ad.constant(ad.fold_steps(blocks, units)))
 
 
 class LstmCell:

@@ -57,11 +57,10 @@ class TestPrimitiveValues:
         np.testing.assert_array_equal(out.value, [[6, 7, 8], [0, 1, 2], [6, 7, 8]])
 
     def test_concat_then_slice_roundtrip(self):
-        a, b = np.ones((2, 3)), np.full((4, 3), 2.0)
-        joined = ad.concat_rows([constant(a), constant(b)])
-        np.testing.assert_array_equal(joined.value[2:6], b)
-        np.testing.assert_array_equal(ad.concat_cols([constant(a), constant(a)]).value,
-                                      np.ones((2, 6)))
+        a, b = np.ones((2, 3)), np.full((2, 4), 2.0)
+        joined = ad.concat_cols([constant(a), constant(b)])
+        np.testing.assert_array_equal(joined.value[:, :3], a)
+        np.testing.assert_array_equal(joined.value[:, 3:], b)
 
     def test_softplus_values_at_extremes(self):
         x = np.array([[0.0, 40.0, -40.0, 800.0, -800.0, np.inf, -np.inf]])
@@ -71,12 +70,16 @@ class TestPrimitiveValues:
         want = [math.log(2.0), 40.0, math.exp(-40.0), 800.0, 0.0, np.inf, 0.0]
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
-    def test_sum_steps_folds_in_ascending_order(self):
+    def test_fold_steps_folds_in_ascending_order(self):
         rng = np.random.default_rng(11)
-        a = rng.normal(size=(6, 4))  # T=3 steps of B=2 rows
-        w = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
-        want = (a[0:2] * w[:, :1] + a[2:4] * w[:, 1:2]) + a[4:6] * w[:, 2:3]
-        np.testing.assert_array_equal(ad.sum_steps(constant(a), w).value, want)
+        a = rng.normal(size=(3, 2, 4))  # T=3 steps of B=2 rows
+        w = np.array([[1.0, 1.0, 0.0], [1.0, 0.5, 1.0]])
+        want = (a[0] * w[:, :1] + a[1] * w[:, 1:2]) + a[2] * w[:, 2:3]
+        np.testing.assert_array_equal(ad.fold_steps(a, w), want)
+        # Carried across chunks of steps, the fold keeps the same order.
+        total = ad.fold_steps(a[:1], w[:, :1])
+        assert ad.fold_steps(a[1:], w[:, 1:], total) is total
+        np.testing.assert_array_equal(total, want)
 
     def test_lstm_cell_pad_rows_carry_state_exactly(self):
         rng = np.random.default_rng(12)
@@ -97,8 +100,12 @@ class TestPrimitiveValues:
         xw_steps = [parameter(rng.normal(size=(2, 4 * 3))) for _ in range(3)]  # B=2, H=3
         h0, c0 = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(2, 3)))
         w_rec = parameter(rng.normal(size=(3, 12)))
-        go, gh, gc = (constant(rng.normal(size=s)) for s in ((6, 3), (2, 3), (2, 3)))
-        leaves = xw_steps + [h0, c0, w_rec]
+        go, gh, gc = (rng.normal(size=s) for s in ((6, 3), (2, 3), (2, 3)))
+        xw = parameter(np.concatenate([p.value for p in xw_steps]))
+        leaves = xw_steps + [xw, h0, c0, w_rec]
+
+        def dot(n, g):
+            return ad.sum_all(ad.mul(n, constant(g)))
 
         for reverse in (False, True):
             runs = []
@@ -106,16 +113,19 @@ class TestPrimitiveValues:
                 for p in leaves:
                     p.grad = None
                 if whole:
-                    xw = ad.concat_rows(xw_steps)
                     outputs, h, c = ad.lstm_scan(xw, h0, c0, w_rec, reverse=reverse)
+                    inputs, steps = [xw], [outputs]
                 else:
-                    h, c, steps = h0, c0, [None] * 3
+                    inputs, h, c, steps = xw_steps, h0, c0, [None] * 3
                     for t in (2, 1, 0) if reverse else (0, 1, 2):
                         steps[t], h, c = ad.lstm_scan(xw_steps[t], h, c, w_rec)
-                    outputs = ad.concat_rows(steps)
-                parts = [ad.sum_all(ad.mul(n, g)) for n, g in ((outputs, go), (h, gh), (c, gc))]
-                backward(ad.add(ad.add(parts[0], parts[1]), parts[2]))
-                runs.append([outputs.value, h.value, c.value] + [p.grad for p in leaves])
+                root = ad.add(dot(h, gh), dot(c, gc))
+                for n, g in zip(steps, np.split(go, len(steps))):
+                    root = ad.add(root, dot(n, g))
+                backward(root)
+                runs.append([np.concatenate([n.value for n in steps]),
+                             np.concatenate([p.grad for p in inputs]),
+                             h.value, c.value, h0.grad, c0.grad, w_rec.grad])
             for whole, chained in zip(*runs):
                 assert np.array_equal(whole, chained)
 
@@ -157,10 +167,6 @@ class TestShapeErrors:
     def test_mul_shape_mismatch(self):
         with pytest.raises(ShapeError, match="mul"):
             ad.mul(constant(np.ones((2, 2))), constant(np.ones((2, 3))))
-
-    def test_sum_steps_needs_one_weight_per_row(self):
-        with pytest.raises(ShapeError, match="sum_steps"):
-            ad.sum_steps(constant(np.ones((6, 3))), np.ones((2, 2)))
 
     def test_lstm_cell_step_outside_inputs(self):
         with pytest.raises(ShapeError, match="lstm_scan"):  # 5 rows are not whole steps of B=2
@@ -322,43 +328,24 @@ class TestBackwardRules:
         backward(ad.sum_all(ad.embedding_lookup(table, idx)))
 
     def test_pick_and_concat_rows_cols(self):
-        rng = np.random.default_rng(7)
-        a = parameter(rng.normal(size=(3, 4)))
-        b = parameter(rng.normal(size=(2, 4)))
-
+        """Rows are stacked by gathering them from one table: rows 0-2 are a
+        block a and rows 3-4 a block b, stacked as [a, b, a], [b, a, a] and
+        [a, a, b]."""
+        table = parameter(np.random.default_rng(7).normal(size=(5, 4)))
+        aba, baa, aab = np.array([[0, 1, 2, 3, 4, 0, 1, 2], [3, 4, 0, 1, 2, 0, 1, 2],
+                                  [0, 1, 2, 0, 1, 2, 3, 4]])
         picks = np.array([0, 2, 3, 1, 0, 3, 2, 1]).reshape(4, 2).T  # T=4 steps of B=2 rows
 
         def build():
-            stacked = ad.concat_rows([a, b, a])
+            stacked = ad.embedding_lookup(table, aba)
             picked, _ = score_losses(stacked, picks, np.ones((2, 4)))
             joined = ad.concat_cols([stacked, ad.sigmoid(stacked)])
-            swapped = ad.concat_cols([ad.concat_rows([b, a, a]), ad.concat_rows([a, a, b])])
+            swapped = ad.concat_cols([ad.embedding_lookup(table, baa),
+                                      ad.embedding_lookup(table, aab)])
             spread = ad.sum_all(ad.mul(joined, swapped))
             return ad.add(spread, picked)
 
-        self._check(build, [a, b])
-
-    def test_sum_steps_and_dropout(self):
-        rng = np.random.default_rng(8)
-        a = parameter(rng.normal(size=(6, 3)))  # T=3 steps of B=2 rows
-        mask = ad.make_dropout_mask(np.random.default_rng(9), (6, 3), 0.4)
-        steps = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
-        self._check(
-            lambda: ad.sum_all(ad.sigmoid(ad.sum_steps(ad.dropout(a, mask), steps))), [a]
-        )
-
-    def test_sum_steps_adds_into_an_existing_gradient_as_one_product(self):
-        """Each step's row block gets out.grad * weight added in place: the
-        same bits as adding the whole (T*B, n) product array at once."""
-        rng = np.random.default_rng(18)
-        a = parameter(rng.normal(size=(8, 5)))  # T=4 steps of B=2 rows
-        prior = rng.normal(size=(8, 5))
-        upstream = rng.normal(size=(2, 5))
-        weights = np.array([[1.0, 0.5, 0.0, 2.5], [1.0, 1.0, 1.0, 0.0]])
-        a.grad = prior.copy()
-        backward(ad.sum_all(ad.mul(ad.sum_steps(a, weights), constant(upstream))))
-        want = prior + (weights.T[:, :, None] * upstream).reshape(8, 5)
-        assert np.array_equal(a.grad, want)
+        self._check(build, [table])
 
     def test_lstm_cell_two_steps_with_pad_rows(self):
         rng = np.random.default_rng(14)
@@ -554,7 +541,7 @@ class TestFiniteDifferenceHarness:
         store.create("w1", rng.normal(0.0, 0.3, size=(4, 8)))
         store.create("b1", rng.normal(0.0, 1.0, size=(1, 8)))
         store.create("w_rec", rng.normal(0.0, 1.0, size=(2, 8)))
-        store.create("w2", rng.normal(0.0, 1.0, size=(2, 5)))
+        store.create("w2", rng.normal(0.0, 1.0, size=(4, 5)))
         store.create("w3", np.linspace(-1.0, 1.0, 25).reshape(5, 5))
         store.create("b3", np.linspace(-0.5, 0.5, 5).reshape(1, 5))
         idx = np.array([0, 3, 5, 1, 2, 2])   # T=3 steps of B=2 rows
@@ -570,7 +557,7 @@ class TestFiniteDifferenceHarness:
             weights = ad.attention_weights(memory, memory, steps)
             context = ad.attention_context(weights, memory)
             hidden = ad.concat_cols([memory, context])
-            features = ad.sigmoid(ad.matmul(hidden, ad.concat_rows([s["w2"], s["w2"]])))
+            features = ad.sigmoid(ad.matmul(hidden, s["w2"]))
             nll, bag = ad.generator_losses(features, s["w3"], s["b3"], picks, steps)
             spread = ad.sum_all(ad.mul(ad.softplus(bag), bag))
             return ad.add(ad.add(nll, ad.scale(spread, 0.5)), constant(np.asarray(0.25)))

@@ -50,7 +50,8 @@ class TestPipeline:
         src_vocab = Vocab.load(workspace / "src.vocab")
         tgt_vocab = Vocab.load(workspace / "tgt.vocab")
         assert len(src_vocab) <= 6 + 4
-        assert set(src_vocab.regular_tokens()).isdisjoint(tgt_vocab.regular_tokens())
+        regular = [set(v.decode(range(4, len(v)))) for v in (src_vocab, tgt_vocab)]
+        assert regular[0].isdisjoint(regular[1])
 
     def test_training_artifacts(self, workspace):
         assert (workspace / "run" / "epoch-000.ckpt").exists()
@@ -135,6 +136,20 @@ class TestTrainCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "dropped 1 of 3 training pairs longer than 5 tokens" in out
+        assert "trained 1 epochs on 2 pairs" in out
+
+    def test_reports_pairs_dropped_for_a_blank_side(self, tmp_path, capsys):
+        for name, text in (("train.src", "a b\n\nb a\na\n"), ("train.tgt", "x y\nz\n\nx\n")):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main([
+            "train", "--train-src", str(tmp_path / "train.src"),
+            "--train-tgt", str(tmp_path / "train.tgt"), "--ckpt-dir", str(tmp_path / "run"),
+            "--valid-src", str(tmp_path / "train.src"), "--valid-tgt", str(tmp_path / "train.tgt"),
+            "--emb-size", "4", "--hidden-size", "4", "--enc-layers", "1", "--dec-layers", "1",
+            "--epochs", "1", "--batch-size", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "dropped 2 of 4 training pairs" in out
         assert "trained 1 epochs on 2 pairs" in out
 
 

@@ -28,6 +28,11 @@ from bowseq.data import (
 token_strategy = st.text(alphabet="abcdefg", min_size=1, max_size=4)
 
 
+def regular(v: Vocab) -> list[str]:
+    """The vocabulary's tokens after the reserved entries, in index order."""
+    return v.decode(range(4, len(v)))
+
+
 class TestVocab:
     def test_reserved_indices_fixed(self):
         v = Vocab(["cat", "dog"])
@@ -43,23 +48,23 @@ class TestVocab:
     def test_frequency_ranking(self):
         corpus = [["b", "a", "a"], ["a", "c", "b"]]
         v = build_vocab(corpus)
-        assert v.regular_tokens() == ["a", "b", "c"]
+        assert regular(v) == ["a", "b", "c"]
 
     def test_tie_breaks_by_first_occurrence(self):
         # Equal counts: whichever token appears first in the corpus wins.
-        assert build_vocab([["b", "a", "b", "a"]]).regular_tokens() == ["b", "a"]
-        assert build_vocab([["a", "b", "a", "b"]]).regular_tokens() == ["a", "b"]
+        assert regular(build_vocab([["b", "a", "b", "a"]])) == ["b", "a"]
+        assert regular(build_vocab([["a", "b", "a", "b"]])) == ["a", "b"]
 
     def test_max_size_truncates_after_ranking(self):
         corpus = [["a"] * 5 + ["b"] * 3 + ["c"]]
-        assert build_vocab(corpus, max_size=2).regular_tokens() == ["a", "b"]
+        assert regular(build_vocab(corpus, max_size=2)) == ["a", "b"]
 
     def test_save_load_roundtrip(self, tmp_path):
         v = build_vocab([["x", "y", "x", "z"]])
         path = tmp_path / "v.vocab"
         v.save(path)
         loaded = Vocab.load(path)
-        assert loaded.regular_tokens() == v.regular_tokens()
+        assert regular(loaded) == regular(v)
         assert len(loaded) == len(v)
 
     def test_duplicate_token_rejected(self):
@@ -162,7 +167,7 @@ class TestBatching:
 
     def test_chunk_sorting_groups_similar_lengths(self):
         pairs = self._pairs(list(range(2, 42)))
-        batches = make_batches(pairs, 4, 10, seed=0, sort_chunk_multiplier=10)
+        batches = make_batches(pairs, 4, 10, seed=0)
         for batch in batches:
             lengths = batch.source_mask.sum(axis=1)
             assert lengths.max() - lengths.min() <= 39  # sanity
@@ -197,6 +202,17 @@ class TestCorpusFiles:
         v = Vocab(["a", "b"])
         with pytest.raises(ValueError, match="mismatch"):
             load_pairs(tmp_path / "s.txt", tmp_path / "t.txt", v, v)
+
+    def test_blank_lines_keep_the_sides_aligned(self, tmp_path):
+        """Lines pair by position; a pair with a blank side is dropped and
+        shifts no later pair."""
+        (tmp_path / "s.txt").write_text("a\n\nb\nc\n", encoding="utf-8")
+        (tmp_path / "t.txt").write_text("x\ny\n\nz\n", encoding="utf-8")
+        v = Vocab(["a", "b", "c", "x", "y", "z"])
+        pairs = load_pairs(tmp_path / "s.txt", tmp_path / "t.txt", v, v)
+        assert [(v.decode(p.source), v.decode(p.target)) for p in pairs] == [
+            (["a"], ["x"]), (["c"], ["z"])
+        ]
 
 
 class TestToyTasks:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bowseq import autodiff as ad
 from bowseq.autodiff import ParameterStore, constant
 from bowseq.data import BOS, EOS, Batch
 from bowseq.model import (
@@ -314,6 +315,16 @@ class TestBagProbabilities:
         np.testing.assert_allclose(
             bow_probabilities([s]).value, [[0.5, 1 / (1 + np.exp(-2.0))]], atol=1e-15
         )
+
+    def test_equals_the_sigmoid_of_the_bag_training_folds(self):
+        """With every target step real, the per-step score rows of a
+        teacher-forced pass give the bits of the sigmoid of its bag."""
+        model, rng = tiny_model(seed=19, generator_input="concat")
+        batch = toy_batch(model, rng)
+        forward = model.forward_teacher_forced(batch)
+        rows = np.split(forward.scores.value, batch.target.shape[1])
+        np.testing.assert_array_equal(bow_probabilities([constant(r) for r in rows]).value,
+                                      ad.sigmoid(forward.bag_scores).value)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="empty"):
