@@ -13,24 +13,26 @@ references the parents and the arrays it saved, never its own output node:
 is allocated on first read, so forward-only graphs and constants never
 allocate one.
 
-Most of the model runs on coarse primitives with hand-written backward
-rules over time-major (T*B)-row matrices, which hold T steps of B rows:
-``lstm_scan`` runs a whole LSTM layer in one direction, attention weights
-and contexts are batched over all decoder steps, and the losses work in log
-space on the scores.  The forward arithmetic of the LSTM and attention
-primitives is a plain function on arrays (``lstm_forward``,
-``attention_weights_forward``, ``attention_context_forward``), which
-decoding calls without a graph.  ``generator_losses`` fuses the generator
-with the word loss and the bag sum, so that training never holds the (T*B,
-V) scores whole, and the bag loss reads the bag through ``softplus``.  The
-bag sum is ``fold_steps``, the one fold of steps that
-``model.bow_probabilities`` runs too.  Nothing floors a probability: there
-is no word softmax and no log node.
+The model runs on one coarse primitive per layer, each with a hand-written
+backward rule over time-major (T*B)-row matrices, which hold T steps of B
+rows: ``lstm_scan`` runs a whole LSTM layer in one direction, ``attention``
+takes the bilinear projection, weights and contexts of all decoder steps at
+once, and the losses work in log space on the scores.  The forward
+arithmetic of the LSTM and attention primitives is a plain function on
+arrays (``lstm_forward``, ``attention_weights_forward``,
+``attention_context_forward``), which decoding calls without a graph.
+``generator_losses`` fuses the generator with the word loss and the bag
+sum, so that training never holds the (T*B, V) scores whole, and
+``bag_nll`` is the whole bag loss on the (B, V) bag.  The bag sum is
+``fold_steps``, the one fold of steps that ``model.bow_probabilities`` runs
+too.  Nothing floors a probability: there is no word softmax, no log node
+and no sigmoid node; ``stable_sigmoid`` and ``stable_softplus`` are array
+functions.
 
 Nothing broadcasts implicitly.  The elementwise ``add`` and ``mul`` take
 two arrays of one shape; the only bias is the (1, n) row of ``affine``,
 whose backward rule sums it over rows.  Anything richer (gold-column
-losses, row blocks, attention over a memory) is its own primitive with an
+losses, the bag loss, attention over a memory) is its own primitive with an
 explicit backward rule, so no gradient ever flows through an implicit numpy
 broadcast.
 """
@@ -121,21 +123,6 @@ def _accumulate(node: Node, fresh: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def matmul(a: Node, b: Node) -> Node:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError("matmul", a.value.shape, b.value.shape)
-    out = Node(a.value @ b.value, parents=(a, b))
-
-    def backward(out: Node) -> None:
-        if a.requires_grad:
-            _accumulate(a, out.grad @ b.value.T)
-        if b.requires_grad:
-            _accumulate(b, a.value.T @ out.grad)
-
-    out._backward = backward
-    return out
-
-
 def affine(x: Node, w: Node, bias: Node) -> Node:
     """x @ w + bias for an (m, k) input, (k, n) weights and a (1, n) bias."""
     if (
@@ -199,39 +186,6 @@ def scale(a: Node, factor: float) -> Node:
     def backward(out: Node) -> None:
         if a.requires_grad:
             _accumulate(a, out.grad * factor)
-
-    out._backward = backward
-    return out
-
-
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so no exp overflows."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(a: Node) -> Node:
-    out = Node(_stable_sigmoid(a.value), parents=(a,))
-
-    def backward(out: Node) -> None:
-        if a.requires_grad:
-            _accumulate(a, out.grad * out.value * (1.0 - out.value))
-
-    out._backward = backward
-    return out
-
-
-def softplus(a: Node) -> Node:
-    """log(1 + e^a), which is -log sigmoid(-a), as max(a, 0) + log1p(e^-|a|)
-    so no exp overflows; its gradient is sigmoid(a), which never vanishes
-    the way the gradient of a floored log of a probability does."""
-    x = a.value
-    with np.errstate(invalid="ignore"):  # NaN in, NaN out, caught by the caller
-        out = Node(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), parents=(a,))
-
-    def backward(out: Node) -> None:
-        if a.requires_grad:
-            _accumulate(a, out.grad * _stable_sigmoid(a.value))
 
     out._backward = backward
     return out
@@ -491,11 +445,66 @@ def _gate_columns(hs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return columns
 
 
-def _attention_shapes(op: str, rows: int, memory: Node, batch: int, length: int):
-    """(steps, hidden) for queries of ``rows`` rows over a (length*batch, H) memory."""
-    if memory.value.ndim != 2 or memory.value.shape[0] != length * batch or rows % batch:
-        raise ShapeError(op, (rows,), memory.value.shape, (batch, length))
-    return rows // batch, memory.value.shape[1]
+def attention(query: Node, bilinear: Node, memory: Node, mask: np.ndarray) -> Node:
+    """Bilinear-tanh attention contexts of T*B queries over a source memory.
+
+    ``query`` is (T*B, H), the decoder states; ``bilinear`` the (H, H)
+    matrix; ``memory`` (L*B, H), the encoder states, both time-major;
+    ``mask`` the (B, L) 0/1 source mask.  Row t*B + b of the weights is the
+    softmax over real positions i of tanh((query @ bilinear)[t*B + b] .
+    memory[i*B + b]), exactly 0 at masked positions, and row t*B + b of the
+    (T*B, H) result is the sum over i of those weights times memory[i*B +
+    b].  Every output entry is computed the same way whatever T is, so one
+    decoder step gives the same bits as the same step inside a longer pass.
+    The forward is ``attention_weights_forward`` and
+    ``attention_context_forward``.
+
+    The backward rule takes the context term first, adding its memory
+    gradient and forming the weights' gradient, then the weights term,
+    adding its memory gradient: the order in which separate weights and
+    context nodes ran.  The projected queries' (T*B, H) gradient then gives
+    those of ``query`` and ``bilinear``.
+    """
+    batch, length = np.shape(mask)
+    rows, hidden = query.value.shape[0], query.value.shape[-1]
+    if (
+        query.value.ndim != 2
+        or bilinear.value.shape != (hidden, hidden)
+        or memory.value.shape != (length * batch, hidden)
+        or rows % batch
+    ):
+        raise ShapeError("attention", query.value.shape, bilinear.value.shape,
+                         memory.value.shape, (batch, length))
+    steps = rows // batch
+    projected = query.value @ bilinear.value
+    keys = attention_keys(memory.value, batch)
+    values = attention_values(memory.value, batch)
+    act, w = attention_weights_forward(projected, keys, open_positions(mask))
+    out = Node(attention_context_forward(w, values).reshape(rows, hidden),
+               parents=(query, bilinear, memory))
+
+    def backward(out: Node) -> None:
+        g = out.grad.reshape(steps, batch, hidden).transpose(1, 0, 2)  # (B, T, H)
+        # The weights' (T, B, L) gradient, C-contiguous as a weights node
+        # held it, so that its row sums below add in that node's order.
+        g_w = np.ascontiguousarray((g @ values).transpose(1, 0, 2))
+        if memory.requires_grad:
+            dm = (w.transpose(1, 2, 0) @ g).transpose(1, 0, 2)
+            _accumulate(memory, dm.reshape(memory.value.shape))
+        d_act = w * (g_w - (g_w * w).sum(axis=2, keepdims=True))
+        d_energy = (d_act * (1.0 - act * act)).transpose(1, 0, 2)  # (B, T, L)
+        if memory.requires_grad:
+            qb = projected.reshape(steps, batch, hidden).transpose(1, 0, 2)
+            dm = (d_energy.transpose(0, 2, 1) @ qb).transpose(1, 0, 2)
+            _accumulate(memory, dm.reshape(memory.value.shape))
+        d_projected = (d_energy @ keys).transpose(1, 0, 2).reshape(rows, hidden)
+        if query.requires_grad:
+            _accumulate(query, d_projected @ bilinear.value.T)
+        if bilinear.requires_grad:
+            _accumulate(bilinear, query.value.T @ d_projected)
+
+    out._backward = backward
+    return out
 
 
 def attention_keys(memory: np.ndarray, batch: int) -> np.ndarray:
@@ -515,15 +524,15 @@ def open_positions(mask: np.ndarray) -> np.ndarray:
     needs one."""
     mask = np.asarray(mask, dtype=np.float64)
     if np.any(mask.sum(axis=1) == 0.0):
-        raise ValueError("attention_weights: fully masked row")
+        raise ValueError("attention: fully masked row")
     return mask > 0
 
 
 def attention_weights_forward(query: np.ndarray, keys: np.ndarray,
                               open_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The forward arithmetic of ``attention_weights`` on arrays: the (T, B,
-    L) energies tanh(q . k) and weights of (T*B, H) queries over (B, L, H)
-    keys, softmax-normalised over the ``open_`` positions."""
+    """The weights half of ``attention``'s forward on arrays: the (T, B, L)
+    energies tanh(q . k) and weights of (T*B, H) projected queries over (B,
+    L, H) keys, softmax-normalised over the ``open_`` positions."""
     batch, _, hidden = keys.shape
     act = np.tanh((query.reshape(-1, batch, 1, hidden) * keys).sum(axis=3))
     e = np.exp(act) * open_
@@ -531,78 +540,10 @@ def attention_weights_forward(query: np.ndarray, keys: np.ndarray,
 
 
 def attention_context_forward(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The forward arithmetic of ``attention_context`` on arrays: the (T,
-    B, H) contexts of (T*B, L) or (T, B, L) weights over (B, H, L) values."""
+    """The context half of ``attention``'s forward on arrays: the (T, B, H)
+    contexts of (T*B, L) or (T, B, L) weights over (B, H, L) values."""
     batch, _, length = values.shape
     return (weights.reshape(-1, batch, 1, length) * values).sum(axis=3)
-
-
-def attention_weights(query: Node, memory: Node, mask: np.ndarray) -> Node:
-    """Bilinear-tanh attention weights of T*B queries over a source memory.
-
-    ``query`` is (T*B, H), the decoder states already multiplied by the
-    bilinear matrix; ``memory`` is (L*B, H), the encoder states, both
-    time-major; ``mask`` is the (B, L) 0/1 source mask.  Row t*B + b of the
-    (T*B, L) result is the softmax over real positions i of
-    tanh(query[t*B + b] . memory[i*B + b]); masked positions are exactly 0.
-    Every output entry is computed the same way whatever T is, so one
-    decoder step gives the same bits as the same step inside a longer pass.
-    """
-    batch, length = np.shape(mask)
-    steps, hidden = _attention_shapes("attention_weights", query.value.shape[0], memory,
-                                      batch, length)
-    if query.value.ndim != 2 or query.value.shape[1] != hidden:
-        raise ShapeError("attention_weights", query.value.shape, memory.value.shape)
-    mem = attention_keys(memory.value, batch)
-    act, w = attention_weights_forward(query.value, mem, open_positions(mask))
-    out = Node(w.reshape(steps * batch, length), parents=(query, memory))
-
-    def backward(out: Node) -> None:
-        g = out.grad.reshape(steps, batch, length)
-        d_act = w * (g - (g * w).sum(axis=2, keepdims=True))
-        d_energy = (d_act * (1.0 - act * act)).transpose(1, 0, 2)  # (B, T, L)
-        if query.requires_grad:
-            dq = (d_energy @ mem).transpose(1, 0, 2)
-            _accumulate(query, dq.reshape(query.value.shape))
-        if memory.requires_grad:
-            qb = query.value.reshape(steps, batch, hidden).transpose(1, 0, 2)
-            dm = (d_energy.transpose(0, 2, 1) @ qb).transpose(1, 0, 2)
-            _accumulate(memory, dm.reshape(memory.value.shape))
-
-    out._backward = backward
-    return out
-
-
-def attention_context(weights: Node, memory: Node) -> Node:
-    """Contexts of T*B attention rows: out[t*B + b] = sum over i of
-    weights[t*B + b, i] * memory[i*B + b].
-
-    ``weights`` is (T*B, L) and ``memory`` (L*B, H), both time-major.  As in
-    ``attention_weights``, an output entry does not depend on T.
-    """
-    if weights.value.ndim != 2:
-        raise ShapeError("attention_context", weights.value.shape, memory.value.shape)
-    rows, length = weights.value.shape
-    if memory.value.ndim != 2 or memory.value.shape[0] % length:
-        raise ShapeError("attention_context", weights.value.shape, memory.value.shape)
-    batch = memory.value.shape[0] // length
-    steps, hidden = _attention_shapes("attention_context", rows, memory, batch, length)
-    mem_t = attention_values(memory.value, batch)
-    context = attention_context_forward(weights.value, mem_t)
-    out = Node(context.reshape(rows, hidden), parents=(weights, memory))
-
-    def backward(out: Node) -> None:
-        g = out.grad.reshape(steps, batch, hidden).transpose(1, 0, 2)  # (B, T, H)
-        if weights.requires_grad:
-            dw = (g @ mem_t).transpose(1, 0, 2)
-            _accumulate(weights, dw.reshape(weights.value.shape))
-        if memory.requires_grad:
-            wb = weights.value.reshape(steps, batch, length).transpose(1, 2, 0)  # (B, L, T)
-            dm = (wb @ g).transpose(1, 0, 2)
-            _accumulate(memory, dm.reshape(memory.value.shape))
-
-    out._backward = backward
-    return out
 
 
 def fold_steps(blocks: np.ndarray, weights: np.ndarray,
@@ -752,6 +693,58 @@ def generator_losses(
     word_out._backward = backward_word
     bag_out._backward = backward_bag
     return word_out, bag_out
+
+
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below, so no exp overflows."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def stable_softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + e^x), which is -log sigmoid(-x), as max(x, 0) + log1p(e^-|x|)
+    so no exp overflows."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def bag_nll(bag: Node, indicator: np.ndarray, absent: bool = False) -> Node:
+    """The bag negative log-likelihood of (B, V) step-summed scores s, a
+    mean over the B rows: sum(softplus(-s) * indicator), which is -log
+    sigmoid(s) on the bag's words, plus sum(softplus(s) * (1 - indicator)),
+    -log(1 - sigmoid(s)) on the other words, if ``absent``.
+
+    Its gradient is indicator * -sigmoid(-s), plus (1 - indicator) *
+    sigmoid(s) if ``absent``, each times the upstream over B.  Neither
+    vanishes the way the gradient of a floored log of a probability does.
+    """
+    ind = np.asarray(indicator, dtype=np.float64)
+    s = bag.value
+    if s.ndim != 2 or ind.shape != s.shape:
+        raise ShapeError("bag_nll", s.shape, ind.shape)
+    factor = 1.0 / s.shape[0]
+    # Non-finite scores give a NaN loss, which the caller reports, and no
+    # warning: an infinite softplus times an indicator of 0 is NaN.
+    with np.errstate(invalid="ignore"):
+        total = np.sum(stable_softplus(s * -1.0) * ind)
+        if absent:
+            total = total + np.sum(stable_softplus(s) * (1.0 - ind))
+        out = Node(total * factor, parents=(bag,))
+
+    def backward(out: Node) -> None:
+        if not bag.requires_grad:
+            return
+        upstream = out.grad * factor
+        d = upstream * ind
+        d *= stable_sigmoid(s * -1.0)
+        d *= -1.0
+        if absent:
+            d_absent = upstream * (1.0 - ind)
+            d_absent *= stable_sigmoid(s)
+            d += d_absent
+        _accumulate(bag, d)
+
+    out._backward = backward
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -341,6 +341,15 @@ def _load_or_build_vocab(
 
 def cmd_train(args: argparse.Namespace) -> int:
     s = Settings(args)
+    if bool(args.valid_src) != bool(args.valid_tgt):
+        raise UsageError("--valid-src and --valid-tgt must be given together")
+    if args.valid_src:
+        # Read before anything is written, so that an empty set leaves nothing behind.
+        valid_lines = [(src, tgt) for src, tgt in read_parallel(args.valid_src, args.valid_tgt)
+                       if src and tgt]
+        if not valid_lines:
+            raise ValueError(f"validation set {args.valid_src} / {args.valid_tgt} has no pair "
+                             "with two non-blank sides")
     ckpt_dir = Path(args.ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     max_size = s.get("vocab-size")
@@ -356,13 +365,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ValueError("training corpus is empty after length filtering")
 
     validation = None
-    if bool(args.valid_src) != bool(args.valid_tgt):
-        raise UsageError("--valid-src and --valid-tgt must be given together")
     if args.valid_src:
-        lines = read_parallel(args.valid_src, args.valid_tgt)
-        kept = [(src, tgt) for src, tgt in lines if src and tgt]
-        sources = [src_vocab.encode(src) for src, _ in kept]
-        validation = ValidationSet(sources, [tgt for _, tgt in kept], tgt_vocab)
+        sources = [src_vocab.encode(src) for src, _ in valid_lines]
+        validation = ValidationSet(sources, [tgt for _, tgt in valid_lines], tgt_vocab)
 
     config = ModelConfig(
         src_vocab_size=len(src_vocab),

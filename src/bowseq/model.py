@@ -13,11 +13,12 @@ Sequences are time-major (T*B)-row matrices: rows t*B .. t*B+B-1 hold step
 t.  Each LSTM layer and direction is one matmul that projects all its
 inputs and one ``lstm_scan`` primitive that steps through the positions.
 The decoder has no input feeding, so under teacher forcing attention and
-generator run once over all T steps.  A decoding step runs the same forward
-kernels at T=1 on arrays and builds no graph; decoding turns its scores
-into log-probabilities.  Training never builds the (T*B, V) scores whole:
-one fused primitive takes the word loss and the bag sum from them in log
-space, step chunk by step chunk.
+generator run once over all T steps, attention as one ``attention``
+primitive from the decoder states to the contexts.  A decoding step runs
+the same forward kernels at T=1 on arrays and builds no graph; decoding
+turns its scores into log-probabilities.  Training never builds the (T*B,
+V) scores whole: one fused primitive takes the word loss and the bag sum
+from them in log space, step chunk by step chunk.
 """
 
 from __future__ import annotations
@@ -91,12 +92,6 @@ class EncoderStates:
 
 
 @dataclass
-class AttentionResult:
-    weights: Node                   # (T*B, L) rows on the simplex over real positions
-    context: Node                   # (T*B, H)
-
-
-@dataclass
 class DecoderState:
     layers: list[tuple[np.ndarray, np.ndarray]]  # (h, c) per layer, bottom first
 
@@ -150,7 +145,7 @@ def bow_probabilities(step_scores: Sequence[Node], timesteps: Sequence[int] | No
     ranked = sorted(zip(timesteps, step_scores), key=lambda kv: kv[0])
     blocks = np.stack([n.value for _, n in ranked])
     units = np.ones((blocks.shape[1], len(blocks)))
-    return ad.sigmoid(ad.constant(ad.fold_steps(blocks, units)))
+    return ad.constant(ad.stable_sigmoid(ad.fold_steps(blocks, units)))
 
 
 class LstmCell:
@@ -280,11 +275,10 @@ class Seq2SeqModel:
 
     # -- attention ----------------------------------------------------------
 
-    def attend(self, query: Node, encoded: EncoderStates) -> AttentionResult:
-        """Attention for time-major decoder states ``query`` (T*B, H)."""
-        projected = ad.matmul(query, self.attn_bilinear)
-        weights = ad.attention_weights(projected, encoded.memory, encoded.mask)
-        return AttentionResult(weights, ad.attention_context(weights, encoded.memory))
+    def attend(self, query: Node, encoded: EncoderStates) -> Node:
+        """The (T*B, H) attention contexts of time-major decoder states
+        ``query`` (T*B, H)."""
+        return ad.attention(query, self.attn_bilinear, encoded.memory, encoded.mask)
 
     # -- decoder ------------------------------------------------------------
 
@@ -327,11 +321,11 @@ class Seq2SeqModel:
             if layer > 0:
                 x = self._maybe_dropout(x, train, rng)
             x, _, _ = cell.step(x, ad.add(fh, bh), ad.add(fc, bc))
-        attention = self.attend(x, encoded)
+        context = self.attend(x, encoded)
         if self.config.generator_input == "context":
-            gen_in = attention.context
+            gen_in = context
         else:
-            gen_in = ad.concat_cols([x, attention.context])
+            gen_in = ad.concat_cols([x, context])
         generator = (self.gen_weight, self.gen_bias)
         word, bag = ad.generator_losses(gen_in, *generator, batch.target, batch.target_mask)
         return ForwardPass(word, bag, gen_in, generator)

@@ -4,10 +4,11 @@ Both loss terms are means over the batch and come from pre-softmax scores,
 so they are computed in log space and no probability is floored.  The word
 loss is the negative log-likelihood of each gold token under the softmax of
 its step's scores, summed over real target positions; the teacher-forced
-pass computes it, fused with the generator.  The bag loss scores
-the sentence-level sigmoid of the step-summed scores against the bag
-indicator; the default variant penalizes only the words present in the bag,
-while ``full-bce`` adds the complement term for absent words.
+pass computes it, fused with the generator.  The bag loss scores the
+sentence-level sigmoid of the step-summed scores against the bag indicator,
+as the one primitive ``bag_nll``; the default variant penalizes only the
+words present in the bag, while ``full-bce`` adds the complement term for
+absent words.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def bag_loss(bag_scores: Node, indicator: np.ndarray, variant: str = "paper") ->
     ``full-bce`` adds -log(1 - sigmoid(s)) = softplus(s) for absent words.
 
     ``indicator`` rows hold the bag membership (counts when duplicates are
-    kept); rows with an empty bag contribute zero.
+    kept); rows with an empty bag contribute zero.  The result is one
+    ``bag_nll`` node whose only parent is ``bag_scores``.
     """
     if variant not in BAG_LOSS_VARIANTS:
         raise ValueError(f"unknown bag loss variant {variant!r}; choose from {BAG_LOSS_VARIANTS}")
@@ -85,12 +87,7 @@ def bag_loss(bag_scores: Node, indicator: np.ndarray, variant: str = "paper") ->
         raise ValueError(
             f"indicator shape {indicator.shape} does not match the bag {bag_scores.value.shape}"
         )
-    batch = indicator.shape[0]
-    positive = ad.sum_all(ad.mul(ad.softplus(ad.scale(bag_scores, -1.0)), ad.constant(indicator)))
-    if variant == "paper":
-        return ad.scale(positive, 1.0 / batch)
-    negative = ad.sum_all(ad.mul(ad.softplus(bag_scores), ad.constant(1.0 - indicator)))
-    return ad.scale(ad.add(positive, negative), 1.0 / batch)
+    return ad.bag_nll(bag_scores, indicator, absent=variant == "full-bce")
 
 
 def total_loss(word: Node, bag: Node | None, weight: float) -> Node:

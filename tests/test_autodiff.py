@@ -25,6 +25,29 @@ from bowseq.model import ModelConfig, Seq2SeqModel
 from bowseq.objectives import bag_loss, total_loss, word_loss
 
 
+def bag_nll_reference(s, indicator, absent, upstream):
+    """The bag loss's value and its gradient for an upstream on the value,
+    each operation in the order of the separate nodes that once computed
+    it: scale(-1), softplus, mul by the indicator, sum_all, add, scale(1/B)."""
+
+    def softplus(x):
+        return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+    def sigmoid(x):
+        e = np.exp(-np.abs(x))
+        return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+    factor = 1.0 / s.shape[0]
+    value = (softplus(s * -1.0) * indicator).sum()
+    if absent:
+        value = value + (softplus(s) * (1.0 - indicator)).sum()
+    g = np.zeros_like(s) + np.float64(upstream) * factor
+    grad = ((g * indicator) * sigmoid(s * -1.0)) * -1.0
+    if absent:
+        grad = grad + (g * (1.0 - indicator)) * sigmoid(s)
+    return value * factor, grad
+
+
 def fd_gradient(f, x, step=1e-6):
     """Central finite differences of a scalar function over one array."""
     grad = np.zeros_like(x)
@@ -42,14 +65,11 @@ def fd_gradient(f, x, step=1e-6):
 
 
 class TestPrimitiveValues:
-    def test_matmul_matches_numpy(self):
-        rng = np.random.default_rng(42)
-        a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 5))
-        np.testing.assert_array_equal(ad.matmul(constant(a), constant(b)).value, a @ b)
-
     def test_sigmoid_extreme_inputs_stay_finite(self):
-        out = ad.sigmoid(constant(np.array([[-1000.0, 0.0, 1000.0]])))
-        np.testing.assert_allclose(out.value, [[0.0, 0.5, 1.0]], atol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.stable_sigmoid(np.array([[-1000.0, 0.0, 1000.0]]))
+        np.testing.assert_allclose(out, [[0.0, 0.5, 1.0]], atol=1e-12)
 
     def test_embedding_rows_gathered(self):
         table = constant(np.arange(12.0).reshape(4, 3))
@@ -66,7 +86,7 @@ class TestPrimitiveValues:
         x = np.array([[0.0, 40.0, -40.0, 800.0, -800.0, np.inf, -np.inf]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = ad.softplus(constant(x)).value[0]
+            got = ad.stable_softplus(x)[0]
         want = [math.log(2.0), 40.0, math.exp(-40.0), 800.0, 0.0, np.inf, 0.0]
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
@@ -130,35 +150,33 @@ class TestPrimitiveValues:
                 assert np.array_equal(whole, chained)
 
     def test_attention_rows_do_not_depend_on_step_count(self):
+        """The contexts of one step at T=1 are the bits of that step's rows
+        in a T=5 pass, and a masked position changes no context."""
         rng = np.random.default_rng(13)
-        memory = constant(rng.normal(size=(3 * 2, 4)))      # L=3, B=2
+        memory = rng.normal(size=(3 * 2, 4))                 # L=3, B=2
+        bilinear = constant(rng.normal(size=(4, 4)))
         mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         queries = rng.normal(size=(5 * 2, 4))                # T=5
-        weights = ad.attention_weights(constant(queries), memory, mask)
-        context = ad.attention_context(weights, memory)
-        assert np.all(weights.value[0::2, 2] == 0.0)
-        np.testing.assert_allclose(weights.value.sum(axis=1), np.ones(10), atol=1e-12)
+        context = ad.attention(constant(queries), bilinear, constant(memory), mask)
         for t in range(5):
-            one = ad.attention_weights(constant(queries[2 * t : 2 * t + 2]), memory, mask)
-            np.testing.assert_array_equal(one.value, weights.value[2 * t : 2 * t + 2])
-            np.testing.assert_array_equal(
-                ad.attention_context(one, memory).value, context.value[2 * t : 2 * t + 2]
-            )
+            one = ad.attention(constant(queries[2 * t : 2 * t + 2]), bilinear, constant(memory),
+                               mask)
+            np.testing.assert_array_equal(one.value, context.value[2 * t : 2 * t + 2])
+        moved = memory.copy()
+        moved[2 * 2] += 1.0  # position 2 of sentence 0, which the mask closes
+        changed = ad.attention(constant(queries), bilinear, constant(moved), mask).value
+        np.testing.assert_array_equal(changed[0::2], context.value[0::2])
 
     def test_attention_fully_masked_row_rejected(self):
         with pytest.raises(ValueError, match="fully masked"):
-            ad.attention_weights(constant(np.ones((2, 3))), constant(np.ones((4, 3))),
-                                 np.array([[1.0, 1.0], [0.0, 0.0]]))
+            ad.attention(constant(np.ones((2, 3))), constant(np.eye(3)),
+                         constant(np.ones((4, 3))), np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 class TestShapeErrors:
     def test_affine_bias_must_be_one_row(self):
         with pytest.raises(ShapeError, match="affine"):
             ad.affine(constant(np.ones((2, 3))), constant(np.ones((3, 4))),
                       constant(np.ones((2, 4))))
-
-    def test_matmul_inner_dim(self):
-        with pytest.raises(ShapeError, match="matmul"):
-            ad.matmul(constant(np.ones((2, 3))), constant(np.ones((2, 3))))
 
     def test_add_column_broadcast_rejected(self):
         with pytest.raises(ShapeError, match="add"):
@@ -180,9 +198,9 @@ class TestShapeErrors:
                          np.ones((2, 1)))
 
     def test_attention_memory_must_cover_every_position(self):
-        with pytest.raises(ShapeError, match="attention_weights"):
-            ad.attention_weights(constant(np.ones((2, 3))), constant(np.ones((5, 3))),
-                                 np.ones((2, 3)))
+        with pytest.raises(ShapeError, match="attention"):
+            ad.attention(constant(np.ones((2, 3))), constant(np.eye(3)),
+                         constant(np.ones((5, 3))), np.ones((2, 3)))
 
     def test_dropout_mask_shape(self):
         with pytest.raises(ShapeError, match="dropout"):
@@ -190,7 +208,8 @@ class TestShapeErrors:
 
     def test_error_names_offending_shapes(self):
         try:
-            ad.matmul(constant(np.ones((2, 3))), constant(np.ones((4, 5))))
+            ad.affine(constant(np.ones((2, 3))), constant(np.ones((4, 5))),
+                      constant(np.ones((1, 5))))
         except ShapeError as e:
             assert "(2, 3)" in str(e) and "(4, 5)" in str(e)
         else:
@@ -209,16 +228,16 @@ class TestBackwardRules:
             numeric = fd_gradient(lambda: float(build().value), p.value, step)
             np.testing.assert_allclose(p.grad, numeric, rtol=tol, atol=tol)
 
-    def test_matmul(self):
-        rng = np.random.default_rng(1)
-        a, b = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(3, 2)))
-        self._check(lambda: ad.sum_all(ad.matmul(a, b)), [a, b])
-
     def test_affine(self):
         rng = np.random.default_rng(17)
         x, w = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(3, 2)))
         bias = parameter(rng.normal(size=(1, 2)))
-        self._check(lambda: ad.sum_all(ad.sigmoid(ad.affine(x, w, bias))), [x, w, bias])
+
+        def build():
+            y = ad.affine(x, w, bias)
+            return ad.sum_all(ad.mul(y, y))
+
+        self._check(build, [x, w, bias])
 
     def test_mul_and_scale(self):
         rng = np.random.default_rng(3)
@@ -226,15 +245,39 @@ class TestBackwardRules:
         self._check(lambda: ad.sum_all(ad.scale(ad.mul(a, b), -0.7)), [a, b])
 
     def test_sigmoid_log_chain(self):
+        """``bag_nll``'s -log sigmoid(s) on bag words, counts included."""
         rng = np.random.default_rng(4)
-        a = parameter(rng.uniform(-2.0, 2.0, size=(2, 4)))
-        self._check(lambda: ad.sum_all(ad.softplus(ad.sigmoid(a))), [a])
+        a = parameter(rng.uniform(-4.0, 4.0, size=(3, 4)))
+        indicator = rng.integers(0, 3, size=(3, 4)).astype(np.float64)
+        self._check(lambda: ad.scale(ad.bag_nll(a, indicator), 0.7), [a])
 
     def test_softplus(self):
+        """``bag_nll`` with the softplus(s) = -log(1 - sigmoid(s)) term on
+        absent words."""
         rng = np.random.default_rng(31)
         a = parameter(rng.uniform(-4.0, 4.0, size=(3, 4)))
-        weights = constant(rng.normal(size=(3, 4)))
-        self._check(lambda: ad.sum_all(ad.mul(ad.softplus(a), weights)), [a])
+        indicator = (rng.random((3, 4)) < 0.4).astype(np.float64)
+        self._check(lambda: ad.scale(ad.bag_nll(a, indicator, absent=True), 0.7), [a])
+
+    @pytest.mark.parametrize("absent", [False, True])
+    def test_bag_nll_matches_the_node_by_node_arithmetic(self, absent):
+        """Value and gradient are the bits of the separate scale, softplus,
+        mul, sum_all and add nodes that used to compute the bag loss, in
+        their operation order, on random cases with scores up to 40 and
+        1000 in magnitude."""
+        rng = np.random.default_rng(36)
+        for case in range(40):
+            batch, vocab = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            spread = (40.0, 1000.0)[case % 2]
+            s = rng.uniform(-spread, spread, size=(batch, vocab))
+            indicator = rng.integers(0, 3, size=(batch, vocab)).astype(np.float64)
+            upstream = float(rng.uniform(0.1, 2.0))
+            want_value, want_grad = bag_nll_reference(s, indicator, absent, upstream)
+            scores = parameter(s)
+            node = ad.bag_nll(scores, indicator, absent)
+            backward(ad.scale(node, upstream))
+            np.testing.assert_array_equal(node.value, want_value)
+            np.testing.assert_array_equal(scores.grad, want_grad)
 
     def test_generator_losses_with_padding(self, monkeypatch):
         """T=5 steps of B=2 rows in chunks of 2, 2 and 1 steps; row t*B + b
@@ -304,7 +347,8 @@ class TestBackwardRules:
         w, bias = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(1, 3)))
         word, bag = ad.generator_losses(x, w, bias, np.array([[0, 2, 1], [1, 1, 0]]),
                                         np.ones((2, 3)))
-        loss = ad.add(word, ad.sum_all(ad.softplus(bag)))
+        loss = ad.add(word, ad.bag_nll(bag, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+                                       absent=True))
         backward(loss)
         once = [p.grad.copy() for p in (x, w, bias)]
         backward(loss)
@@ -324,7 +368,11 @@ class TestBackwardRules:
     def test_embedding_scatter_adds_repeated_rows(self):
         table = parameter(np.random.default_rng(6).normal(size=(5, 3)))
         idx = np.array([1, 1, 4])
-        self._check(lambda: ad.sum_all(ad.sigmoid(ad.embedding_lookup(table, idx))), [table])
+        def build():
+            rows = ad.embedding_lookup(table, idx)
+            return ad.sum_all(ad.mul(rows, rows))
+
+        self._check(build, [table])
         backward(ad.sum_all(ad.embedding_lookup(table, idx)))
 
     def test_pick_and_concat_rows_cols(self):
@@ -339,7 +387,7 @@ class TestBackwardRules:
         def build():
             stacked = ad.embedding_lookup(table, aba)
             picked, _ = score_losses(stacked, picks, np.ones((2, 4)))
-            joined = ad.concat_cols([stacked, ad.sigmoid(stacked)])
+            joined = ad.concat_cols([stacked, ad.mul(stacked, stacked)])
             swapped = ad.concat_cols([ad.embedding_lookup(table, baa),
                                       ad.embedding_lookup(table, aab)])
             spread = ad.sum_all(ad.mul(joined, swapped))
@@ -387,34 +435,23 @@ class TestBackwardRules:
         self._check(build, [xw, h0, c0, w_rec])
 
     def test_attention_weights_and_context_with_masked_positions(self):
+        """``attention`` computes the weights and the contexts in one node:
+        the gradients of the queries, the bilinear matrix and the memory
+        through both, with a masked position."""
         rng = np.random.default_rng(15)
         query = parameter(rng.normal(size=(3 * 2, 4)))   # T=3, B=2, H=4
+        bilinear = parameter(rng.normal(size=(4, 4)))
         memory = parameter(rng.normal(size=(3 * 2, 4)))  # L=3
         mask = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
-        gw, gc = constant(rng.normal(size=(6, 3))), constant(rng.normal(size=(6, 4)))
-
-        def build():
-            weights = ad.attention_weights(query, memory, mask)
-            context = ad.attention_context(weights, memory)
-            return ad.add(ad.sum_all(ad.mul(weights, gw)), ad.sum_all(ad.mul(context, gc)))
-
-        self._check(build, [query, memory])
-
-    def test_attention_context_for_arbitrary_weights(self):
-        rng = np.random.default_rng(16)
-        weights = parameter(rng.normal(size=(2 * 2, 3)))  # T=2, B=2, L=3
-        memory = parameter(rng.normal(size=(3 * 2, 4)))
-        gc = constant(rng.normal(size=(4, 4)))
-        self._check(
-            lambda: ad.sum_all(ad.mul(ad.attention_context(weights, memory), gc)),
-            [weights, memory],
-        )
+        gc = constant(rng.normal(size=(6, 4)))
+        self._check(lambda: ad.sum_all(ad.mul(ad.attention(query, bilinear, memory, mask), gc)),
+                    [query, bilinear, memory])
 
 
 class TestBackwardSemantics:
     def test_repeated_backward_doubles_leaf_gradients(self):
         a = parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        root = ad.sum_all(ad.sigmoid(a))
+        root = ad.bag_nll(a, np.array([[1.0, 0.0], [0.0, 1.0]]), absent=True)
         backward(root)
         once = a.grad.copy()
         backward(root)
@@ -422,7 +459,7 @@ class TestBackwardSemantics:
 
     def test_scaled_root_scales_gradients_linearly(self):
         a = parameter(np.array([[0.3, -0.2], [0.1, 0.7]]))
-        root = ad.sum_all(ad.sigmoid(a))
+        root = ad.bag_nll(a, np.array([[1.0, 0.0], [0.0, 1.0]]), absent=True)
         backward(root)
         base = a.grad.copy()
         a.grad[...] = 0.0
@@ -431,7 +468,7 @@ class TestBackwardSemantics:
 
     def test_two_roots_accumulate_into_shared_leaf(self):
         a = parameter(np.array([[1.0, -1.0]]))
-        r1, r2 = ad.sum_all(ad.mul(a, a)), ad.sum_all(ad.sigmoid(a))
+        r1, r2 = ad.sum_all(ad.mul(a, a)), ad.bag_nll(a, np.array([[1.0, 0.0]]), absent=True)
         backward(r1)
         g1 = a.grad.copy()
         a.grad[...] = 0.0
@@ -445,7 +482,7 @@ class TestBackwardSemantics:
     def test_backward_requires_scalar_root(self):
         a = parameter(np.ones((2, 2)))
         with pytest.raises(ValueError, match="scalar"):
-            backward(ad.sigmoid(a))
+            backward(ad.scale(a, 2.0))
 
     def test_constants_never_collect_gradients(self):
         a, c = parameter(np.ones((2, 2))), constant(np.ones((2, 2)))
@@ -454,15 +491,16 @@ class TestBackwardSemantics:
 
     def test_gradient_shape_always_matches_value(self):
         a = parameter(np.ones((3, 2)))
-        out = ad.sigmoid(ad.matmul(a, constant(np.ones((2, 5)))))
+        out = ad.affine(a, constant(np.ones((2, 5))), constant(np.ones((1, 5))))
         for node in (a, out):
             assert node.grad.shape == node.value.shape
 
     def test_forward_determinism_same_inputs(self):
         rng = np.random.default_rng(10)
-        x = rng.normal(size=(3, 3))
-        first = ad.softplus(ad.sigmoid(ad.matmul(constant(x), constant(x)))).value
-        second = ad.softplus(ad.sigmoid(ad.matmul(constant(x), constant(x)))).value
+        x = rng.normal(size=(4, 3))  # T=2 steps and L=2 positions of B=2 rows
+        mask = np.ones((2, 2))
+        first = ad.attention(constant(x), constant(x[:3]), constant(x), mask).value
+        second = ad.attention(constant(x), constant(x[:3]), constant(x), mask).value
         np.testing.assert_array_equal(first, second)
 
 
@@ -495,6 +533,46 @@ class TestGraphLifetime:
         assert found == 0
 
 
+class TestGraphStructure:
+    @staticmethod
+    def _node_count(root):
+        """Nodes reachable from ``root`` through ``Node.parents``."""
+        seen, stack = {id(root)}, [root]
+        while stack:
+            for parent in stack.pop().parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        return len(seen)
+
+    @pytest.mark.parametrize("variant", ["paper", "full-bce"])
+    def test_a4_shape_training_loss_is_39_nodes(self, variant):
+        """A training loss of the A4 configuration (concat, 1/1 layers,
+        E=H=64, B=32, no dropout) is 39 nodes under either bag variant:
+        attention is one node over (query, bilinear, memory) and the bag
+        loss one node over the bag."""
+        config = ModelConfig(src_vocab_size=24, tgt_vocab_size=24, emb_size=64, hidden_size=64,
+                             enc_layers=1, dec_layers=1, dropout=0.0, generator_input="concat")
+        rng = np.random.default_rng(7)
+        model = Seq2SeqModel(config, init_rng=rng)
+        pairs = []
+        for n in rng.integers(5, 11, size=32):
+            src = tuple(int(t) for t in rng.integers(4, 24, size=n))
+            tgt = tuple(reversed(src)) + (EOS,)
+            pairs.append(ExamplePair(src, tgt, extract_bag(tgt)))
+        (batch,) = make_batches(pairs, 32, 24, seed=0)
+        forward = model.forward_teacher_forced(batch, train=True, rng=rng)
+        bag = bag_loss(forward.bag_scores, batch.bag_indicator, variant)
+        assert len(bag.parents) == 1 and bag.parents[0] is forward.bag_scores
+        assert self._node_count(total_loss(word_loss(forward), bag, 0.1)) == 39
+
+        encoded = model.encode(batch.source, batch.source_mask)
+        query = constant(rng.normal(size=(batch.target.size, 64)))
+        context = model.attend(query, encoded)
+        assert [id(p) for p in context.parents] == [
+            id(query), id(model.params["attn.bilinear"]), id(encoded.memory)]
+
+
 class TestParameterStore:
     def test_insertion_order_preserved(self):
         store = ParameterStore()
@@ -511,7 +589,7 @@ class TestParameterStore:
     def test_zero_gradients_clears_all(self):
         store = ParameterStore()
         w = store.create("w", np.ones((2, 2)))
-        backward(ad.sum_all(ad.sigmoid(w)))
+        backward(ad.sum_all(ad.mul(w, w)))
         assert np.any(w.grad != 0)
         store.zero_gradients()
         np.testing.assert_array_equal(w.grad, np.zeros((2, 2)))
@@ -522,8 +600,9 @@ class TestFiniteDifferenceHarness:
         store = ParameterStore()
         w = store.create("w", np.array([[1.0, -2.0, 0.5]]))
         x = constant(np.array([[3.0], [1.0], [-1.0]]))
+        bias = constant(np.array([[0.5]]))
         report = finite_difference_check(
-            lambda s: ad.sum_all(ad.matmul(s["w"], x)), store, step=1e-5, tolerance=1e-10
+            lambda s: ad.sum_all(ad.affine(s["w"], x, bias)), store, step=1e-5, tolerance=1e-10
         )
         assert report.passed and report.max_rel_error < 1e-10
 
@@ -541,12 +620,15 @@ class TestFiniteDifferenceHarness:
         store.create("w1", rng.normal(0.0, 0.3, size=(4, 8)))
         store.create("b1", rng.normal(0.0, 1.0, size=(1, 8)))
         store.create("w_rec", rng.normal(0.0, 1.0, size=(2, 8)))
+        store.create("bilinear", rng.normal(0.0, 1.0, size=(2, 2)))
         store.create("w2", rng.normal(0.0, 1.0, size=(4, 5)))
+        store.create("b2", rng.normal(0.0, 1.0, size=(1, 5)))
         store.create("w3", np.linspace(-1.0, 1.0, 25).reshape(5, 5))
         store.create("b3", np.linspace(-0.5, 0.5, 5).reshape(1, 5))
         idx = np.array([0, 3, 5, 1, 2, 2])   # T=3 steps of B=2 rows
         picks = np.array([[1, 3, 2], [0, 4, 0]])  # (B, T) gold columns
         steps = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        bag_words = np.array([[0.0, 1.0, 1.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0, 1.0]])
         drop = ad.make_dropout_mask(np.random.default_rng(99), (6, 4), 0.25)
         h0, c0 = constant(rng.normal(size=(2, 2))), constant(rng.normal(size=(2, 2)))
 
@@ -554,12 +636,11 @@ class TestFiniteDifferenceHarness:
             x = ad.dropout(ad.embedding_lookup(s["table"], idx), drop)
             xw = ad.affine(x, s["w1"], s["b1"])
             memory, _, _ = ad.lstm_scan(xw, h0, c0, s["w_rec"], steps)
-            weights = ad.attention_weights(memory, memory, steps)
-            context = ad.attention_context(weights, memory)
+            context = ad.attention(memory, s["bilinear"], memory, steps)
             hidden = ad.concat_cols([memory, context])
-            features = ad.sigmoid(ad.matmul(hidden, s["w2"]))
+            features = ad.affine(hidden, s["w2"], s["b2"])
             nll, bag = ad.generator_losses(features, s["w3"], s["b3"], picks, steps)
-            spread = ad.sum_all(ad.mul(ad.softplus(bag), bag))
+            spread = ad.add(ad.bag_nll(bag, bag_words, absent=True), ad.sum_all(ad.mul(bag, bag)))
             return ad.add(ad.add(nll, ad.scale(spread, 0.5)), constant(np.asarray(0.25)))
 
         report = finite_difference_check(loss, store, step=1e-5, tolerance=1e-6)

@@ -152,6 +152,23 @@ class TestTrainCommand:
         assert "dropped 2 of 4 training pairs" in out
         assert "trained 1 epochs on 2 pairs" in out
 
+    def test_empty_validation_set_is_rejected_before_training(self, tmp_path, capsys):
+        (tmp_path / "train.src").write_text("a b\nb a\n", encoding="utf-8")
+        (tmp_path / "train.tgt").write_text("x y\ny x\n", encoding="utf-8")
+        (tmp_path / "valid.src").write_text("a\n\n", encoding="utf-8")
+        (tmp_path / "valid.tgt").write_text("\nx\n", encoding="utf-8")
+        assert main([
+            "train", "--train-src", str(tmp_path / "train.src"),
+            "--train-tgt", str(tmp_path / "train.tgt"), "--ckpt-dir", str(tmp_path / "run"),
+            "--valid-src", str(tmp_path / "valid.src"), "--valid-tgt", str(tmp_path / "valid.tgt"),
+            "--emb-size", "4", "--hidden-size", "4", "--enc-layers", "1", "--dec-layers", "1",
+            "--epochs", "1", "--batch-size", "2",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"validation set {tmp_path / 'valid.src'} / {tmp_path / 'valid.tgt'}" in err
+        log = tmp_path / "run" / "metrics.log"
+        assert not log.exists() or all(row.startswith("#") for row in log.read_text().splitlines())
+
 
 class TestGradCheckCommand:
     def test_small_model_passes(self, capsys):
