@@ -19,8 +19,8 @@ rows: ``lstm_scan`` runs a whole LSTM layer in one direction, ``attention``
 takes the bilinear projection, weights and contexts of all decoder steps at
 once, and the losses work in log space on the scores.  The forward
 arithmetic of the LSTM and attention primitives is a plain function on
-arrays (``lstm_forward``, ``attention_weights_forward``,
-``attention_context_forward``), which decoding calls without a graph.
+arrays (``lstm_forward``, and ``attention_forward`` over the encoder layout
+of ``attention_layout``), which decoding calls without a graph.
 ``generator_losses`` fuses the generator with the word loss and the bag
 sum, so that training never holds the (T*B, V) scores whole, and
 ``bag_nll`` is the whole bag loss on the (B, V) bag.  The bag sum is
@@ -445,6 +445,12 @@ def _gate_columns(hs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return columns
 
 
+#: Most entries a chunked kernel holds in one temporary: 2^23 float64
+#: entries, 64 MiB.  ``attention_forward`` and ``generator_losses`` run
+#: their steps in chunks that fit it.
+_SCORE_BUDGET = 1 << 23
+
+
 def attention(query: Node, bilinear: Node, memory: Node, mask: np.ndarray) -> Node:
     """Bilinear-tanh attention contexts of T*B queries over a source memory.
 
@@ -456,8 +462,7 @@ def attention(query: Node, bilinear: Node, memory: Node, mask: np.ndarray) -> No
     (T*B, H) result is the sum over i of those weights times memory[i*B +
     b].  Every output entry is computed the same way whatever T is, so one
     decoder step gives the same bits as the same step inside a longer pass.
-    The forward is ``attention_weights_forward`` and
-    ``attention_context_forward``.
+    The forward is ``attention_layout`` and ``attention_forward``.
 
     The backward rule takes the context term first, adding its memory
     gradient and forming the weights' gradient, then the weights term,
@@ -476,12 +481,10 @@ def attention(query: Node, bilinear: Node, memory: Node, mask: np.ndarray) -> No
         raise ShapeError("attention", query.value.shape, bilinear.value.shape,
                          memory.value.shape, (batch, length))
     steps = rows // batch
+    keys, values, open_ = attention_layout(memory.value, mask)
     projected = query.value @ bilinear.value
-    keys = attention_keys(memory.value, batch)
-    values = attention_values(memory.value, batch)
-    act, w = attention_weights_forward(projected, keys, open_positions(mask))
-    out = Node(attention_context_forward(w, values).reshape(rows, hidden),
-               parents=(query, bilinear, memory))
+    act, w, contexts = attention_forward(projected, keys, values, open_)
+    out = Node(contexts, parents=(query, bilinear, memory))
 
     def backward(out: Node) -> None:
         g = out.grad.reshape(steps, batch, hidden).transpose(1, 0, 2)  # (B, T, H)
@@ -507,43 +510,40 @@ def attention(query: Node, bilinear: Node, memory: Node, mask: np.ndarray) -> No
     return out
 
 
-def attention_keys(memory: np.ndarray, batch: int) -> np.ndarray:
-    """The (B, L, H) layout of a time-major (L*B, H) memory that
-    ``attention_weights_forward`` reads."""
-    return np.ascontiguousarray(memory.reshape(-1, batch, memory.shape[1]).transpose(1, 0, 2))
-
-
-def attention_values(memory: np.ndarray, batch: int) -> np.ndarray:
-    """The (B, H, L) layout of a time-major (L*B, H) memory that
-    ``attention_context_forward`` reads."""
-    return np.ascontiguousarray(memory.reshape(-1, batch, memory.shape[1]).transpose(1, 2, 0))
-
-
-def open_positions(mask: np.ndarray) -> np.ndarray:
-    """The real positions of a (B, L) 0/1 source mask, as bools; every row
-    needs one."""
+def attention_layout(memory: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays ``attention_forward`` reads from a time-major (L*B, H)
+    memory and its (B, L) 0/1 source mask: the contiguous (B, L, H) keys,
+    the contiguous (B, H, L) values and the (B, L) bool open positions.
+    Every row needs an open position."""
     mask = np.asarray(mask, dtype=np.float64)
     if np.any(mask.sum(axis=1) == 0.0):
         raise ValueError("attention: fully masked row")
-    return mask > 0
+    steps = memory.reshape(-1, mask.shape[0], memory.shape[1])
+    return (np.ascontiguousarray(steps.transpose(1, 0, 2)),
+            np.ascontiguousarray(steps.transpose(1, 2, 0)), mask > 0)
 
 
-def attention_weights_forward(query: np.ndarray, keys: np.ndarray,
-                              open_: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The weights half of ``attention``'s forward on arrays: the (T, B, L)
-    energies tanh(q . k) and weights of (T*B, H) projected queries over (B,
-    L, H) keys, softmax-normalised over the ``open_`` positions."""
-    batch, _, hidden = keys.shape
-    act = np.tanh((query.reshape(-1, batch, 1, hidden) * keys).sum(axis=3))
+def attention_forward(projected: np.ndarray, keys: np.ndarray, values: np.ndarray,
+                      open_: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``attention``'s forward over the layout of ``attention_layout``: the
+    (T, B, L) energies tanh(q . k) and weights of (T*B, H) projected queries,
+    and their (T*B, H) contexts.  Both products are reduced over chunks of
+    steps within ``_SCORE_BUDGET`` entries (one step at least); each entry
+    is one reduction over a contiguous row, so chunks and T move no bit."""
+    batch, length, hidden = keys.shape
+    steps = projected.shape[0] // batch
+    span = max(1, _SCORE_BUDGET // (batch * length * hidden))  # steps per chunk
+    queries = projected.reshape(steps, batch, 1, hidden)
+    act = np.empty((steps, batch, length))
+    contexts = np.empty((steps, batch, hidden))
+    for t in range(0, steps, span):
+        (queries[t : t + span] * keys).sum(axis=3, out=act[t : t + span])
+    np.tanh(act, out=act)
     e = np.exp(act) * open_
-    return act, e / e.sum(axis=2, keepdims=True)
-
-
-def attention_context_forward(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The context half of ``attention``'s forward on arrays: the (T, B, H)
-    contexts of (T*B, L) or (T, B, L) weights over (B, H, L) values."""
-    batch, _, length = values.shape
-    return (weights.reshape(-1, batch, 1, length) * values).sum(axis=3)
+    w = e / e.sum(axis=2, keepdims=True)
+    for t in range(0, steps, span):
+        (w[t : t + span, :, None] * values).sum(axis=3, out=contexts[t : t + span])
+    return act, w, contexts.reshape(steps * batch, hidden)
 
 
 def fold_steps(blocks: np.ndarray, weights: np.ndarray,
@@ -560,11 +560,6 @@ def fold_steps(blocks: np.ndarray, weights: np.ndarray,
         np.multiply(blocks[t], weights[:, t : t + 1], out=term)
         total += term
     return total
-
-
-#: Most score entries ``generator_losses`` holds at once: 2^23 float64
-#: entries, 64 MiB.
-_SCORE_BUDGET = 1 << 23
 
 
 def generator_losses(

@@ -79,7 +79,6 @@ DEFAULTS: dict[str, object] = {
     "seed": 0,
     # decoding
     "beam-width": 10,
-    "no-length-norm": False,
     "length-exponent": 1.0,
     "max-length": 0,  # 0 means 2 * source length + 10
     "n-best": 0,
@@ -99,6 +98,22 @@ CHOICES = {
     "generator-input": GENERATOR_INPUTS,
     "task": TOY_TASKS,
 }
+
+POSITIVE = ("positive", lambda v: v > 0)
+NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+
+#: What a numeric option's value must be; the others take any value.
+BOUNDS = {
+    **dict.fromkeys(("emb-size", "hidden-size", "enc-layers", "dec-layers", "vocab-size",
+                     "max-sent-len", "lr", "clip-norm", "batch-size", "epochs", "beam-width",
+                     "alphabet-size", "min-len", "max-len", "pairs"), POSITIVE),
+    **dict.fromkeys(("k", "alpha", "seed", "length-exponent", "max-length", "n-best",
+                     "test-pairs", "max-size"), NON_NEGATIVE),
+    "dropout": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
+}
+
+#: Option pairs (low, high) where low's value must not exceed high's.
+ORDERED = (("k", "lambda"), ("dec-layers", "enc-layers"), ("min-len", "max-len"))
 
 
 def _parse_config_value(key: str, raw: str):
@@ -142,12 +157,23 @@ def read_config_file(path: str | Path) -> dict[str, object]:
 
 
 class Settings:
-    """Flag > config file > default resolution for tunable options."""
+    """Flag > config file > default resolution for tunable options.  Every
+    option the subcommand takes is checked against ``BOUNDS`` and ``ORDERED``
+    here, so a command that starts from its settings writes nothing first."""
 
     def __init__(self, args: argparse.Namespace) -> None:
         self._args = vars(args)
         config = self._args.get("config")
         self._file = read_config_file(config) if config else {}
+        taken = [key for key in DEFAULTS if key.replace("-", "_") in self._args]
+        for key in taken:
+            rule, holds = BOUNDS.get(key, (None, None))
+            if holds and not holds(self.get(key)):
+                raise UsageError(f"--{key} must be {rule}, got {self.get(key)!r}")
+        for low, high in ORDERED:
+            if low in taken and self.get(low) > self.get(high):
+                raise UsageError(
+                    f"--{low} ({self.get(low)!r}) must not exceed --{high} ({self.get(high)!r})")
 
     def get(self, key: str):
         explicit = self._args.get(key.replace("-", "_"))
@@ -249,8 +275,7 @@ def build_parser() -> CliParser:
     p.add_argument("--output", help="hypothesis file (default: stdout)")
     p.add_argument("--n-best-file", help="where to write the n-best list")
     _flag(p, "--beam-width", int, "beam size")
-    _flag(p, "--no-length-norm", bool, "rank by raw log-likelihood")
-    _flag(p, "--length-exponent", float, "length-normalization exponent")
+    _flag(p, "--length-exponent", float, "length-normalization exponent (0: raw log-likelihood)")
     _flag(p, "--max-length", int, "decode cap in tokens (0: 2*source+10)")
     _flag(p, "--n-best", int, "hypotheses per sentence in the n-best file")
     p.set_defaults(func=cmd_translate)
@@ -424,7 +449,6 @@ def cmd_translate(args: argparse.Namespace) -> int:
     config = BeamConfig(
         width=s.get("beam-width"),
         max_length=s.get("max-length") or None,
-        length_normalize=not s.get("no-length-norm"),
         length_exponent=s.get("length-exponent"),
     )
 
@@ -439,7 +463,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         ranked = beam_search(model, src_vocab.encode(tokens), config)
         outputs.append(" ".join(tgt_vocab.decode(ranked[0].tokens)))
         for hyp in ranked[: n_best or 0]:
-            score = normalized_score(hyp, config.length_normalize, config.length_exponent)
+            score = normalized_score(hyp, config.length_exponent)
             nbest_lines.append(f"{index} ||| {score:.6f} ||| {' '.join(tgt_vocab.decode(hyp.tokens))}")
 
     rendered = "".join(out + "\n" for out in outputs)

@@ -40,9 +40,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._itos)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._stoi
-
     def index(self, token: str) -> int:
         return self._stoi.get(token, UNK)
 
@@ -52,11 +49,8 @@ class Vocab:
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self._stoi.get(t, UNK) for t in tokens]
 
-    def decode(self, indices: Iterable[int], strip_special: bool = True) -> list[str]:
-        toks = [self._itos[i] for i in indices]
-        if strip_special:
-            toks = [t for t in toks if t not in RESERVED]
-        return toks
+    def decode(self, indices: Iterable[int]) -> list[str]:
+        return [t for t in (self._itos[i] for i in indices) if t not in RESERVED]
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text("".join(t + "\n" for t in self._itos[4:]), encoding="utf-8")

@@ -44,8 +44,7 @@ class Hypothesis:
 class BeamConfig:
     width: int = 10
     max_length: int | None = None     # defaults to 2 * source_length + 10
-    length_normalize: bool = True
-    length_exponent: float = 1.0
+    length_exponent: float = 1.0      # 0 ranks by raw log-likelihood
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -56,13 +55,9 @@ class BeamConfig:
             raise ValueError(f"length_exponent must be non-negative, got {self.length_exponent}")
 
 
-def normalized_score(
-    hyp: Hypothesis, length_normalize: bool = True, length_exponent: float = 1.0
-) -> float:
+def normalized_score(hyp: Hypothesis, length_exponent: float = 1.0) -> float:
     if hyp.length == 0:
         raise ValueError("cannot score an empty hypothesis")
-    if not length_normalize:
-        return hyp.log_likelihood
     return hyp.log_likelihood / (hyp.length ** length_exponent)
 
 
@@ -164,7 +159,7 @@ def _search(
         state = out.state.gather(index)
 
     def rank(h: Hypothesis) -> tuple:
-        return (-normalized_score(h, config.length_normalize, config.length_exponent), h.tokens)
+        return (-normalized_score(h, config.length_exponent), h.tokens)
 
     return [sorted(hyps, key=rank)[: config.width] for hyps in finished]
 

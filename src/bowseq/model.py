@@ -15,10 +15,10 @@ inputs and one ``lstm_scan`` primitive that steps through the positions.
 The decoder has no input feeding, so under teacher forcing attention and
 generator run once over all T steps, attention as one ``attention``
 primitive from the decoder states to the contexts.  A decoding step runs
-the same forward kernels at T=1 on arrays and builds no graph; decoding
-turns its scores into log-probabilities.  Training never builds the (T*B,
-V) scores whole: one fused primitive takes the word loss and the bag sum
-from them in log space, step chunk by step chunk.
+the same kernels, ``lstm_forward`` and ``attention_forward``, at T=1 on
+arrays and builds no graph; decoding turns its scores into log-probabilities.
+Training never builds the (T*B, V) scores whole: one fused primitive takes
+the word loss and the bag sum from them in log space, chunk by chunk.
 """
 
 from __future__ import annotations
@@ -84,11 +84,9 @@ class EncoderStates:
 
     @functools.cached_property
     def attention_memory(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The keys, values and open positions the attention kernels read,
+        """The keys, values and open positions ``attention_forward`` reads,
         laid out once per encoding for the decoding steps."""
-        batch, memory = self.mask.shape[0], self.memory.value
-        return (ad.attention_keys(memory, batch), ad.attention_values(memory, batch),
-                ad.open_positions(self.mask))
+        return ad.attention_layout(self.memory.value, self.mask)
 
 
 @dataclass
@@ -294,9 +292,7 @@ class Seq2SeqModel:
             _, _, c_all, _, h_all = ad.lstm_forward(xw, h, c, cell.w_rec.value)
             x = h_all[0]
             layers.append((x, c_all[0]))
-        keys, values, open_ = encoded.attention_memory
-        _, weights = ad.attention_weights_forward(x @ self.attn_bilinear.value, keys, open_)
-        context = ad.attention_context_forward(weights, values).reshape(x.shape)
+        context = ad.attention_forward(x @ self.attn_bilinear.value, *encoded.attention_memory)[2]
         gen_in = context if self.config.generator_input == "context" else np.concatenate(
             [x, context], axis=1)
         scores = gen_in @ self.gen_weight.value + self.gen_bias.value

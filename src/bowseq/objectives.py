@@ -78,15 +78,10 @@ def bag_loss(bag_scores: Node, indicator: np.ndarray, variant: str = "paper") ->
 
     ``indicator`` rows hold the bag membership (counts when duplicates are
     kept); rows with an empty bag contribute zero.  The result is one
-    ``bag_nll`` node whose only parent is ``bag_scores``.
+    ``bag_nll`` node on ``bag_scores``, which checks the indicator's shape.
     """
     if variant not in BAG_LOSS_VARIANTS:
         raise ValueError(f"unknown bag loss variant {variant!r}; choose from {BAG_LOSS_VARIANTS}")
-    indicator = np.asarray(indicator, dtype=np.float64)
-    if indicator.shape != bag_scores.value.shape:
-        raise ValueError(
-            f"indicator shape {indicator.shape} does not match the bag {bag_scores.value.shape}"
-        )
     return ad.bag_nll(bag_scores, indicator, absent=variant == "full-bce")
 
 

@@ -447,6 +447,31 @@ class TestBackwardRules:
         self._check(lambda: ad.sum_all(ad.mul(ad.attention(query, bilinear, memory, mask), gc)),
                     [query, bilinear, memory])
 
+    def test_attention_chunks_match_one_chunk(self, monkeypatch):
+        """Chunking the forward's products moves no bit: the contexts and
+        the gradients of the queries, the bilinear matrix and the memory are
+        the same at one chunk of T=5 steps and at chunks of 1 and 2 steps."""
+        rng = np.random.default_rng(16)
+        batch, length, hidden, steps = 3, 4, 6, 5
+        query = parameter(rng.normal(size=(steps * batch, hidden)))
+        bilinear = parameter(rng.normal(size=(hidden, hidden)))
+        memory = parameter(rng.normal(size=(length * batch, hidden)))
+        mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
+        upstream = constant(rng.normal(size=(steps * batch, hidden)))
+
+        def run(span):
+            monkeypatch.setattr(ad, "_SCORE_BUDGET", span * batch * length * hidden)
+            for p in (query, bilinear, memory):
+                p.grad = None
+            context = ad.attention(query, bilinear, memory, mask)
+            backward(ad.sum_all(ad.mul(context, upstream)))
+            return [context.value] + [p.grad for p in (query, bilinear, memory)]
+
+        one = run(steps)
+        for span in (1, 2):
+            for whole, chunked in zip(one, run(span)):
+                np.testing.assert_array_equal(chunked, whole)
+
 
 class TestBackwardSemantics:
     def test_repeated_backward_doubles_leaf_gradients(self):

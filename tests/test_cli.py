@@ -215,6 +215,32 @@ class TestExitCodes:
         ])
         assert rc == 1
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "-1"), ("--clip-norm", "0"), ("--dropout", "1.5"), ("--epochs", "0"),
+    ])
+    def test_bad_train_option_is_rejected_before_writing(self, workspace, tmp_path, capsys,
+                                                          flag, value):
+        options = {"--emb-size": "8", "--hidden-size": "8", "--enc-layers": "1",
+                   "--dec-layers": "1", "--epochs": "1", "--batch-size": "8", flag: value}
+        run = tmp_path / "run"
+        rc = main([
+            "train",
+            "--train-src", str(workspace / "toy.src"),
+            "--train-tgt", str(workspace / "toy.tgt"),
+            "--ckpt-dir", str(run),
+            *(word for pair in options.items() for word in pair),
+        ])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        written = {p.name for p in run.iterdir()} if run.exists() else set()
+        assert not written & {"src.vocab", "tgt.vocab", "metrics.log"}
+
+    def test_inconsistent_toy_lengths_are_a_usage_error(self, tmp_path, capsys):
+        rc = main(["gen-toy", "--out", str(tmp_path / "toy"), "--min-len", "6", "--max-len", "5"])
+        assert rc == 1
+        assert "--min-len" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_checkpoint_is_a_runtime_error(self, workspace, tmp_path):
         rc = main([
             "translate",

@@ -30,7 +30,7 @@ def tiny_model(seed, tgt_vocab=5, src_vocab=9, hidden=8):
     return Seq2SeqModel(cfg, init_rng=np.random.default_rng(seed))
 
 
-def enumerate_ranked(model, source, max_length, length_normalize=True, length_exponent=1.0):
+def enumerate_ranked(model, source, max_length, length_exponent=1.0):
     """Score every emittable sequence by teacher forcing and rank them.
 
     The sequence space mirrors the decoder's: up to ``max_length - 1``
@@ -48,7 +48,7 @@ def enumerate_ranked(model, source, max_length, length_normalize=True, length_ex
                 walk(prefix + (tok,))
 
     walk(())
-    hyps.sort(key=lambda h: (-normalized_score(h, length_normalize, length_exponent), h.tokens))
+    hyps.sort(key=lambda h: (-normalized_score(h, length_exponent), h.tokens))
     return hyps
 
 
@@ -108,9 +108,9 @@ class TestExhaustiveAgreement:
     def test_unnormalized_ranking_agrees_too(self):
         model = tiny_model(404)
         source = [7, 8]
-        config = BeamConfig(width=700, max_length=3, length_normalize=False)
+        config = BeamConfig(width=700, max_length=3, length_exponent=0.0)
         got = beam_search(model, source, config)
-        want = enumerate_ranked(model, source, 3, length_normalize=False)
+        want = enumerate_ranked(model, source, 3, length_exponent=0.0)
         assert [g.tokens for g in got] == [w.tokens for w in want]
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5])
@@ -275,8 +275,9 @@ class TestNormalizedScore:
         np.testing.assert_allclose(
             normalized_score(hyp, length_exponent=2.0), -0.5, atol=1e-15
         )
-        assert normalized_score(hyp, length_normalize=False) == -8.0
         assert normalized_score(hyp, length_exponent=0.0) == -8.0
+        odd = Hypothesis(tokens=(4, 5, EOS), log_likelihood=-0.1 - 0.2, finished=True)
+        assert normalized_score(odd, length_exponent=0.0) == odd.log_likelihood
 
     def test_empty_hypothesis_rejected(self):
         empty = Hypothesis(tokens=(), log_likelihood=0.0, finished=False)

@@ -77,11 +77,10 @@ def attention_oracle(q, states, w):
 
 
 def attention_weights(model, query, encoded):
-    """The (T*B, L) weights behind ``model.attend``: the weights kernel on
-    the projected queries."""
-    keys, _, open_ = encoded.attention_memory
-    _, weights = ad.attention_weights_forward(query.value @ model.attn_bilinear.value, keys,
-                                              open_)
+    """The (T*B, L) weights behind ``model.attend``: the attention kernel
+    on the projected queries."""
+    _, weights, _ = ad.attention_forward(query.value @ model.attn_bilinear.value,
+                                         *encoded.attention_memory)
     return weights.reshape(query.value.shape[0], -1)
 
 
