@@ -60,10 +60,12 @@ class Node:
     """One value in the computation graph.
 
     ``grad`` always has the same shape as ``value``; it is allocated, as
-    zeros, the first time it is read.  Leaves (no parents) accumulate
-    gradients across backward passes until explicitly zeroed; interior
-    nodes are per-pass scratch.  ``_backward(node)`` is called with the node
-    itself, so no rule needs to capture its own output.
+    zeros, the first time it is read, and its first contribution is usually
+    adopted rather than added (``_accumulate``).  Leaves (no parents)
+    accumulate gradients across backward passes until released; an interior
+    node's gradient lives only from its first contribution to the end of its
+    own rule.  ``_backward(node)`` is called with the node itself, so no
+    rule needs to capture its own output.
     """
 
     __slots__ = ("value", "_grad", "parents", "requires_grad", "_backward")
@@ -583,7 +585,8 @@ def generator_losses(
     backward rule walks the chunks in reverse, recomputing each one's scores
     except the last forward chunk, which is still in the buffer.  It writes
     (softmax - one-hot) * mask * d(word) / B + d(bag) * mask into the buffer
-    and accumulates the gradients of x, weight and bias chunk by chunk.  At
+    and accumulates the gradients of x, weight and bias chunk by chunk; a
+    weight that holds no gradient adopts the first chunk's product.  At
     one chunk the scores and word loss are the arithmetic of separate affine
     and cross-entropy nodes, bit for bit.
 
@@ -659,7 +662,7 @@ def generator_losses(
         buffer = held.pop() if kept else np.empty((span * batch, vocab))
         row_scale = row_mask * (d_word / batch)
         spread = np.empty((batch, vocab)) if d_bag is not None else None
-        d_weight = np.empty_like(w) if weight.requires_grad else None
+        d_weight = None
         for index in reversed(range(len(chunks))):
             t0, t1 = chunks[index]
             rows = slice(t0 * batch, t1 * batch)
@@ -680,8 +683,15 @@ def generator_losses(
             if x.requires_grad:
                 x.grad[rows] += e @ w.T
             if weight.requires_grad:
-                np.matmul(xv[rows].T, e, out=d_weight)
-                weight.grad += d_weight
+                if weight._grad is None:
+                    weight._grad = xv[rows].T @ e
+                else:
+                    # One scratch for every chunk: above the mmap threshold
+                    # a fresh (H, V) array per chunk would be a fresh mapping.
+                    if d_weight is None:
+                        d_weight = np.empty_like(w)
+                    np.matmul(xv[rows].T, e, out=d_weight)
+                    weight._grad += d_weight
             if bias.requires_grad:
                 bias.grad += e.sum(axis=0, keepdims=True)
 
@@ -770,9 +780,10 @@ def _topo_order(root: Node) -> list[Node]:
 def backward(root: Node) -> None:
     """Accumulate d(root)/d(leaf) into every reachable trainable leaf.
 
-    Interior gradients are scratch reset on every call; leaf gradients add
-    up across calls until zero_gradients, so backpropagating the same root
-    twice yields exactly twice the single-pass leaf gradients.
+    Interior gradients are scratch: reset on entry, and each one dropped as
+    soon as its node's rule has run, so none outlives the call.  Leaf
+    gradients add up across calls until zero_gradients, so backpropagating
+    the same root twice yields exactly twice the single-pass leaf gradients.
     """
     if root.value.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.value.shape}")
@@ -786,6 +797,8 @@ def backward(root: Node) -> None:
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node)
+        if node.parents:
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -824,8 +837,11 @@ class ParameterStore:
         return iter(self._params.items())
 
     def zero_gradients(self) -> None:
+        """Release every parameter's gradient.  It reads as zeros until the
+        next backward pass, whose first contribution it adopts, so no
+        zero-filled array outlives the optimizer step that last read it."""
         for node in self._params.values():
-            node.grad[...] = 0.0
+            node.grad = None
 
 
 @dataclass

@@ -115,6 +115,15 @@ BOUNDS = {
 #: Option pairs (low, high) where low's value must not exceed high's.
 ORDERED = (("k", "lambda"), ("dec-layers", "enc-layers"), ("min-len", "max-len"))
 
+#: What grad-check's own options must be; it takes no ``Settings``.
+GRAD_CHECK_BOUNDS = {
+    **dict.fromkeys(("emb-size", "hidden-size", "enc-layers", "dec-layers", "batch-size",
+                     "source-length", "target-length", "step", "tolerance"), POSITIVE),
+    **dict.fromkeys(("src-vocab-size", "tgt-vocab-size"),
+                    ("at least 5 (4 reserved tokens plus content)", lambda v: v >= 5)),
+    "param-scale": NON_NEGATIVE,
+}
+
 
 def _parse_config_value(key: str, raw: str):
     default = DEFAULTS[key]
@@ -490,6 +499,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_grad_check(args: argparse.Namespace) -> int:
+    for key, (rule, holds) in GRAD_CHECK_BOUNDS.items():
+        value = getattr(args, key.replace("-", "_"))
+        if not holds(value):
+            raise UsageError(f"--{key} must be {rule}, got {value!r}")
+    if args.dec_layers > args.enc_layers:
+        raise UsageError(f"--dec-layers ({args.dec_layers!r}) must not exceed --enc-layers "
+                         f"({args.enc_layers!r})")
     config = ModelConfig(
         src_vocab_size=args.src_vocab_size,
         tgt_vocab_size=args.tgt_vocab_size,

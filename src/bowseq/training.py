@@ -92,9 +92,12 @@ def _train_batch(
 ) -> LossBreakdown:
     """Forward, backward, clip and one Adam step for one batch.
 
-    The batch's graph is local here, so it is freed on return, before the
-    next batch builds its own.
+    The previous batch's gradients are released before the forward pass, so
+    this batch's activations and score buffer never sit beside them.  The
+    batch's graph is local here, so it is freed on return, before the next
+    batch builds its own.
     """
+    model.params.zero_gradients()
     forward = model.forward_teacher_forced(batch, train=True, rng=rng)
     l_word = word_loss(forward)
     l_bag = bag_loss(forward.bag_scores, batch.bag_indicator, bag_variant)
@@ -105,7 +108,6 @@ def _train_batch(
             f"non-finite loss at epoch {epoch}, batch {index}: "
             f"word={breakdown.word} bag={breakdown.bag}"
         )
-    model.params.zero_gradients()
     ad.backward(loss)
     try:
         breakdown.clip_factor = clip_gradients(model.params, clip_norm)
@@ -143,6 +145,10 @@ def train_model(
     """
     if epochs < 1:
         raise ValueError(f"epochs must be positive, got {epochs}")
+    if not lr > 0:
+        raise ValueError(f"lr must be positive, got {lr}")
+    if not clip_norm > 0:
+        raise ValueError(f"clip_norm must be positive, got {clip_norm}")
     if not pairs:
         raise ValueError("no training pairs")
     ckpt_dir = None

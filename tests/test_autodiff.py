@@ -3,6 +3,7 @@ central finite differences, accumulation semantics, and shape policing."""
 
 import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -355,6 +356,24 @@ class TestBackwardRules:
         for p, g in zip((x, w, bias), once):
             np.testing.assert_allclose(p.grad, 2 * g, rtol=1e-15, atol=1e-15)
 
+    def test_generator_losses_adopts_a_released_weight_gradient(self):
+        """One chunk into a weight that holds no gradient allocates one (H, V)
+        array, the gradient itself: no zero fill and no scratch copy."""
+        hidden, vocab = 4, 200_000
+        rng = np.random.default_rng(35)
+        x = parameter(rng.normal(size=(1, hidden)))
+        w = parameter(rng.normal(size=(hidden, vocab)) * 0.01)
+        bias = parameter(np.zeros((1, vocab)))
+        word, _ = ad.generator_losses(x, w, bias, np.array([[3]]), np.ones((1, 1)))
+        tracemalloc.start()
+        try:
+            backward(word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w._grad is not None
+        assert peak < 2 * hidden * vocab * 8
+
     def test_generator_losses_rejects_bad_targets(self):
         x, w = constant(np.zeros((4, 2))), constant(np.zeros((2, 3)))
         bias = constant(np.zeros((1, 3)))
@@ -530,9 +549,9 @@ class TestBackwardSemantics:
 
 
 class TestGraphLifetime:
-    def test_training_batch_graph_is_freed_without_the_cycle_collector(self):
-        """Graphs are acyclic, so reference counting alone frees a training
-        batch's graph, dropout and padded rows included."""
+    @staticmethod
+    def _small_model_batch():
+        """A 2/2-layer concat model with dropout and a batch with padded rows."""
         config = ModelConfig(src_vocab_size=12, tgt_vocab_size=12, emb_size=4, hidden_size=5,
                              enc_layers=2, dec_layers=2, dropout=0.3,
                              generator_input="concat")
@@ -544,6 +563,12 @@ class TestGraphLifetime:
             tgt = tuple(int(t) for t in rng.integers(4, 12, size=n + 1)) + (EOS,)
             pairs.append(ExamplePair(src, tgt, extract_bag(tgt)))
         (batch,) = make_batches(pairs, 3, 12, seed=0)
+        return model, batch, rng
+
+    def test_training_batch_graph_is_freed_without_the_cycle_collector(self):
+        """Graphs are acyclic, so reference counting alone frees a training
+        batch's graph, dropout and padded rows included."""
+        model, batch, rng = self._small_model_batch()
         gc.collect()
         gc.disable()
         try:
@@ -556,6 +581,29 @@ class TestGraphLifetime:
         finally:
             gc.enable()
         assert found == 0
+
+    def test_backward_keeps_leaf_gradients_only(self):
+        """Every interior gradient is dropped once its node's rule has run,
+        the hand-overs of the LSTM scans and the generator included, while
+        every parameter keeps its gradient."""
+        model, batch, rng = self._small_model_batch()
+        forward = model.forward_teacher_forced(batch, train=True, rng=rng)
+        loss = total_loss(word_loss(forward), bag_loss(forward.bag_scores, batch.bag_indicator),
+                          0.5)
+        backward(loss)
+        seen, stack, interior = {id(loss)}, [loss], 0
+        while stack:
+            node = stack.pop()
+            if node.parents:
+                interior += 1
+                assert node._grad is None, node
+            for parent in node.parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert interior > 20
+        for name, node in model.params.items():
+            assert node._grad is not None and np.any(node._grad != 0.0), name
 
 
 class TestGraphStructure:
@@ -617,6 +665,7 @@ class TestParameterStore:
         backward(ad.sum_all(ad.mul(w, w)))
         assert np.any(w.grad != 0)
         store.zero_gradients()
+        assert all(node._grad is None for _, node in store.items())
         np.testing.assert_array_equal(w.grad, np.zeros((2, 2)))
 
 

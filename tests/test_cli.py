@@ -235,6 +235,16 @@ class TestExitCodes:
         written = {p.name for p in run.iterdir()} if run.exists() else set()
         assert not written & {"src.vocab", "tgt.vocab", "metrics.log"}
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--hidden-size", "0"), ("--batch-size", "0"), ("--source-length", "0"),
+        ("--param-scale", "-1"), ("--src-vocab-size", "3"), ("--step", "-1"),
+        ("--tolerance", "0"), ("--dec-layers", "2"),
+    ])
+    def test_bad_grad_check_option_is_a_usage_error(self, capsys, flag, value):
+        assert main(["grad-check", flag, value]) == 1
+        out, err = capsys.readouterr()
+        assert flag in err and out == ""
+
     def test_inconsistent_toy_lengths_are_a_usage_error(self, tmp_path, capsys):
         rc = main(["gen-toy", "--out", str(tmp_path / "toy"), "--min-len", "6", "--max-len", "5"])
         assert rc == 1

@@ -256,6 +256,32 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="epochs"):
             train_model(model, pairs, ScheduleParams(), rng, epochs=0, batch_size=4)
 
+    @pytest.mark.parametrize("option, value", [("lr", -1.0), ("lr", 0.0), ("clip_norm", 0.0)])
+    def test_bad_step_option_rejected_before_the_log(self, tmp_path, option, value):
+        """A negative rate would train by gradient ascent, a zero rate train
+        nothing, and a zero clip norm fail only at the first batch."""
+        model, pairs, rng = tiny_setup()
+        log_path = tmp_path / "m.log"
+        with pytest.raises(ValueError, match=option):
+            train_model(model, pairs, ScheduleParams(), rng, epochs=1, batch_size=4,
+                        log_path=log_path, **{option: value})
+        assert not log_path.exists()
+
+    def test_gradients_are_released_before_the_forward_pass(self, monkeypatch):
+        """No parameter holds the previous batch's gradient while the next
+        batch's activations are built."""
+        model, pairs, rng = tiny_setup()
+        real_forward = model.forward_teacher_forced
+        held = []
+
+        def forward(*args, **kwargs):
+            held.append([name for name, node in model.params.items() if node._grad is not None])
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_teacher_forced", forward)
+        train_model(model, pairs, ScheduleParams(), rng, epochs=1, batch_size=4)
+        assert len(held) == 3 and held == [[], [], []]
+
 
 class TestDeterminism:
     def _run(self, tmp_path, tag):
