@@ -712,15 +712,14 @@ def stable_softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def bag_nll(bag: Node, indicator: np.ndarray, absent: bool = False) -> Node:
+def bag_nll(bag: Node, indicator: np.ndarray) -> Node:
     """The bag negative log-likelihood of (B, V) step-summed scores s, a
     mean over the B rows: sum(softplus(-s) * indicator), which is -log
-    sigmoid(s) on the bag's words, plus sum(softplus(s) * (1 - indicator)),
-    -log(1 - sigmoid(s)) on the other words, if ``absent``.
+    sigmoid(s) on the bag's words.
 
-    Its gradient is indicator * -sigmoid(-s), plus (1 - indicator) *
-    sigmoid(s) if ``absent``, each times the upstream over B.  Neither
-    vanishes the way the gradient of a floored log of a probability does.
+    Its gradient is indicator * -sigmoid(-s) times the upstream over B.  It
+    does not vanish the way the gradient of a floored log of a probability
+    does.
     """
     ind = np.asarray(indicator, dtype=np.float64)
     s = bag.value
@@ -730,22 +729,14 @@ def bag_nll(bag: Node, indicator: np.ndarray, absent: bool = False) -> Node:
     # Non-finite scores give a NaN loss, which the caller reports, and no
     # warning: an infinite softplus times an indicator of 0 is NaN.
     with np.errstate(invalid="ignore"):
-        total = np.sum(stable_softplus(s * -1.0) * ind)
-        if absent:
-            total = total + np.sum(stable_softplus(s) * (1.0 - ind))
-        out = Node(total * factor, parents=(bag,))
+        out = Node(np.sum(stable_softplus(s * -1.0) * ind) * factor, parents=(bag,))
 
     def backward(out: Node) -> None:
         if not bag.requires_grad:
             return
-        upstream = out.grad * factor
-        d = upstream * ind
+        d = out.grad * factor * ind
         d *= stable_sigmoid(s * -1.0)
         d *= -1.0
-        if absent:
-            d_absent = upstream * (1.0 - ind)
-            d_absent *= stable_sigmoid(s)
-            d += d_absent
         _accumulate(bag, d)
 
     out._backward = backward

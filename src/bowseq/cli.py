@@ -30,6 +30,7 @@ from .data import (
     generate_toy_corpus,
     pack_batch,
     read_corpus,
+    read_lines,
     read_parallel,
 )
 from .inference import BeamConfig, beam_search, normalized_score
@@ -41,7 +42,6 @@ from .model import (
     load_checkpoint,
 )
 from .objectives import (
-    BAG_LOSS_VARIANTS,
     ScheduleParams,
     bag_loss,
     total_loss,
@@ -60,8 +60,6 @@ DEFAULTS: dict[str, object] = {
     "k": 0.1,
     "alpha": 0.1,
     "baseline": False,
-    "bag-loss": "paper",
-    "bag-keep-duplicates": False,
     # model
     "emb-size": 512,
     "hidden-size": 512,
@@ -94,7 +92,6 @@ DEFAULTS: dict[str, object] = {
 }
 
 CHOICES = {
-    "bag-loss": BAG_LOSS_VARIANTS,
     "generator-input": GENERATOR_INPUTS,
     "task": TOY_TASKS,
 }
@@ -148,11 +145,11 @@ def _parse_config_value(key: str, raw: str):
 
 def read_config_file(path: str | Path) -> dict[str, object]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        lines = read_lines(path)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -264,8 +261,6 @@ def build_parser() -> CliParser:
     _flag(p, "--k", float, "bag-weight starting value")
     _flag(p, "--alpha", float, "bag-weight per-epoch increment")
     _flag(p, "--baseline", bool, "train without the bag objective")
-    _flag(p, "--bag-loss", str, "bag objective variant")
-    _flag(p, "--bag-keep-duplicates", bool, "keep bag multiplicity instead of deduplicating")
     _flag(p, "--vocab-size", int, "cap when building vocabularies here")
     _flag(p, "--max-sent-len", int, "drop training pairs longer than this")
     _flag(p, "--lr", float, "Adam learning rate")
@@ -392,7 +387,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     max_length = s.get("max-sent-len")
     lines = read_parallel(args.train_src, args.train_tgt)
-    pairs = encode_pairs(lines, src_vocab, tgt_vocab, max_length, s.get("bag-keep-duplicates"))
+    pairs = encode_pairs(lines, src_vocab, tgt_vocab, max_length)
     print(f"dropped {len(lines) - len(pairs)} of {len(lines)} training pairs longer than "
           f"{max_length} tokens or with a blank side")
     if not pairs:
@@ -430,7 +425,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         batch_size=s.get("batch-size"),
         lr=s.get("lr"),
         clip_norm=s.get("clip-norm"),
-        bag_variant=s.get("bag-loss"),
         validation=validation,
         checkpoint_dir=ckpt_dir,
         log_path=log_path,
@@ -461,7 +455,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
         length_exponent=s.get("length-exponent"),
     )
 
-    lines = Path(args.input).read_text(encoding="utf-8").splitlines()
+    lines = read_lines(args.input)
     outputs: list[str] = []
     nbest_lines: list[str] = []
     for index, line in enumerate(lines):
@@ -489,10 +483,8 @@ def cmd_translate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    hyp_lines = Path(args.hypothesis).read_text(encoding="utf-8").splitlines()
-    ref_lines = Path(args.reference).read_text(encoding="utf-8").splitlines()
-    hyps = [line.split() for line in hyp_lines]
-    refs = [line.split() for line in ref_lines]
+    hyps = [line.split() for line in read_lines(args.hypothesis)]
+    refs = [line.split() for line in read_lines(args.reference)]
     report = format_report(corpus_bleu(hyps, refs), bag_overlap(hyps, refs))
     sys.stdout.write(report)
     return 0

@@ -57,8 +57,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls([ln for ln in lines if ln != ""])
+        return cls([ln for ln in read_lines(path) if ln != ""])
 
 
 def build_vocab(corpus: Iterable[Sequence[str]], max_size: int = 50_000) -> Vocab:
@@ -104,16 +103,10 @@ class ExamplePair:
             raise ValueError("PAD inside an example")
 
 
-def extract_bag(target: Sequence[int], keep_duplicates: bool = False) -> tuple[int, ...]:
-    """Bag label for a target index sequence: specials removed, sorted.
-
-    With ``keep_duplicates`` the multiset is kept (still sorted); the default
-    deduplicates.
-    """
-    regular = [t for t in target if t > EOS]
-    if not keep_duplicates:
-        regular = list(set(regular))
-    return tuple(sorted(regular))
+def extract_bag(target: Sequence[int]) -> tuple[int, ...]:
+    """Bag label for a target index sequence: the sorted set of its
+    regular (non-reserved) indices."""
+    return tuple(sorted({t for t in target if t > EOS}))
 
 
 def make_pair(
@@ -121,11 +114,10 @@ def make_pair(
     tgt_tokens: Sequence[str],
     src_vocab: Vocab,
     tgt_vocab: Vocab,
-    keep_duplicates: bool = False,
 ) -> ExamplePair:
     source = tuple(src_vocab.encode(src_tokens))
     target = tuple(tgt_vocab.encode(tgt_tokens)) + (EOS,)
-    return ExamplePair(source, target, extract_bag(target, keep_duplicates))
+    return ExamplePair(source, target, extract_bag(target))
 
 
 @dataclass
@@ -133,8 +125,8 @@ class Batch:
     """Padded index matrices plus masks and bag indicators.
 
     ``source``/``target`` are (B, L)/(B, M) int64 with PAD=0 beyond each
-    length.  Masks are float 0/1.  ``bag_indicator`` is (B, V_target); row i
-    has one nonzero per bag entry (counts when duplicates were kept).
+    length.  Masks are float 0/1.  ``bag_indicator`` is (B, V_target) and
+    0/1; row i is 1 at the words of pair i's bag.
     """
 
     source: np.ndarray
@@ -168,8 +160,7 @@ def pack_batch(pairs: Sequence[ExamplePair], tgt_vocab_size: int) -> Batch:
     tgt, tgt_len, tgt_mask = _pad_matrix([p.target for p in pairs])
     indicator = np.zeros((len(pairs), tgt_vocab_size), dtype=np.float64)
     for i, p in enumerate(pairs):
-        for w in p.bag:
-            indicator[i, w] += 1.0
+        indicator[i, list(p.bag)] = 1.0
     return Batch(src, src_len, src_mask, tgt, tgt_len, tgt_mask, indicator)
 
 
@@ -206,10 +197,21 @@ def make_batches(
 # ---------------------------------------------------------------------------
 
 
+def read_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file, split at newlines only; reading turns
+    a carriage return, alone or before a newline, into a newline.
+    ``str.splitlines`` would also split at U+2028, U+0085, form feeds and
+    the like, and so shift the line pairing of a parallel corpus."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def read_corpus(path: str | Path) -> list[list[str]]:
     """One tokenized sentence per line; blank lines are dropped."""
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in read_lines(path):
         toks = line.split()
         if toks:
             out.append(toks)
@@ -226,8 +228,8 @@ def read_parallel(src_path: str | Path, tgt_path: str | Path) -> list[tuple[list
     """The tokenized line pairs of a parallel corpus, line by line.  A blank
     line is an empty list, so a blank line on one side never shifts the
     pairing of the lines after it."""
-    src_lines = Path(src_path).read_text(encoding="utf-8").splitlines()
-    tgt_lines = Path(tgt_path).read_text(encoding="utf-8").splitlines()
+    src_lines = read_lines(src_path)
+    tgt_lines = read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise ValueError(f"parallel corpus mismatch: {len(src_lines)} vs {len(tgt_lines)} lines")
     return [(s.split(), t.split()) for s, t in zip(src_lines, tgt_lines)]
@@ -238,11 +240,10 @@ def encode_pairs(
     src_vocab: Vocab,
     tgt_vocab: Vocab,
     max_length: int = MAX_SENTENCE_LENGTH,
-    keep_duplicates: bool = False,
 ) -> list[ExamplePair]:
     """Line pairs in index space, dropping those with a blank or over-length side."""
     return [
-        make_pair(s, t, src_vocab, tgt_vocab, keep_duplicates)
+        make_pair(s, t, src_vocab, tgt_vocab)
         for s, t in lines
         if 0 < len(s) <= max_length and 0 < len(t) <= max_length
     ]
@@ -254,12 +255,10 @@ def load_pairs(
     src_vocab: Vocab,
     tgt_vocab: Vocab,
     max_length: int = MAX_SENTENCE_LENGTH,
-    keep_duplicates: bool = False,
 ) -> list[ExamplePair]:
     """Read a parallel corpus (``read_parallel``) into index space
     (``encode_pairs``), dropping pairs with a blank or over-length side."""
-    return encode_pairs(read_parallel(src_path, tgt_path), src_vocab, tgt_vocab, max_length,
-                        keep_duplicates)
+    return encode_pairs(read_parallel(src_path, tgt_path), src_vocab, tgt_vocab, max_length)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,9 @@ so they are computed in log space and no probability is floored.  The word
 loss is the negative log-likelihood of each gold token under the softmax of
 its step's scores, summed over real target positions; the teacher-forced
 pass computes it, fused with the generator.  The bag loss scores the
-sentence-level sigmoid of the step-summed scores against the bag indicator,
-as the one primitive ``bag_nll``; the default variant penalizes only the
-words present in the bag, while ``full-bce`` adds the complement term for
-absent words.
+sentence-level sigmoid of the step-summed scores against the bag, the set
+of regular target words, as the one primitive ``bag_nll``: only the words
+in the bag are penalized.
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node, ParameterStore
 from .model import ForwardPass
-
-BAG_LOSS_VARIANTS = ("paper", "full-bce")
-
 
 @dataclass(frozen=True)
 class ScheduleParams:
@@ -71,18 +67,16 @@ def word_loss(forward: ForwardPass) -> Node:
     return forward.word
 
 
-def bag_loss(bag_scores: Node, indicator: np.ndarray, variant: str = "paper") -> Node:
+def bag_loss(bag_scores: Node, indicator: np.ndarray) -> Node:
     """Mean over the batch of the bag negative log-likelihood, from the
-    (B, V) step-summed scores s: -log sigmoid(s) is softplus(-s), and
-    ``full-bce`` adds -log(1 - sigmoid(s)) = softplus(s) for absent words.
+    (B, V) step-summed scores s: -log sigmoid(s), which is softplus(-s), on
+    each word of the bag.
 
-    ``indicator`` rows hold the bag membership (counts when duplicates are
-    kept); rows with an empty bag contribute zero.  The result is one
-    ``bag_nll`` node on ``bag_scores``, which checks the indicator's shape.
+    ``indicator`` rows hold the 0/1 bag membership; rows with an empty bag
+    contribute zero.  The result is one ``bag_nll`` node on ``bag_scores``,
+    which checks the indicator's shape.
     """
-    if variant not in BAG_LOSS_VARIANTS:
-        raise ValueError(f"unknown bag loss variant {variant!r}; choose from {BAG_LOSS_VARIANTS}")
-    return ad.bag_nll(bag_scores, indicator, absent=variant == "full-bce")
+    return ad.bag_nll(bag_scores, indicator)
 
 
 def total_loss(word: Node, bag: Node | None, weight: float) -> Node:

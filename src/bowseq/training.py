@@ -83,7 +83,6 @@ def _train_batch(
     model: Seq2SeqModel,
     batch: Batch,
     weight: float,
-    bag_variant: str,
     clip_norm: float,
     adam: AdamState,
     rng: np.random.Generator,
@@ -100,7 +99,7 @@ def _train_batch(
     model.params.zero_gradients()
     forward = model.forward_teacher_forced(batch, train=True, rng=rng)
     l_word = word_loss(forward)
-    l_bag = bag_loss(forward.bag_scores, batch.bag_indicator, bag_variant)
+    l_bag = bag_loss(forward.bag_scores, batch.bag_indicator)
     loss = total_loss(l_word, l_bag, weight)
     breakdown = LossBreakdown(float(l_word.value), float(l_bag.value), weight)
     if not np.isfinite(breakdown.total):
@@ -130,7 +129,6 @@ def train_model(
     batch_size: int,
     lr: float = 3e-4,
     clip_norm: float = 10.0,
-    bag_variant: str = "paper",
     validation: ValidationSet | None = None,
     checkpoint_dir: str | Path | None = None,
     log_path: str | Path | None = None,
@@ -174,9 +172,7 @@ def train_model(
             word_sum = bag_sum = total_sum = 0.0
             recorded: list[LossBreakdown] = []
             for index, batch in enumerate(batches):
-                breakdown = _train_batch(
-                    model, batch, weight, bag_variant, clip_norm, adam, rng, epoch, index
-                )
+                breakdown = _train_batch(model, batch, weight, clip_norm, adam, rng, epoch, index)
                 word_sum += breakdown.word
                 bag_sum += breakdown.bag
                 total_sum += breakdown.total

@@ -26,10 +26,10 @@ from bowseq.model import ModelConfig, Seq2SeqModel
 from bowseq.objectives import bag_loss, total_loss, word_loss
 
 
-def bag_nll_reference(s, indicator, absent, upstream):
+def bag_nll_reference(s, indicator, upstream):
     """The bag loss's value and its gradient for an upstream on the value,
     each operation in the order of the separate nodes that once computed
-    it: scale(-1), softplus, mul by the indicator, sum_all, add, scale(1/B)."""
+    it: scale(-1), softplus, mul by the indicator, sum_all, scale(1/B)."""
 
     def softplus(x):
         return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
@@ -40,12 +40,8 @@ def bag_nll_reference(s, indicator, absent, upstream):
 
     factor = 1.0 / s.shape[0]
     value = (softplus(s * -1.0) * indicator).sum()
-    if absent:
-        value = value + (softplus(s) * (1.0 - indicator)).sum()
     g = np.zeros_like(s) + np.float64(upstream) * factor
     grad = ((g * indicator) * sigmoid(s * -1.0)) * -1.0
-    if absent:
-        grad = grad + (g * (1.0 - indicator)) * sigmoid(s)
     return value * factor, grad
 
 
@@ -253,17 +249,16 @@ class TestBackwardRules:
         self._check(lambda: ad.scale(ad.bag_nll(a, indicator), 0.7), [a])
 
     def test_softplus(self):
-        """``bag_nll`` with the softplus(s) = -log(1 - sigmoid(s)) term on
-        absent words."""
-        rng = np.random.default_rng(31)
-        a = parameter(rng.uniform(-4.0, 4.0, size=(3, 4)))
-        indicator = (rng.random((3, 4)) < 0.4).astype(np.float64)
-        self._check(lambda: ad.scale(ad.bag_nll(a, indicator, absent=True), 0.7), [a])
+        """``bag_nll``'s softplus(-s) = -log sigmoid(s) on a 0/1 bag, at
+        scores of both signs on bag words."""
+        a = parameter(np.array([[-3.5, 2.0, -0.7, 1.2], [0.4, -2.6, 3.1, -1.9]]))
+        indicator = np.array([[1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
+        self._check(lambda: ad.scale(ad.bag_nll(a, indicator), 0.7), [a])
 
-    @pytest.mark.parametrize("absent", [False, True])
+    @pytest.mark.parametrize("absent", [False])
     def test_bag_nll_matches_the_node_by_node_arithmetic(self, absent):
         """Value and gradient are the bits of the separate scale, softplus,
-        mul, sum_all and add nodes that used to compute the bag loss, in
+        mul and sum_all nodes that used to compute the bag loss, in
         their operation order, on random cases with scores up to 40 and
         1000 in magnitude."""
         rng = np.random.default_rng(36)
@@ -273,9 +268,9 @@ class TestBackwardRules:
             s = rng.uniform(-spread, spread, size=(batch, vocab))
             indicator = rng.integers(0, 3, size=(batch, vocab)).astype(np.float64)
             upstream = float(rng.uniform(0.1, 2.0))
-            want_value, want_grad = bag_nll_reference(s, indicator, absent, upstream)
+            want_value, want_grad = bag_nll_reference(s, indicator, upstream)
             scores = parameter(s)
-            node = ad.bag_nll(scores, indicator, absent)
+            node = ad.bag_nll(scores, indicator)
             backward(ad.scale(node, upstream))
             np.testing.assert_array_equal(node.value, want_value)
             np.testing.assert_array_equal(scores.grad, want_grad)
@@ -348,8 +343,7 @@ class TestBackwardRules:
         w, bias = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(1, 3)))
         word, bag = ad.generator_losses(x, w, bias, np.array([[0, 2, 1], [1, 1, 0]]),
                                         np.ones((2, 3)))
-        loss = ad.add(word, ad.bag_nll(bag, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
-                                       absent=True))
+        loss = ad.add(word, ad.bag_nll(bag, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])))
         backward(loss)
         once = [p.grad.copy() for p in (x, w, bias)]
         backward(loss)
@@ -495,7 +489,7 @@ class TestBackwardRules:
 class TestBackwardSemantics:
     def test_repeated_backward_doubles_leaf_gradients(self):
         a = parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        root = ad.bag_nll(a, np.array([[1.0, 0.0], [0.0, 1.0]]), absent=True)
+        root = ad.bag_nll(a, np.array([[1.0, 0.0], [0.0, 1.0]]))
         backward(root)
         once = a.grad.copy()
         backward(root)
@@ -503,7 +497,7 @@ class TestBackwardSemantics:
 
     def test_scaled_root_scales_gradients_linearly(self):
         a = parameter(np.array([[0.3, -0.2], [0.1, 0.7]]))
-        root = ad.bag_nll(a, np.array([[1.0, 0.0], [0.0, 1.0]]), absent=True)
+        root = ad.bag_nll(a, np.array([[1.0, 0.0], [0.0, 1.0]]))
         backward(root)
         base = a.grad.copy()
         a.grad[...] = 0.0
@@ -512,7 +506,7 @@ class TestBackwardSemantics:
 
     def test_two_roots_accumulate_into_shared_leaf(self):
         a = parameter(np.array([[1.0, -1.0]]))
-        r1, r2 = ad.sum_all(ad.mul(a, a)), ad.bag_nll(a, np.array([[1.0, 0.0]]), absent=True)
+        r1, r2 = ad.sum_all(ad.mul(a, a)), ad.bag_nll(a, np.array([[1.0, 1.0]]))
         backward(r1)
         g1 = a.grad.copy()
         a.grad[...] = 0.0
@@ -618,10 +612,10 @@ class TestGraphStructure:
                     stack.append(parent)
         return len(seen)
 
-    @pytest.mark.parametrize("variant", ["paper", "full-bce"])
+    @pytest.mark.parametrize("variant", ["paper"])
     def test_a4_shape_training_loss_is_39_nodes(self, variant):
         """A training loss of the A4 configuration (concat, 1/1 layers,
-        E=H=64, B=32, no dropout) is 39 nodes under either bag variant:
+        E=H=64, B=32, no dropout) is 39 nodes:
         attention is one node over (query, bilinear, memory) and the bag
         loss one node over the bag."""
         config = ModelConfig(src_vocab_size=24, tgt_vocab_size=24, emb_size=64, hidden_size=64,
@@ -635,7 +629,7 @@ class TestGraphStructure:
             pairs.append(ExamplePair(src, tgt, extract_bag(tgt)))
         (batch,) = make_batches(pairs, 32, 24, seed=0)
         forward = model.forward_teacher_forced(batch, train=True, rng=rng)
-        bag = bag_loss(forward.bag_scores, batch.bag_indicator, variant)
+        bag = bag_loss(forward.bag_scores, batch.bag_indicator)
         assert len(bag.parents) == 1 and bag.parents[0] is forward.bag_scores
         assert self._node_count(total_loss(word_loss(forward), bag, 0.1)) == 39
 
@@ -714,7 +708,7 @@ class TestFiniteDifferenceHarness:
             hidden = ad.concat_cols([memory, context])
             features = ad.affine(hidden, s["w2"], s["b2"])
             nll, bag = ad.generator_losses(features, s["w3"], s["b3"], picks, steps)
-            spread = ad.add(ad.bag_nll(bag, bag_words, absent=True), ad.sum_all(ad.mul(bag, bag)))
+            spread = ad.add(ad.bag_nll(bag, bag_words), ad.sum_all(ad.mul(bag, bag)))
             return ad.add(ad.add(nll, ad.scale(spread, 0.5)), constant(np.asarray(0.25)))
 
         report = finite_difference_check(loss, store, step=1e-5, tolerance=1e-6)

@@ -4,7 +4,8 @@ evaluate pipeline through ``main``, option precedence, and exit codes."""
 import numpy as np
 import pytest
 
-from bowseq.cli import DEFAULTS, Settings, main, read_config_file
+from bowseq import cli
+from bowseq.cli import BOUNDS, CHOICES, DEFAULTS, ORDERED, Settings, main, read_config_file
 from bowseq.data import Vocab
 
 
@@ -73,6 +74,21 @@ class TestPipeline:
         assert rc == 0
         hyps = hyp_path.read_text().splitlines()
         assert len(hyps) == 8
+
+    def test_translate_keeps_a_line_separator_inside_its_line(self, workspace, tmp_path):
+        source = tmp_path / "in.txt"
+        source.write_text("1 2\u20283\n4 5\n\n6\x0c1\n", encoding="utf-8")
+        hyp_path = tmp_path / "hyp.txt"
+        assert main([
+            "translate",
+            "--checkpoint", str(workspace / "run" / "final.ckpt"),
+            "--src-vocab", str(workspace / "src.vocab"),
+            "--tgt-vocab", str(workspace / "tgt.vocab"),
+            "--input", str(source),
+            "--output", str(hyp_path),
+            "--beam-width", "2",
+        ]) == 0
+        assert hyp_path.read_text(encoding="utf-8").count("\n") == 4
 
     def test_translate_to_stdout_with_n_best(self, workspace, capsys):
         nbest_path = workspace / "nbest.txt"
@@ -235,6 +251,32 @@ class TestExitCodes:
         written = {p.name for p in run.iterdir()} if run.exists() else set()
         assert not written & {"src.vocab", "tgt.vocab", "metrics.log"}
 
+    @pytest.mark.parametrize("option", [
+        ["--bag-loss", "full-bce"], ["--bag-keep-duplicates"], "bag-loss = paper",
+        "bag-keep-duplicates = true",
+    ], ids=["flag-bag-loss", "flag-bag-keep-duplicates", "config-bag-loss",
+            "config-bag-keep-duplicates"])
+    def test_removed_bag_option_is_refused_before_writing(self, workspace, tmp_path, capsys,
+                                                          option):
+        """The bag is always the set of target words under the paper's loss,
+        so ``bag-loss`` and ``bag-keep-duplicates`` are unknown options."""
+        if isinstance(option, str):
+            (tmp_path / "opts.cfg").write_text(option + "\n", encoding="utf-8")
+            option, named = ["--config", str(tmp_path / "opts.cfg")], option.split(" ")[0]
+        else:
+            named = option[0]
+        run = tmp_path / "run"
+        rc = main([
+            "train",
+            "--train-src", str(workspace / "toy.src"),
+            "--train-tgt", str(workspace / "toy.tgt"),
+            "--ckpt-dir", str(run),
+            *option,
+        ])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+        assert not run.exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--hidden-size", "0"), ("--batch-size", "0"), ("--source-length", "0"),
         ("--param-scale", "-1"), ("--src-vocab-size", "3"), ("--step", "-1"),
@@ -328,6 +370,22 @@ class TestConfigFile:
             "gen-toy", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x"),
         ])
         assert rc == 1
+
+    def test_option_tables_agree(self, monkeypatch):
+        """Every tunable flag has a default and every default a flag, so no
+        config key is accepted that no command reads; choices, bounds and
+        orderings name only such options."""
+        flags = set()
+        real_flag = cli._flag
+
+        def recording_flag(parser, name, kind, helptext):
+            flags.add(name.lstrip("-"))
+            real_flag(parser, name, kind, helptext)
+
+        monkeypatch.setattr(cli, "_flag", recording_flag)
+        cli.build_parser()
+        assert flags == set(DEFAULTS)
+        assert set(CHOICES) | set(BOUNDS) | {key for pair in ORDERED for key in pair} <= flags
 
     def test_settings_fall_back_to_defaults(self):
         import argparse

@@ -21,6 +21,7 @@ from bowseq.data import (
     make_pair,
     pack_batch,
     read_corpus,
+    read_parallel,
     toy_lexicon,
     write_corpus,
 )
@@ -100,8 +101,8 @@ class TestExtractBag:
     def test_specials_removed_and_sorted(self):
         assert extract_bag((7, 4, EOS, 7, 5)) == (4, 5, 7)
 
-    def test_keep_duplicates_keeps_multiset(self):
-        assert extract_bag((7, 4, 7, EOS), keep_duplicates=True) == (4, 7, 7)
+    def test_repeated_word_appears_once(self):
+        assert extract_bag((7, 4, 7, EOS)) == (4, 7)
 
     def test_all_special_target_gives_empty_bag(self):
         assert extract_bag((EOS,)) == ()
@@ -147,6 +148,11 @@ class TestBatching:
         assert batch.bag_indicator.shape == (1, 10)
         assert batch.bag_indicator[0].sum() == len(pairs[0].bag)
         assert set(np.nonzero(batch.bag_indicator[0])[0]) == set(pairs[0].bag)
+
+    def test_repeated_bag_word_packs_to_one(self):
+        """The indicator is 0/1 even for a pair built with a repeated bag word."""
+        batch = pack_batch([ExamplePair((4,), (5, 6, 5, EOS), (5, 5, 6))], 8)
+        np.testing.assert_array_equal(batch.bag_indicator, [[0, 0, 0, 0, 0, 1, 1, 0]])
 
     def test_single_example_single_batch(self):
         batches = make_batches(self._pairs([4]), batch_size=8, tgt_vocab_size=10, seed=1)
@@ -212,6 +218,18 @@ class TestCorpusFiles:
         pairs = load_pairs(tmp_path / "s.txt", tmp_path / "t.txt", v, v)
         assert [(v.decode(p.source), v.decode(p.target)) for p in pairs] == [
             (["a"], ["x"]), (["c"], ["z"])
+        ]
+
+    def test_only_newlines_end_a_line(self, tmp_path):
+        """U+2028, U+0085 and the other characters ``str.splitlines`` breaks at
+        stay inside their line, where they separate tokens, so no pair shifts."""
+        (tmp_path / "s.txt").write_text("x y\u2028z\nw v\nq r\n", encoding="utf-8")
+        (tmp_path / "t.txt").write_text("one two three\nfour five\nsix\x85seven\n",
+                                        encoding="utf-8")
+        assert read_parallel(tmp_path / "s.txt", tmp_path / "t.txt") == [
+            (["x", "y", "z"], ["one", "two", "three"]),
+            (["w", "v"], ["four", "five"]),
+            (["q", "r"], ["six", "seven"]),
         ]
 
 

@@ -50,17 +50,14 @@ def word_loss_oracle(scores, targets, mask):
     return total / batch
 
 
-def bag_loss_oracle(s, indicator, variant="paper"):
-    """-log sigmoid(s) = log(1 + e^-s) per bag word, and under ``full-bce``
-    -log(1 - sigmoid(s)) = log(1 + e^s) per absent word."""
+def bag_loss_oracle(s, indicator):
+    """-log sigmoid(s) = log(1 + e^-s) per bag word."""
     batch, vocab = indicator.shape
     total = 0.0
     for b in range(batch):
         for w in range(vocab):
             if indicator[b, w] > 0:
                 total += indicator[b, w] * math.log(1.0 + math.exp(-s[b, w]))
-            elif variant == "full-bce":
-                total += math.log(1.0 + math.exp(s[b, w]))
     return total / batch
 
 
@@ -124,15 +121,14 @@ class TestWordLoss:
 class TestBagLoss:
     def test_matches_oracle_on_random_cases(self):
         rng = np.random.default_rng(43)
-        for variant in ("paper", "full-bce"):
-            for _ in range(50):
-                batch = int(rng.integers(1, 5))
-                vocab = int(rng.integers(2, 9))
-                s = logit(rng.uniform(0.05, 0.95, size=(batch, vocab)))
-                indicator = (rng.random((batch, vocab)) < 0.4).astype(np.float64)
-                got = bag_loss(constant(s), indicator, variant)
-                want = bag_loss_oracle(s, indicator, variant)
-                np.testing.assert_allclose(got.value, want, rtol=0, atol=1e-12)
+        for _ in range(50):
+            batch = int(rng.integers(1, 5))
+            vocab = int(rng.integers(2, 9))
+            s = logit(rng.uniform(0.05, 0.95, size=(batch, vocab)))
+            indicator = (rng.random((batch, vocab)) < 0.4).astype(np.float64)
+            got = bag_loss(constant(s), indicator)
+            want = bag_loss_oracle(s, indicator)
+            np.testing.assert_allclose(got.value, want, rtol=0, atol=1e-12)
 
     def test_worked_example(self):
         p = np.array([[0.5, 0.25, 0.8]])
@@ -151,17 +147,6 @@ class TestBagLoss:
         s = constant(logit(np.array([[0.3, 0.7], [0.2, 0.9]])))
         got = bag_loss(s, np.zeros((2, 2)))
         assert got.value.item() == 0.0
-
-    def test_full_bce_adds_absent_word_term(self):
-        p = np.array([[0.5, 0.25]])
-        indicator = np.array([[1.0, 0.0]])
-        got = bag_loss(constant(logit(p)), indicator, "full-bce")
-        want = -(np.log(0.5) + np.log(0.75))
-        np.testing.assert_allclose(got.value, want, atol=1e-12)
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError, match="variant"):
-            bag_loss(constant(np.ones((1, 1))), np.ones((1, 1)), "focal")
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
@@ -186,7 +171,7 @@ class TestBagLoss:
         indicator = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0]])
 
         def loss_fn(_store):
-            return bag_loss(scores, indicator, "full-bce")
+            return bag_loss(scores, indicator)
 
         report = finite_difference_check(loss_fn, store, step=1e-6, tolerance=1e-6)
         assert report.passed, report.format()
@@ -279,7 +264,7 @@ class TestScoreForms:
             want = word_loss_oracle(scores, targets, mask)
             np.testing.assert_allclose(got.value, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("variant", ["paper", "full-bce"])
+    @pytest.mark.parametrize("variant", ["paper"])
     def test_bag_equals_reference_on_random_cases(self, variant):
         rng = np.random.default_rng(315)
         for _ in range(100):
@@ -287,11 +272,11 @@ class TestScoreForms:
             vocab = int(rng.integers(2, 9))
             scores = logit(rng.uniform(0.05, 0.95, size=(batch, vocab)))
             indicator = (rng.random((batch, vocab)) < 0.4).astype(np.float64)
-            got = bag_loss(constant(scores), indicator, variant)
-            want = bag_loss_oracle(scores, indicator, variant)
+            got = bag_loss(constant(scores), indicator)
+            want = bag_loss_oracle(scores, indicator)
             np.testing.assert_allclose(got.value, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("variant", ["paper", "full-bce"])
+    @pytest.mark.parametrize("variant", ["paper"])
     def test_model_batch_with_padding_matches_reference(self, variant):
         """Gradients on a batch with padded target steps against central
         finite differences, at A1's step and tolerance and, as in A1, at a
@@ -313,15 +298,15 @@ class TestScoreForms:
         def loss_fn(_params):
             forward = model.forward_teacher_forced(batch)
             word = word_loss(forward)
-            bag = bag_loss(forward.bag_scores, batch.bag_indicator, variant)
+            bag = bag_loss(forward.bag_scores, batch.bag_indicator)
             return total_loss(word, bag, 0.5)
 
         report = finite_difference_check(loss_fn, model.params, step=1e-4, tolerance=1e-4)
         assert report.passed, report.format()
 
-    @pytest.mark.parametrize("variant", ["paper", "full-bce"])
+    @pytest.mark.parametrize("variant", ["paper"])
     def test_full_model_finite_differences(self, variant):
-        """A1's model, batch, check point, step and tolerance, for both variants."""
+        """A1's model, batch, check point, step and tolerance."""
         config = ModelConfig(
             src_vocab_size=20, tgt_vocab_size=20, emb_size=8, hidden_size=8,
             enc_layers=1, dec_layers=1, dropout=0.0, generator_input="concat",
@@ -335,7 +320,7 @@ class TestScoreForms:
         def loss_fn(_params):
             forward = model.forward_teacher_forced(batch)
             l_word = word_loss(forward)
-            l_bag = bag_loss(forward.bag_scores, batch.bag_indicator, variant)
+            l_bag = bag_loss(forward.bag_scores, batch.bag_indicator)
             return total_loss(l_word, l_bag, 1.0)
 
         report = finite_difference_check(loss_fn, model.params, step=1e-4, tolerance=1e-4)
@@ -347,16 +332,11 @@ class TestScoreForms:
         ad.backward(score_losses(scores, np.array([[1]]), np.ones((1, 1)))[0])
         assert scores.grad[0, 1] < -0.99
 
-    @pytest.mark.parametrize("variant", ["paper", "full-bce"])
+    @pytest.mark.parametrize("variant", ["paper"])
     def test_bag_gradient_survives_a_score_of_minus_40(self, variant):
         scores = ParameterStore().create("s", np.array([[-40.0, 0.0]]))
-        ad.backward(bag_loss(scores, np.array([[1.0, 0.0]]), variant))
+        ad.backward(bag_loss(scores, np.array([[1.0, 0.0]])))
         assert scores.grad[0, 0] < -0.99
-
-    def test_absent_word_gradient_survives_a_score_of_40(self):
-        scores = ParameterStore().create("s", np.array([[40.0, 0.0]]))
-        ad.backward(bag_loss(scores, np.array([[0.0, 1.0]]), "full-bce"))
-        assert scores.grad[0, 0] > 0.99
 
 
 class TestClipGradients:
