@@ -59,13 +59,13 @@ class ShapeError(ValueError):
 class Node:
     """One value in the computation graph.
 
-    ``grad`` always has the same shape as ``value``; it is allocated, as
-    zeros, the first time it is read, and its first contribution is usually
-    adopted rather than added (``_accumulate``).  Leaves (no parents)
-    accumulate gradients across backward passes until released; an interior
-    node's gradient lives only from its first contribution to the end of its
-    own rule.  ``_backward(node)`` is called with the node itself, so no
-    rule needs to capture its own output.
+    ``grad`` always has the same shape as ``value``.  A node with no
+    gradient reads as a read-only zero view and stores nothing; every rule
+    adds through ``_accumulate``, which adopts the first contribution.
+    Leaves (no parents) accumulate gradients across backward passes until
+    released; an interior node's gradient lives only from its first
+    contribution to the end of its own rule.  ``_backward(node)`` is called
+    with the node itself, so no rule needs to capture its own output.
     """
 
     __slots__ = ("value", "_grad", "parents", "requires_grad", "_backward")
@@ -85,7 +85,7 @@ class Node:
     @property
     def grad(self) -> np.ndarray:
         if self._grad is None:
-            self._grad = np.zeros_like(self.value)
+            return np.broadcast_to(0.0, self.value.shape)
         return self._grad
 
     @grad.setter
@@ -156,9 +156,9 @@ def add(a: Node, b: Node) -> Node:
 
     def backward(out: Node) -> None:
         if a.requires_grad:
-            a.grad += out.grad
+            _accumulate(a, out.grad.copy())
         if b.requires_grad:
-            b.grad += out.grad
+            _accumulate(b, out.grad.copy())
 
     out._backward = backward
     return out
@@ -199,7 +199,7 @@ def sum_all(a: Node) -> Node:
 
     def backward(out: Node) -> None:
         if a.requires_grad:
-            a.grad += out.grad
+            _accumulate(a, np.full(a.value.shape, out.grad))
 
     out._backward = backward
     return out
@@ -225,7 +225,9 @@ def embedding_lookup(table: Node, indices: np.ndarray) -> Node:
 
     def backward(out: Node) -> None:
         if table.requires_grad:
-            np.add.at(table.grad, idx, out.grad)
+            d_table = np.zeros_like(table.value)
+            np.add.at(d_table, idx, out.grad)
+            _accumulate(table, d_table)
 
     out._backward = backward
     return out
@@ -246,7 +248,7 @@ def concat_cols(nodes: Sequence[Node]) -> Node:
     def backward(out: Node) -> None:
         for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
             if n.requires_grad:
-                n.grad += out.grad[:, lo:hi]
+                _accumulate(n, out.grad[:, lo:hi].copy())
 
     out._backward = backward
     return out
@@ -662,6 +664,7 @@ def generator_losses(
         buffer = held.pop() if kept else np.empty((span * batch, vocab))
         row_scale = row_mask * (d_word / batch)
         spread = np.empty((batch, vocab)) if d_bag is not None else None
+        d_x = np.empty_like(xv) if x.requires_grad else None
         d_weight = None
         for index in reversed(range(len(chunks))):
             t0, t1 = chunks[index]
@@ -680,8 +683,8 @@ def generator_losses(
                 for t in range(t0, t1):
                     np.multiply(d_bag, mask[:, t : t + 1], out=spread)
                     e[(t - t0) * batch : (t - t0 + 1) * batch] += spread
-            if x.requires_grad:
-                x.grad[rows] += e @ w.T
+            if d_x is not None:
+                d_x[rows] = e @ w.T
             if weight.requires_grad:
                 if weight._grad is None:
                     weight._grad = xv[rows].T @ e
@@ -693,7 +696,9 @@ def generator_losses(
                     np.matmul(xv[rows].T, e, out=d_weight)
                     weight._grad += d_weight
             if bias.requires_grad:
-                bias.grad += e.sum(axis=0, keepdims=True)
+                _accumulate(bias, e.sum(axis=0, keepdims=True))
+        if d_x is not None:
+            _accumulate(x, d_x)
 
     word_out._backward = backward_word
     bag_out._backward = backward_bag
@@ -784,7 +789,7 @@ def backward(root: Node) -> None:
     for node in order:
         if node.parents:
             node.grad = None
-    root.grad = root.grad + np.ones_like(root.value)
+    _accumulate(root, np.ones_like(root.value))
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node)

@@ -1,10 +1,15 @@
 """Command-line entry point.
 
 Subcommands: gen-toy, build-vocab, train, translate, evaluate, grad-check.
-Tunable options resolve as explicit flag > config file > built-in default;
-config files are flat ``key=value`` lines using the flag spellings (``#``
-starts a comment).  Exit codes: 0 success, 1 usage error, 2 runtime failure
-(missing file, NaN loss, malformed corpus, failed gradient check).
+Each option is declared once, in ``build_parser``, with its default, its
+choices and an argparse type that enforces its rule.  Tunable options
+resolve as explicit flag > config file > declared default; config files are
+flat ``key=value`` lines using the flag spellings (``#`` starts a comment).
+A file may hold any subcommand's keys, each value is checked by its flag's
+own rule, and an error names the file's ``path:line``.  Exit codes: 0
+success, 1 usage error (bad flag or config value, out-of-range or
+inconsistent options), 2 runtime failure (missing file, NaN loss, malformed
+corpus, failed gradient check).
 """
 
 from __future__ import annotations
@@ -54,171 +59,40 @@ class UsageError(ValueError):
     pass
 
 
-DEFAULTS: dict[str, object] = {
-    # schedule / objective
-    "lambda": 1.0,
-    "k": 0.1,
-    "alpha": 0.1,
-    "baseline": False,
-    # model
-    "emb-size": 512,
-    "hidden-size": 512,
-    "enc-layers": 3,
-    "dec-layers": 2,
-    "dropout": 0.2,
-    "generator-input": "context",
-    "vocab-size": 50_000,
-    "max-sent-len": MAX_SENTENCE_LENGTH,
-    # optimization
-    "lr": 0.0003,
-    "clip-norm": 10.0,
-    "batch-size": 64,
-    "epochs": 10,
-    "seed": 0,
-    # decoding
-    "beam-width": 10,
-    "length-exponent": 1.0,
-    "max-length": 0,  # 0 means 2 * source length + 10
-    "n-best": 0,
-    # toy generator
-    "task": "reverse-lexicon",
-    "alphabet-size": 20,
-    "min-len": 5,
-    "max-len": 10,
-    "pairs": 2000,
-    "test-pairs": 200,
-    # vocabulary builder
-    "max-size": 50_000,
-}
+def _checked(kind, rule: str, holds):
+    """An argparse type: a ``kind`` value for which ``holds`` is true."""
 
-CHOICES = {
-    "generator-input": GENERATOR_INPUTS,
-    "task": TOY_TASKS,
-}
+    def parse(raw: str):
+        value = kind(raw)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return value
 
-POSITIVE = ("positive", lambda v: v > 0)
-NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+    # argparse's "invalid int value" and the config file's "is not a int" read it.
+    parse.__name__ = kind.__name__
+    return parse
 
-#: What a numeric option's value must be; the others take any value.
-BOUNDS = {
-    **dict.fromkeys(("emb-size", "hidden-size", "enc-layers", "dec-layers", "vocab-size",
-                     "max-sent-len", "lr", "clip-norm", "batch-size", "epochs", "beam-width",
-                     "alphabet-size", "min-len", "max-len", "pairs"), POSITIVE),
-    **dict.fromkeys(("k", "alpha", "seed", "length-exponent", "max-length", "n-best",
-                     "test-pairs", "max-size"), NON_NEGATIVE),
-    "dropout": ("in [0, 1)", lambda v: 0.0 <= v < 1.0),
-}
+
+positive_int = _checked(int, "positive", lambda v: v > 0)
+positive_float = _checked(float, "positive", lambda v: v > 0)
+non_negative_int = _checked(int, "non-negative", lambda v: v >= 0)
+non_negative_float = _checked(float, "non-negative", lambda v: v >= 0)
+dropout_rate = _checked(float, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
+vocab_size = _checked(int, "at least 5 (4 reserved tokens plus content)", lambda v: v >= 5)
 
 #: Option pairs (low, high) where low's value must not exceed high's.
 ORDERED = (("k", "lambda"), ("dec-layers", "enc-layers"), ("min-len", "max-len"))
 
-#: What grad-check's own options must be; it takes no ``Settings``.
-GRAD_CHECK_BOUNDS = {
-    **dict.fromkeys(("emb-size", "hidden-size", "enc-layers", "dec-layers", "batch-size",
-                     "source-length", "target-length", "step", "tolerance"), POSITIVE),
-    **dict.fromkeys(("src-vocab-size", "tgt-vocab-size"),
-                    ("at least 5 (4 reserved tokens plus content)", lambda v: v >= 5)),
-    "param-scale": NON_NEGATIVE,
-}
-
-
-def _parse_config_value(key: str, raw: str):
-    default = DEFAULTS[key]
-    try:
-        if isinstance(default, bool):
-            lowered = raw.lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ValueError(raw)
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-    except ValueError:
-        raise UsageError(f"config value for {key!r} is not a {type(default).__name__}: {raw!r}")
-    if key in CHOICES and raw not in CHOICES[key]:
-        raise UsageError(f"config value for {key!r} must be one of {CHOICES[key]}, got {raw!r}")
-    return raw
-
-
-def read_config_file(path: str | Path) -> dict[str, object]:
-    try:
-        lines = read_lines(path)
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}")
-    values: dict[str, object] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in DEFAULTS:
-            raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-        values[key] = _parse_config_value(key, value)
-    return values
-
-
-class Settings:
-    """Flag > config file > default resolution for tunable options.  Every
-    option the subcommand takes is checked against ``BOUNDS`` and ``ORDERED``
-    here, so a command that starts from its settings writes nothing first."""
-
-    def __init__(self, args: argparse.Namespace) -> None:
-        self._args = vars(args)
-        config = self._args.get("config")
-        self._file = read_config_file(config) if config else {}
-        taken = [key for key in DEFAULTS if key.replace("-", "_") in self._args]
-        for key in taken:
-            rule, holds = BOUNDS.get(key, (None, None))
-            if holds and not holds(self.get(key)):
-                raise UsageError(f"--{key} must be {rule}, got {self.get(key)!r}")
-        for low, high in ORDERED:
-            if low in taken and self.get(low) > self.get(high):
-                raise UsageError(
-                    f"--{low} ({self.get(low)!r}) must not exceed --{high} ({self.get(high)!r})")
-
-    def get(self, key: str):
-        explicit = self._args.get(key.replace("-", "_"))
-        if explicit is not None:
-            return explicit
-        if key in self._file:
-            return self._file[key]
-        return DEFAULTS[key]
-
 
 class CliParser(argparse.ArgumentParser):
-    """argparse reports usage problems with exit code 1, not its default 2."""
+    """argparse reports usage problems with exit code 1, not its default 2.
+    ``build_parser`` sets ``commands``, the subcommand parsers by name."""
+
+    commands: dict[str, "CliParser"]
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _flag(parser: argparse.ArgumentParser, name: str, kind, helptext: str) -> None:
-    if kind is bool:
-        parser.add_argument(name, action="store_const", const=True, default=None, help=helptext)
-    else:
-        key = name.lstrip("-")
-        parser.add_argument(
-            name, type=kind, default=None, choices=CHOICES.get(key), help=helptext
-        )
-
-
-def _add_config_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key=value options file (flags still win)")
-
-
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    _flag(parser, "--emb-size", int, "embedding width")
-    _flag(parser, "--hidden-size", int, "LSTM state width")
-    _flag(parser, "--enc-layers", int, "encoder depth")
-    _flag(parser, "--dec-layers", int, "decoder depth")
-    _flag(parser, "--dropout", float, "dropout rate between layers and on embeddings")
-    _flag(parser, "--generator-input", str, "generator consumes context or [state; context]")
 
 
 def build_parser() -> CliParser:
@@ -226,28 +100,33 @@ def build_parser() -> CliParser:
     sub = parser.add_subparsers(
         dest="command", required=True, metavar="command", parser_class=CliParser
     )
+    config_help = "flat key=value options file (flags still win)"
 
     p = sub.add_parser("gen-toy", help="write a synthetic parallel corpus")
-    _add_config_flag(p)
+    p.add_argument("--config", help=config_help)
     p.add_argument("--out", required=True, help="output path prefix")
-    _flag(p, "--task", str, "copy, reverse, or reverse-lexicon")
-    _flag(p, "--alphabet-size", int, "distinct source tokens")
-    _flag(p, "--min-len", int, "minimum sentence length")
-    _flag(p, "--max-len", int, "maximum sentence length")
-    _flag(p, "--pairs", int, "training pairs")
-    _flag(p, "--test-pairs", int, "held-out pairs (0 for none)")
-    _flag(p, "--seed", int, "generator seed")
+    p.add_argument("--task", default="reverse-lexicon", choices=TOY_TASKS,
+                   help="copy, reverse, or reverse-lexicon")
+    p.add_argument("--alphabet-size", type=positive_int, default=20,
+                   help="distinct source tokens")
+    p.add_argument("--min-len", type=positive_int, default=5, help="minimum sentence length")
+    p.add_argument("--max-len", type=positive_int, default=10, help="maximum sentence length")
+    p.add_argument("--pairs", type=positive_int, default=2000, help="training pairs")
+    p.add_argument("--test-pairs", type=non_negative_int, default=200,
+                   help="held-out pairs (0 for none)")
+    p.add_argument("--seed", type=non_negative_int, default=0, help="generator seed")
     p.set_defaults(func=cmd_gen_toy)
 
     p = sub.add_parser("build-vocab", help="frequency-ranked vocabulary")
-    _add_config_flag(p)
+    p.add_argument("--config", help=config_help)
     p.add_argument("--corpus", action="append", required=True, help="corpus file (repeatable)")
     p.add_argument("--out", required=True, help="vocabulary output path")
-    _flag(p, "--max-size", int, "maximum regular tokens kept")
+    p.add_argument("--max-size", type=non_negative_int, default=50_000,
+                   help="maximum regular tokens kept")
     p.set_defaults(func=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train a model")
-    _add_config_flag(p)
+    p.add_argument("--config", help=config_help)
     p.add_argument("--train-src", required=True)
     p.add_argument("--train-tgt", required=True)
     p.add_argument("--valid-src")
@@ -256,32 +135,47 @@ def build_parser() -> CliParser:
     p.add_argument("--tgt-vocab", help="vocabulary path (built from the corpus when absent)")
     p.add_argument("--ckpt-dir", required=True, help="checkpoint output directory")
     p.add_argument("--log-file", help="metrics log path (default: <ckpt-dir>/metrics.log)")
-    _add_model_flags(p)
-    _flag(p, "--lambda", float, "bag-weight cap")
-    _flag(p, "--k", float, "bag-weight starting value")
-    _flag(p, "--alpha", float, "bag-weight per-epoch increment")
-    _flag(p, "--baseline", bool, "train without the bag objective")
-    _flag(p, "--vocab-size", int, "cap when building vocabularies here")
-    _flag(p, "--max-sent-len", int, "drop training pairs longer than this")
-    _flag(p, "--lr", float, "Adam learning rate")
-    _flag(p, "--clip-norm", float, "global gradient L2 cap")
-    _flag(p, "--batch-size", int, "examples per update")
-    _flag(p, "--epochs", int, "training epochs")
-    _flag(p, "--seed", int, "master seed (init, shuffling, dropout)")
+    p.add_argument("--emb-size", type=positive_int, default=512, help="embedding width")
+    p.add_argument("--hidden-size", type=positive_int, default=512, help="LSTM state width")
+    p.add_argument("--enc-layers", type=positive_int, default=3, help="encoder depth")
+    p.add_argument("--dec-layers", type=positive_int, default=2, help="decoder depth")
+    p.add_argument("--dropout", type=dropout_rate, default=0.2,
+                   help="dropout rate between layers and on embeddings")
+    p.add_argument("--generator-input", default="context", choices=GENERATOR_INPUTS,
+                   help="generator consumes context or [state; context]")
+    p.add_argument("--lambda", type=float, default=1.0, help="bag-weight cap")
+    p.add_argument("--k", type=non_negative_float, default=0.1, help="bag-weight starting value")
+    p.add_argument("--alpha", type=non_negative_float, default=0.1,
+                   help="bag-weight per-epoch increment")
+    p.add_argument("--baseline", action="store_true", help="train without the bag objective")
+    p.add_argument("--vocab-size", type=positive_int, default=50_000,
+                   help="cap when building vocabularies here")
+    p.add_argument("--max-sent-len", type=positive_int, default=MAX_SENTENCE_LENGTH,
+                   help="drop training pairs longer than this")
+    p.add_argument("--lr", type=positive_float, default=0.0003, help="Adam learning rate")
+    p.add_argument("--clip-norm", type=positive_float, default=10.0,
+                   help="global gradient L2 cap")
+    p.add_argument("--batch-size", type=positive_int, default=64, help="examples per update")
+    p.add_argument("--epochs", type=positive_int, default=10, help="training epochs")
+    p.add_argument("--seed", type=non_negative_int, default=0,
+                   help="master seed (init, shuffling, dropout)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("translate", help="decode a corpus")
-    _add_config_flag(p)
+    p.add_argument("--config", help=config_help)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--src-vocab", required=True)
     p.add_argument("--tgt-vocab", required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--output", help="hypothesis file (default: stdout)")
     p.add_argument("--n-best-file", help="where to write the n-best list")
-    _flag(p, "--beam-width", int, "beam size")
-    _flag(p, "--length-exponent", float, "length-normalization exponent (0: raw log-likelihood)")
-    _flag(p, "--max-length", int, "decode cap in tokens (0: 2*source+10)")
-    _flag(p, "--n-best", int, "hypotheses per sentence in the n-best file")
+    p.add_argument("--beam-width", type=positive_int, default=10, help="beam size")
+    p.add_argument("--length-exponent", type=non_negative_float, default=1.0,
+                   help="length-normalization exponent (0: raw log-likelihood)")
+    p.add_argument("--max-length", type=non_negative_int, default=0,
+                   help="decode cap in tokens (0: 2*source+10)")
+    p.add_argument("--n-best", type=non_negative_int, default=0,
+                   help="hypotheses per sentence in the n-best file")
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("evaluate", help="score hypotheses against references")
@@ -293,20 +187,20 @@ def build_parser() -> CliParser:
         "grad-check", help="finite-difference check on a tiny model"
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--src-vocab-size", type=int, default=20)
-    p.add_argument("--tgt-vocab-size", type=int, default=20)
-    p.add_argument("--emb-size", type=int, default=8)
-    p.add_argument("--hidden-size", type=int, default=8)
-    p.add_argument("--enc-layers", type=int, default=1)
-    p.add_argument("--dec-layers", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=2)
-    p.add_argument("--source-length", type=int, default=3)
-    p.add_argument("--target-length", type=int, default=4)
-    p.add_argument("--step", type=float, default=1e-4)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--src-vocab-size", type=vocab_size, default=20)
+    p.add_argument("--tgt-vocab-size", type=vocab_size, default=20)
+    p.add_argument("--emb-size", type=positive_int, default=8)
+    p.add_argument("--hidden-size", type=positive_int, default=8)
+    p.add_argument("--enc-layers", type=positive_int, default=1)
+    p.add_argument("--dec-layers", type=positive_int, default=1)
+    p.add_argument("--batch-size", type=positive_int, default=2)
+    p.add_argument("--source-length", type=positive_int, default=3)
+    p.add_argument("--target-length", type=positive_int, default=4)
+    p.add_argument("--step", type=positive_float, default=1e-4)
+    p.add_argument("--tolerance", type=positive_float, default=1e-4)
     p.add_argument(
         "--param-scale",
-        type=float,
+        type=non_negative_float,
         default=1.0,
         help="redraw parameters as uniform(-scale, scale) so no gradient entry sits in "
         "finite-difference noise; 0 keeps the standard training initialization",
@@ -320,7 +214,83 @@ def build_parser() -> CliParser:
     )
     p.set_defaults(func=cmd_grad_check)
 
+    parser.commands = sub.choices
     return parser
+
+
+def config_options() -> dict[str, argparse.Action]:
+    """The options a config file may set, by flag spelling: every option
+    with a default of a subcommand that takes ``--config``."""
+    options: dict[str, argparse.Action] = {}
+    for command in build_parser().commands.values():
+        actions = command._actions
+        if any(action.dest == "config" for action in actions):
+            options.update((action.option_strings[0][2:], action) for action in actions
+                           if action.default not in (None, argparse.SUPPRESS))
+    return options
+
+
+def _config_value(action: argparse.Action, raw: str):
+    """``raw`` parsed and checked as the option's flag value would be."""
+    if action.nargs == 0:  # a switch such as --baseline
+        lowered = raw.lower()
+        if lowered in ("true", "yes", "1"):
+            return True
+        if lowered in ("false", "no", "0"):
+            return False
+        raise ValueError(f"is not a bool: {raw!r}")
+    kind = action.type or str
+    try:
+        value = kind(raw)
+    except ValueError:
+        raise ValueError(f"is not a {kind.__name__}: {raw!r}")
+    if action.choices and value not in action.choices:
+        raise ValueError(f"must be one of {action.choices}, got {raw!r}")
+    return value
+
+
+def read_config_file(path: str | Path) -> dict[str, object]:
+    """The file's values by key; any subcommand's option may appear, and
+    each value is checked by that option's own rule."""
+    options = config_options()
+    try:
+        lines = read_lines(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}")
+    values: dict[str, object] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in options:
+            raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
+        try:
+            values[key] = _config_value(options[key], value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"{path}:{lineno}: config value for {key!r} {exc}")
+    return values
+
+
+def _parse_args(parser: CliParser, argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv`` as explicit flag > config file > declared default, then
+    check ``ORDERED``.  The file's values for the subcommand's own options
+    become its defaults for a second parse, so the flags still win."""
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        command = parser.commands[args.command]
+        values = {key.replace("-", "_"): value
+                  for key, value in read_config_file(args.config).items()}
+        command.set_defaults(**{dest: value for dest, value in values.items()
+                                if command.get_default(dest) is not None})
+        args = parser.parse_args(argv)
+    for low, high in ORDERED:
+        low_value, high_value = (getattr(args, key.replace("-", "_"), None) for key in (low, high))
+        if low_value is not None and low_value > high_value:
+            raise UsageError(f"--{low} ({low_value!r}) must not exceed --{high} ({high_value!r})")
+    return args
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +299,14 @@ def build_parser() -> CliParser:
 
 
 def cmd_gen_toy(args: argparse.Namespace) -> int:
-    s = Settings(args)
     spec = ToyTaskSpec(
-        task=s.get("task"),
-        alphabet_size=s.get("alphabet-size"),
-        min_length=s.get("min-len"),
-        max_length=s.get("max-len"),
-        pairs=s.get("pairs"),
-        test_pairs=s.get("test-pairs"),
-        seed=s.get("seed"),
+        task=args.task,
+        alphabet_size=args.alphabet_size,
+        min_length=args.min_len,
+        max_length=args.max_len,
+        pairs=args.pairs,
+        test_pairs=args.test_pairs,
+        seed=args.seed,
     )
     paths = generate_toy_corpus(spec, args.out)
     for role, path in paths.items():
@@ -346,11 +315,10 @@ def cmd_gen_toy(args: argparse.Namespace) -> int:
 
 
 def cmd_build_vocab(args: argparse.Namespace) -> int:
-    s = Settings(args)
     sentences = []
     for path in args.corpus:
         sentences.extend(read_corpus(path))
-    vocab = build_vocab(sentences, s.get("max-size"))
+    vocab = build_vocab(sentences, args.max_size)
     vocab.save(args.out)
     print(f"wrote {len(vocab)} entries (4 reserved) to {args.out}")
     return 0
@@ -369,7 +337,6 @@ def _load_or_build_vocab(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    s = Settings(args)
     if bool(args.valid_src) != bool(args.valid_tgt):
         raise UsageError("--valid-src and --valid-tgt must be given together")
     if args.valid_src:
@@ -381,15 +348,14 @@ def cmd_train(args: argparse.Namespace) -> int:
                              "with two non-blank sides")
     ckpt_dir = Path(args.ckpt_dir)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    max_size = s.get("vocab-size")
+    max_size = args.vocab_size
     src_vocab = _load_or_build_vocab(args.src_vocab, args.train_src, max_size, ckpt_dir / "src.vocab")
     tgt_vocab = _load_or_build_vocab(args.tgt_vocab, args.train_tgt, max_size, ckpt_dir / "tgt.vocab")
 
-    max_length = s.get("max-sent-len")
     lines = read_parallel(args.train_src, args.train_tgt)
-    pairs = encode_pairs(lines, src_vocab, tgt_vocab, max_length)
+    pairs = encode_pairs(lines, src_vocab, tgt_vocab, args.max_sent_len)
     print(f"dropped {len(lines) - len(pairs)} of {len(lines)} training pairs longer than "
-          f"{max_length} tokens or with a blank side")
+          f"{args.max_sent_len} tokens or with a blank side")
     if not pairs:
         raise ValueError("training corpus is empty after length filtering")
 
@@ -401,19 +367,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = ModelConfig(
         src_vocab_size=len(src_vocab),
         tgt_vocab_size=len(tgt_vocab),
-        emb_size=s.get("emb-size"),
-        hidden_size=s.get("hidden-size"),
-        enc_layers=s.get("enc-layers"),
-        dec_layers=s.get("dec-layers"),
-        dropout=s.get("dropout"),
-        generator_input=s.get("generator-input"),
+        emb_size=args.emb_size,
+        hidden_size=args.hidden_size,
+        enc_layers=args.enc_layers,
+        dec_layers=args.dec_layers,
+        dropout=args.dropout,
+        generator_input=args.generator_input,
     )
-    if s.get("baseline"):
+    if args.baseline:
         schedule = ScheduleParams.baseline()
     else:
-        schedule = ScheduleParams(cap=s.get("lambda"), start=s.get("k"), slope=s.get("alpha"))
+        schedule = ScheduleParams(cap=getattr(args, "lambda"), start=args.k, slope=args.alpha)
 
-    rng = np.random.default_rng(s.get("seed"))
+    rng = np.random.default_rng(args.seed)
     model = Seq2SeqModel(config, init_rng=rng)
     log_path = Path(args.log_file) if args.log_file else ckpt_dir / "metrics.log"
     history = train_model(
@@ -421,10 +387,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         pairs,
         schedule,
         rng,
-        epochs=s.get("epochs"),
-        batch_size=s.get("batch-size"),
-        lr=s.get("lr"),
-        clip_norm=s.get("clip-norm"),
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        lr=args.lr,
+        clip_norm=args.clip_norm,
         validation=validation,
         checkpoint_dir=ckpt_dir,
         log_path=log_path,
@@ -437,7 +403,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_translate(args: argparse.Namespace) -> int:
-    s = Settings(args)
     model = load_checkpoint(args.checkpoint)
     src_vocab = Vocab.load(args.src_vocab)
     tgt_vocab = Vocab.load(args.tgt_vocab)
@@ -446,13 +411,12 @@ def cmd_translate(args: argparse.Namespace) -> int:
             f"vocabulary sizes {len(src_vocab)}/{len(tgt_vocab)} do not match the checkpoint "
             f"({model.config.src_vocab_size}/{model.config.tgt_vocab_size})"
         )
-    n_best = s.get("n-best")
-    if n_best and not args.n_best_file:
+    if args.n_best and not args.n_best_file:
         raise UsageError("--n-best needs --n-best-file")
     config = BeamConfig(
-        width=s.get("beam-width"),
-        max_length=s.get("max-length") or None,
-        length_exponent=s.get("length-exponent"),
+        width=args.beam_width,
+        max_length=args.max_length or None,
+        length_exponent=args.length_exponent,
     )
 
     lines = read_lines(args.input)
@@ -465,7 +429,7 @@ def cmd_translate(args: argparse.Namespace) -> int:
             continue
         ranked = beam_search(model, src_vocab.encode(tokens), config)
         outputs.append(" ".join(tgt_vocab.decode(ranked[0].tokens)))
-        for hyp in ranked[: n_best or 0]:
+        for hyp in ranked[: args.n_best]:
             score = normalized_score(hyp, config.length_exponent)
             nbest_lines.append(f"{index} ||| {score:.6f} ||| {' '.join(tgt_vocab.decode(hyp.tokens))}")
 
@@ -491,13 +455,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_grad_check(args: argparse.Namespace) -> int:
-    for key, (rule, holds) in GRAD_CHECK_BOUNDS.items():
-        value = getattr(args, key.replace("-", "_"))
-        if not holds(value):
-            raise UsageError(f"--{key} must be {rule}, got {value!r}")
-    if args.dec_layers > args.enc_layers:
-        raise UsageError(f"--dec-layers ({args.dec_layers!r}) must not exceed --enc-layers "
-                         f"({args.enc_layers!r})")
     config = ModelConfig(
         src_vocab_size=args.src_vocab_size,
         tgt_vocab_size=args.tgt_vocab_size,
@@ -546,13 +503,11 @@ def _random_batch(rng, batch_size, src_len, tgt_len, src_vocab_size, tgt_vocab_s
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(build_parser(), argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -128,7 +128,8 @@ def clip_gradients(store: ParameterStore, max_norm: float = 10.0) -> float:
         return 1.0
     factor = max_norm / norm
     for _, node in store.items():
-        node.grad *= factor
+        if node._grad is not None:  # a missing gradient reads as read-only zeros
+            node._grad *= factor
     return factor
 
 

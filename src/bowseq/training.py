@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .data import Batch, ExamplePair, Vocab, make_batches
-from .inference import greedy_decode_batch
+from .inference import _check_source, greedy_decode_batch
 from .metrics import bag_overlap, corpus_bleu
 from .model import Seq2SeqModel, save_checkpoint
 from .objectives import (
@@ -71,6 +71,21 @@ class EpochStats:
             f"{self.bag_loss:.10g}\t{self.total_loss:.10g}\t{self.wall_seconds:.3f}\t"
             f"{bleu}\t{f1}\n"
         )
+
+
+def _check_validation(model: Seq2SeqModel, val: ValidationSet) -> None:
+    """What ``_validate`` needs of the set, checked before the first epoch
+    trains rather than after it."""
+    if not val.sources:
+        raise ValueError("validation set has no sentence")
+    if len(val.references) != len(val.sources):
+        raise ValueError(f"validation set has {len(val.sources)} sources but "
+                         f"{len(val.references)} references")
+    if len(val.vocab) != model.config.tgt_vocab_size:
+        raise ValueError(f"validation vocabulary has {len(val.vocab)} entries, the model's "
+                         f"target vocabulary {model.config.tgt_vocab_size}")
+    for source in val.sources:
+        _check_source(model, source)
 
 
 def _validate(model: Seq2SeqModel, val: ValidationSet) -> tuple[float, float]:
@@ -149,6 +164,8 @@ def train_model(
         raise ValueError(f"clip_norm must be positive, got {clip_norm}")
     if not pairs:
         raise ValueError("no training pairs")
+    if validation is not None:
+        _check_validation(model, validation)
     ckpt_dir = None
     if checkpoint_dir is not None:
         ckpt_dir = Path(checkpoint_dir)

@@ -218,7 +218,7 @@ class TestBackwardRules:
 
     def _check(self, build, params, step=1e-6, tol=1e-7):
         for p in params:
-            p.grad[...] = 0.0
+            p.grad = None
         root = build()
         backward(root)
         for p in params:
@@ -500,7 +500,7 @@ class TestBackwardSemantics:
         root = ad.bag_nll(a, np.array([[1.0, 0.0], [0.0, 1.0]]))
         backward(root)
         base = a.grad.copy()
-        a.grad[...] = 0.0
+        a.grad = None
         backward(ad.scale(root, 3.5))
         np.testing.assert_allclose(a.grad, 3.5 * base, rtol=0, atol=1e-12)
 
@@ -509,10 +509,10 @@ class TestBackwardSemantics:
         r1, r2 = ad.sum_all(ad.mul(a, a)), ad.bag_nll(a, np.array([[1.0, 1.0]]))
         backward(r1)
         g1 = a.grad.copy()
-        a.grad[...] = 0.0
+        a.grad = None
         backward(r2)
         g2 = a.grad.copy()
-        a.grad[...] = 0.0
+        a.grad = None
         backward(r1)
         backward(r2)
         np.testing.assert_allclose(a.grad, g1 + g2, atol=1e-15)
@@ -661,6 +661,16 @@ class TestParameterStore:
         store.zero_gradients()
         assert all(node._grad is None for _, node in store.items())
         np.testing.assert_array_equal(w.grad, np.zeros((2, 2)))
+
+    def test_reading_a_missing_gradient_stores_nothing(self):
+        """Before backward a gradient reads as a read-only zero view of the
+        value's shape and size, so a walk that reads every node's gradient
+        allocates none."""
+        w = parameter(np.ones((3, 4)))
+        g = w.grad
+        assert w._grad is None and not g.flags.writeable
+        assert g.shape == (3, 4) and g.nbytes == w.value.nbytes
+        np.testing.assert_array_equal(g, 0.0)
 
 
 class TestFiniteDifferenceHarness:

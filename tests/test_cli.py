@@ -1,11 +1,13 @@
 """Command-line tests: the full corpus -> vocab -> train -> translate ->
 evaluate pipeline through ``main``, option precedence, and exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
 from bowseq import cli
-from bowseq.cli import BOUNDS, CHOICES, DEFAULTS, ORDERED, Settings, main, read_config_file
+from bowseq.cli import ORDERED, main, read_config_file
 from bowseq.data import Vocab
 
 
@@ -371,25 +373,143 @@ class TestConfigFile:
         ])
         assert rc == 1
 
-    def test_option_tables_agree(self, monkeypatch):
-        """Every tunable flag has a default and every default a flag, so no
-        config key is accepted that no command reads; choices, bounds and
-        orderings name only such options."""
-        flags = set()
-        real_flag = cli._flag
+    def test_option_tables_agree(self):
+        """Every config key is an option that a subcommand taking --config
+        reads, declared with one rule wherever it appears, so no key is
+        accepted that no command reads; ORDERED pairs name options that one
+        subcommand declares together."""
+        commands = cli.build_parser().commands
+        options = cli.config_options()
+        assert set(options) == {key for command in CONFIG_COMMANDS
+                                for key in OPTION_DEFAULTS[command][1]}
+        for key, action in options.items():
+            readers = [commands[c] for c in CONFIG_COMMANDS if f"--{key}" in HELP_FLAGS[c]]
+            assert readers, key
+            for reader in readers:
+                (declared,) = (a for a in reader._actions if a.dest == action.dest)
+                assert (declared.type, declared.default, declared.choices, declared.nargs) == (
+                    action.type, action.default, action.choices, action.nargs), key
+        for low, high in ORDERED:
+            assert any({f"--{low}", f"--{high}"} <= flags for flags in HELP_FLAGS.values())
 
-        def recording_flag(parser, name, kind, helptext):
-            flags.add(name.lstrip("-"))
-            real_flag(parser, name, kind, helptext)
+    def test_settings_fall_back_to_defaults(self, tmp_path):
+        """Options that neither a flag nor the config file sets take their
+        defaults: 200 test pairs of 5 to 10 tokens."""
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("pairs = 7\n")
+        assert main(["gen-toy", "--config", str(cfg), "--out", str(tmp_path / "toy")]) == 0
+        assert len((tmp_path / "toy.src").read_text().splitlines()) == 7
+        test_src = (tmp_path / "toy.test.src").read_text().splitlines()
+        assert len(test_src) == 200
+        assert all(5 <= len(line.split()) <= 10 for line in test_src)
 
-        monkeypatch.setattr(cli, "_flag", recording_flag)
-        cli.build_parser()
-        assert flags == set(DEFAULTS)
-        assert set(CHOICES) | set(BOUNDS) | {key for pair in ORDERED for key in pair} <= flags
+    def test_one_file_serves_train_and_translate(self, workspace, tmp_path):
+        """A file may hold any subcommand's keys; each command reads its own."""
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("emb-size = 8\nhidden-size = 8\nenc-layers = 1\ndec-layers = 1\n"
+                       "epochs = 1\nbatch-size = 8\nbeam-width = 2\nn-best = 2\n")
+        vocabs = ["--src-vocab", str(workspace / "src.vocab"),
+                  "--tgt-vocab", str(workspace / "tgt.vocab")]
+        run = tmp_path / "run"
+        assert main([
+            "train", "--config", str(cfg),
+            "--train-src", str(workspace / "toy.src"), "--train-tgt", str(workspace / "toy.tgt"),
+            *vocabs,
+            "--ckpt-dir", str(run),
+        ]) == 0
+        log = (run / "metrics.log").read_text().splitlines()
+        assert len([row for row in log if not row.startswith("#")]) == 1
+        nbest = tmp_path / "nbest.txt"
+        assert main([
+            "translate", "--config", str(cfg), "--checkpoint", str(run / "final.ckpt"),
+            *vocabs,
+            "--input", str(workspace / "toy.test.src"), "--output", str(tmp_path / "hyp.txt"),
+            "--n-best-file", str(nbest),
+        ]) == 0
+        assert len(nbest.read_text().splitlines()) == 16
 
-    def test_settings_fall_back_to_defaults(self):
-        import argparse
+    @pytest.mark.parametrize("command, line", [
+        ("train", "lr = -1"), ("train", "dropout = 1.5"), ("gen-toy", "lr = -1"),
+    ])
+    def test_out_of_range_value_in_file_is_a_usage_error(self, workspace, tmp_path, capsys,
+                                                          command, line):
+        """A value is checked by its option's rule whichever subcommand
+        reads the file, and the error names the key at path:line before
+        anything is written."""
+        cfg = tmp_path / "opts.cfg"
+        cfg.write_text(f"# tuned\n{line}\n")
+        out = tmp_path / "out"
+        required = {
+            "train": ["--train-src", str(workspace / "toy.src"),
+                      "--train-tgt", str(workspace / "toy.tgt"), "--ckpt-dir", str(out)],
+            "gen-toy": ["--out", str(out / "toy")],
+        }[command]
+        assert main([command, "--config", str(cfg), *required]) == 1
+        key = line.split(" ")[0]
+        assert f"{cfg}:2: config value for {key!r} must be" in capsys.readouterr().err
+        assert not out.exists()
 
-        settings = Settings(argparse.Namespace(config=None))
-        assert settings.get("beam-width") == DEFAULTS["beam-width"]
-        assert settings.get("lambda") == 1.0
+
+#: The parent's option surface: for each subcommand, the flags its required
+#: arguments need and the default of every tunable option.
+OPTION_DEFAULTS = {
+    "gen-toy": (["--out", "x"], {
+        "task": "reverse-lexicon", "alphabet-size": 20, "min-len": 5, "max-len": 10,
+        "pairs": 2000, "test-pairs": 200, "seed": 0,
+    }),
+    "build-vocab": (["--corpus", "c", "--out", "v"], {"max-size": 50_000}),
+    "train": (["--train-src", "s", "--train-tgt", "t", "--ckpt-dir", "d"], {
+        "lambda": 1.0, "k": 0.1, "alpha": 0.1, "baseline": False,
+        "emb-size": 512, "hidden-size": 512, "enc-layers": 3, "dec-layers": 2,
+        "dropout": 0.2, "generator-input": "context", "vocab-size": 50_000,
+        "max-sent-len": 50, "lr": 0.0003, "clip-norm": 10.0, "batch-size": 64,
+        "epochs": 10, "seed": 0,
+    }),
+    "translate": (["--checkpoint", "c", "--src-vocab", "s", "--tgt-vocab", "t", "--input", "i"], {
+        "beam-width": 10, "length-exponent": 1.0, "max-length": 0, "n-best": 0,
+    }),
+    "evaluate": (["h", "r"], {}),
+    "grad-check": ([], {
+        "seed": 0, "src-vocab-size": 20, "tgt-vocab-size": 20, "emb-size": 8,
+        "hidden-size": 8, "enc-layers": 1, "dec-layers": 1, "batch-size": 2,
+        "source-length": 3, "target-length": 4, "step": 1e-4, "tolerance": 1e-4,
+        "param-scale": 1.0, "generator-input": "concat",
+    }),
+}
+
+CONFIG_COMMANDS = ("gen-toy", "build-vocab", "train", "translate")
+
+#: Every flag each subcommand's --help lists at the parent.
+HELP_FLAGS = {
+    "gen-toy": {"--alphabet-size", "--config", "--help", "--max-len", "--min-len", "--out",
+                "--pairs", "--seed", "--task", "--test-pairs"},
+    "build-vocab": {"--config", "--corpus", "--help", "--max-size", "--out"},
+    "train": {"--alpha", "--baseline", "--batch-size", "--ckpt-dir", "--clip-norm", "--config",
+              "--dec-layers", "--dropout", "--emb-size", "--enc-layers", "--epochs",
+              "--generator-input", "--help", "--hidden-size", "--k", "--lambda", "--log-file",
+              "--lr", "--max-sent-len", "--seed", "--src-vocab", "--tgt-vocab", "--train-src",
+              "--train-tgt", "--valid-src", "--valid-tgt", "--vocab-size"},
+    "translate": {"--beam-width", "--checkpoint", "--config", "--help", "--input",
+                  "--length-exponent", "--max-length", "--n-best", "--n-best-file", "--output",
+                  "--src-vocab", "--tgt-vocab"},
+    "evaluate": {"--help"},
+    "grad-check": {"--batch-size", "--dec-layers", "--emb-size", "--enc-layers",
+                   "--generator-input", "--help", "--hidden-size", "--param-scale", "--seed",
+                   "--source-length", "--src-vocab-size", "--step", "--target-length",
+                   "--tgt-vocab-size", "--tolerance"},
+}
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("command", sorted(OPTION_DEFAULTS))
+    def test_defaults(self, command):
+        required, defaults = OPTION_DEFAULTS[command]
+        args = vars(cli.build_parser().parse_args([command, *required]))
+        got = {key: args[key.replace("-", "_")] for key in defaults}
+        assert {k: (v, type(v)) for k, v in got.items()} == {
+            k: (v, type(v)) for k, v in defaults.items()}
+
+    @pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+    def test_help_lists_the_flags(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == HELP_FLAGS[command]

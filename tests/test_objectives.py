@@ -390,6 +390,13 @@ class TestClipGradients:
         assert clip_gradients(store, max_norm=1.0) == 1.0
         assert np.all(np.isfinite(store["p0"].grad))
 
+    def test_missing_gradient_stays_missing(self):
+        store = self._store_with_grads([np.full((2, 2), 100.0)])
+        store.create("unused", np.zeros((3, 3)))
+        factor = clip_gradients(store, max_norm=1.0)
+        np.testing.assert_allclose(store["p0"].grad, np.full((2, 2), 100.0 * factor))
+        assert store["unused"]._grad is None
+
     def test_invalid_max_norm_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             clip_gradients(ParameterStore(), max_norm=0.0)

@@ -265,6 +265,31 @@ class TestTrainModel:
                         log_path=log_path, **{option: value})
         assert not log_path.exists()
 
+    @pytest.mark.parametrize("sources, references, vocab_size", [
+        ([], [], 16),
+        ([[4, 5], [6]], [["t0"]], 16),
+        ([[4, 5], []], [["t0"], ["t1"]], 16),
+        ([[4, 5], [6, 16]], [["t0"], ["t1"]], 16),
+        ([[4, 5], [6]], [["t0"], ["t1"]], 12),
+    ], ids=["empty", "fewer-references", "empty-source", "source-outside-vocab",
+            "vocab-size"])
+    def test_bad_validation_set_rejected_before_training(self, tmp_path, monkeypatch,
+                                                         sources, references, vocab_size):
+        """A validation set the first epoch's end could not score fails
+        before any batch trains or any file is written."""
+        model, pairs, rng = tiny_setup()
+
+        def train_batch(*args):
+            raise AssertionError("a batch trained before the check")
+
+        monkeypatch.setattr(training, "_train_batch", train_batch)
+        val = ValidationSet(sources, references, Vocab([f"t{i}" for i in range(vocab_size - 4)]))
+        with pytest.raises(ValueError):
+            train_model(model, pairs, ScheduleParams(), rng, epochs=1, batch_size=4,
+                        validation=val, checkpoint_dir=tmp_path / "ckpt",
+                        log_path=tmp_path / "m.log")
+        assert list(tmp_path.iterdir()) == []
+
     def test_gradients_are_released_before_the_forward_pass(self, monkeypatch):
         """No parameter holds the previous batch's gradient while the next
         batch's activations are built."""
