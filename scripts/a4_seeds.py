@@ -10,7 +10,10 @@ the model seed varies; seed 7 is the test's own, so its row must read the
 test's figures.
 
 The runs go two at a time, each in a child process with
-``OPENBLAS_NUM_THREADS=1``, which gives the same bits as two BLAS threads.
+``OPENBLAS_NUM_THREADS=1``; bowseq sets OpenBLAS to one thread itself on
+first use anyway, and at these shapes splits only the validation set's
+encoder products over a second thread.  Bits do not depend on the thread
+count (README, Threads).
 The JSON holds, per seed and arm, the beam-10 test BLEU and, per epoch, the
 greedy validation BLEU, the mean bag loss and the fraction of batches whose
 gradient was clipped.  Apart from the ``wall_s`` fields, two runs write

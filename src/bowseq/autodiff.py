@@ -45,6 +45,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import parallel
+
 
 class ShapeError(ValueError):
     """Operand shapes violate a primitive's conformance rule."""
@@ -134,13 +136,13 @@ def affine(x: Node, w: Node, bias: Node) -> Node:
         or bias.value.shape != (1, w.value.shape[1])
     ):
         raise ShapeError("affine", x.value.shape, w.value.shape, bias.value.shape)
-    out = Node(x.value @ w.value + bias.value, parents=(x, w, bias))
+    out = Node(parallel.matmul(x.value, w.value, bias=bias.value), parents=(x, w, bias))
 
     def backward(out: Node) -> None:
         if x.requires_grad:
-            _accumulate(x, out.grad @ w.value.T)
+            _accumulate(x, parallel.matmul(out.grad, w.value.T))
         if w.requires_grad:
-            _accumulate(w, x.value.T @ out.grad)
+            _accumulate(w, parallel.matmul(x.value.T, out.grad))
         if bias.requires_grad:
             _accumulate(bias, out.grad.sum(axis=0, keepdims=True))
 
@@ -371,7 +373,7 @@ def lstm_scan(
             np.multiply(dc_t, i_all[t], out=dz[:, 2 * hs : 3 * hs])
             np.multiply(dh, tanh_c_all[t], out=dz[:, 3 * hs :])
             dz *= slope[t]
-            dh_prev, dc_prev = dz @ w.T, dc_t * f_all[t]
+            dh_prev, dc_prev = parallel.matmul(dz, w.T), dc_t * f_all[t]
             if drop is not None:
                 # Padded rows hand their gradient straight to the previous
                 # state.  That is the sum of the carry and the step's own
@@ -381,7 +383,7 @@ def lstm_scan(
                 np.copyto(dh_prev, dh, where=drop[t])
                 np.copyto(dc_prev, dc, where=drop[t])
             if w_rec.requires_grad:
-                _accumulate(w_rec, (h.value if first else h_all[prev]).T @ dz)
+                _accumulate(w_rec, parallel.matmul((h.value if first else h_all[prev]).T, dz))
             dh, dc = dh_prev, dc_prev
         if xw.requires_grad:
             _accumulate(xw, dz_all.reshape(rows, 4 * hs))
@@ -417,7 +419,7 @@ def lstm_forward(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_rec: np.ndarray
     h_prev, c_prev = h, c
     for t in range(steps - 1, -1, -1) if reverse else range(steps):
         z = tz[t]
-        np.matmul(h_prev, w_rec, out=z)
+        parallel.matmul(h_prev, w_rec, z)
         z += xwv[t]
         z *= scale
         np.tanh(z, out=z)
@@ -486,7 +488,7 @@ def attention(query: Node, bilinear: Node, memory: Node, mask: np.ndarray) -> No
                          memory.value.shape, (batch, length))
     steps = rows // batch
     keys, values, open_ = attention_layout(memory.value, mask)
-    projected = query.value @ bilinear.value
+    projected = parallel.matmul(query.value, bilinear.value)
     act, w, contexts = attention_forward(projected, keys, values, open_)
     out = Node(contexts, parents=(query, bilinear, memory))
 
@@ -494,21 +496,21 @@ def attention(query: Node, bilinear: Node, memory: Node, mask: np.ndarray) -> No
         g = out.grad.reshape(steps, batch, hidden).transpose(1, 0, 2)  # (B, T, H)
         # The weights' (T, B, L) gradient, C-contiguous as a weights node
         # held it, so that its row sums below add in that node's order.
-        g_w = np.ascontiguousarray((g @ values).transpose(1, 0, 2))
+        g_w = np.ascontiguousarray(parallel.matmul(g, values).transpose(1, 0, 2))
         if memory.requires_grad:
-            dm = (w.transpose(1, 2, 0) @ g).transpose(1, 0, 2)
+            dm = parallel.matmul(w.transpose(1, 2, 0), g).transpose(1, 0, 2)
             _accumulate(memory, dm.reshape(memory.value.shape))
         d_act = w * (g_w - (g_w * w).sum(axis=2, keepdims=True))
         d_energy = (d_act * (1.0 - act * act)).transpose(1, 0, 2)  # (B, T, L)
         if memory.requires_grad:
             qb = projected.reshape(steps, batch, hidden).transpose(1, 0, 2)
-            dm = (d_energy.transpose(0, 2, 1) @ qb).transpose(1, 0, 2)
+            dm = parallel.matmul(d_energy.transpose(0, 2, 1), qb).transpose(1, 0, 2)
             _accumulate(memory, dm.reshape(memory.value.shape))
-        d_projected = (d_energy @ keys).transpose(1, 0, 2).reshape(rows, hidden)
+        d_projected = parallel.matmul(d_energy, keys).transpose(1, 0, 2).reshape(rows, hidden)
         if query.requires_grad:
-            _accumulate(query, d_projected @ bilinear.value.T)
+            _accumulate(query, parallel.matmul(d_projected, bilinear.value.T))
         if bilinear.requires_grad:
-            _accumulate(bilinear, query.value.T @ d_projected)
+            _accumulate(bilinear, parallel.matmul(query.value.T, d_projected))
 
     out._backward = backward
     return out
@@ -550,16 +552,18 @@ def attention_forward(projected: np.ndarray, keys: np.ndarray, values: np.ndarra
     return act, w, contexts.reshape(steps * batch, hidden)
 
 
-def fold_steps(blocks: np.ndarray, weights: np.ndarray,
-               total: np.ndarray | None = None) -> np.ndarray:
+def fold_steps(blocks: np.ndarray, weights: np.ndarray, total: np.ndarray | None = None,
+               term: np.ndarray | None = None) -> np.ndarray:
     """The (B, n) sum over t of weights[b, t] * blocks[t, b] of (T, B, n)
     ``blocks`` and (B, T) ``weights``, typically a 0/1 mask of real steps,
-    added into ``total`` in place when one is given.  The steps are added
-    as a left fold in ascending t, one fixed order whatever produced them."""
+    added into ``total`` in place when one is given, through the scratch
+    ``term`` of its shape when one is given.  The steps are added as a left
+    fold in ascending t, one fixed order whatever produced them."""
     start = 0
     if total is None:
         total, start = blocks[0] * weights[:, :1], 1
-    term = np.empty_like(total)
+    if term is None:
+        term = np.empty_like(total)
     for t in range(start, blocks.shape[0]):
         np.multiply(blocks[t], weights[:, t : t + 1], out=term)
         total += term
@@ -591,6 +595,10 @@ def generator_losses(
     weight that holds no gradient adopts the first chunk's product.  At
     one chunk the scores and word loss are the arithmetic of separate affine
     and cross-entropy nodes, bit for bit.
+
+    The work is split over the cores by ``parallel``, in phases that each
+    write their own slices: by columns the products, the bias and the bag
+    fold and spread, and by rows the softmax.  No split moves a bit.
 
     As in ``lstm_scan``, word is a child of bag whose own rule only hands
     its gradient over, and bag's rule does the work for both.  When nothing
@@ -627,24 +635,36 @@ def generator_losses(
 
     def scores(t0: int, t1: int, buffer: np.ndarray) -> np.ndarray:
         """The scores of steps [t0, t1), written into the buffer's first rows."""
-        s = buffer[: (t1 - t0) * batch]
-        np.matmul(xv[t0 * batch : t1 * batch], w, out=s)
-        s += b
-        return s
+        return parallel.matmul(xv[t0 * batch : t1 * batch], w, buffer[: (t1 - t0) * batch], b)
 
     buffer = np.empty((span * batch, vocab))
+    bag = np.empty((batch, vocab))
+    term = np.empty((batch, vocab))  # fold_steps' scratch
     # Non-finite scores give a NaN loss, which the caller reports.
     with np.errstate(invalid="ignore"):
-        bag = None
         for t0, t1 in chunks:
-            rows = slice(t0 * batch, t1 * batch)
             s = scores(t0, t1, buffer)
-            bag = fold_steps(s.reshape(t1 - t0, batch, vocab), mask[:, t0:t1], bag)
-            gold_score[rows] = s[np.arange(s.shape[0]), gold[rows]]
-            np.max(s, axis=1, keepdims=True, out=top[rows])
-            s -= top[rows]
-            np.exp(s, out=s)
-            np.sum(s, axis=1, keepdims=True, out=total[rows])
+
+            def add_to_bag(lo: int, hi: int) -> None:
+                steps, into = s[:, lo:hi].reshape(t1 - t0, batch, hi - lo), bag[:, lo:hi]
+                weights = mask[:, t0:t1]
+                if t0 == 0:  # the first step starts the total
+                    np.multiply(steps[0], weights[:, :1], out=into)
+                    steps, weights = steps[1:], weights[:, 1:]
+                fold_steps(steps, weights, into, term[:, lo:hi])
+
+            # The product's own column parts, so each thread reads what it wrote.
+            parallel.columns(add_to_bag, s.shape[0], w.shape[0], vocab)
+
+            def normalise(lo: int, hi: int) -> None:
+                at, part = slice(t0 * batch + lo, t0 * batch + hi), s[lo:hi]
+                gold_score[at] = part[np.arange(hi - lo), gold[at]]
+                np.max(part, axis=1, keepdims=True, out=top[at])
+                part -= top[at]
+                np.exp(part, out=part)
+                np.sum(part, axis=1, keepdims=True, out=total[at])
+
+            parallel.each(normalise, s.shape[0], s.size)
         nll = np.log(total[:, 0]) - (gold_score - top[:, 0])
         value = np.sum(nll.reshape(-1, batch).T * mask) * (1.0 / batch)
     held = [buffer]  # the last chunk's exp, for the first backward pass
@@ -669,34 +689,51 @@ def generator_losses(
         for index in reversed(range(len(chunks))):
             t0, t1 = chunks[index]
             rows = slice(t0 * batch, t1 * batch)
-            if kept and index == len(chunks) - 1:
-                e = buffer[: (t1 - t0) * batch]
-            else:
-                e = scores(t0, t1, buffer)
-                e -= top[rows]
-                np.exp(e, out=e)
-            e /= total[rows]
-            # Exact for gold probabilities of 1/2 and above.
-            e[np.arange(e.shape[0]), gold[rows]] -= 1.0
-            e *= row_scale[rows]
-            if d_bag is not None:
-                for t in range(t0, t1):
-                    np.multiply(d_bag, mask[:, t : t + 1], out=spread)
-                    e[(t - t0) * batch : (t - t0 + 1) * batch] += spread
+            fresh = not (kept and index == len(chunks) - 1)
+            e = scores(t0, t1, buffer) if fresh else buffer[: (t1 - t0) * batch]
+
+            def softmax_minus_gold(lo: int, hi: int) -> None:
+                at, part = slice(t0 * batch + lo, t0 * batch + hi), e[lo:hi]
+                if fresh:
+                    part -= top[at]
+                    np.exp(part, out=part)
+                part /= total[at]
+                # Exact for gold probabilities of 1/2 and above.
+                part[np.arange(hi - lo), gold[at]] -= 1.0
+                part *= row_scale[at]
+
+            parallel.each(softmax_minus_gold, e.shape[0], e.size)
+            adopt = weight.requires_grad and weight._grad is None
+            if adopt:
+                weight._grad = np.empty_like(w)
+            elif weight.requires_grad and d_weight is None:
+                # One scratch for every chunk: above the mmap threshold a
+                # fresh (H, V) array per chunk would be a fresh mapping.
+                d_weight = np.empty_like(w)
+            d_bias = np.empty((1, vocab)) if bias.requires_grad else None
+
+            def weight_and_bias(lo: int, hi: int) -> None:
+                cols = e[:, lo:hi]
+                if d_bag is not None:
+                    step_spread = spread[:, lo:hi]
+                    for t in range(t0, t1):
+                        np.multiply(d_bag[:, lo:hi], mask[:, t : t + 1], out=step_spread)
+                        cols[(t - t0) * batch : (t - t0 + 1) * batch] += step_spread
+                if adopt:
+                    np.matmul(xv[rows].T, cols, out=weight._grad[:, lo:hi])
+                elif weight.requires_grad:
+                    part = d_weight[:, lo:hi]
+                    np.matmul(xv[rows].T, cols, out=part)
+                    grad = weight._grad[:, lo:hi]
+                    grad += part
+                if d_bias is not None:
+                    np.sum(cols, axis=0, keepdims=True, out=d_bias[:, lo:hi])
+
+            parallel.columns(weight_and_bias, w.shape[0], e.shape[0], vocab)
             if d_x is not None:
-                d_x[rows] = e @ w.T
-            if weight.requires_grad:
-                if weight._grad is None:
-                    weight._grad = xv[rows].T @ e
-                else:
-                    # One scratch for every chunk: above the mmap threshold
-                    # a fresh (H, V) array per chunk would be a fresh mapping.
-                    if d_weight is None:
-                        d_weight = np.empty_like(w)
-                    np.matmul(xv[rows].T, e, out=d_weight)
-                    weight._grad += d_weight
-            if bias.requires_grad:
-                _accumulate(bias, e.sum(axis=0, keepdims=True))
+                parallel.matmul(e, w.T, d_x[rows])
+            if d_bias is not None:
+                _accumulate(bias, d_bias)
         if d_x is not None:
             _accumulate(x, d_x)
 

@@ -186,7 +186,7 @@ def build_parser() -> CliParser:
     p = sub.add_parser(
         "grad-check", help="finite-difference check on a tiny model"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--src-vocab-size", type=vocab_size, default=20)
     p.add_argument("--tgt-vocab-size", type=vocab_size, default=20)
     p.add_argument("--emb-size", type=positive_int, default=8)

@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import parallel
 from .data import BOS, EOS, _pad_matrix
 from .model import DecoderState, Seq2SeqModel
 
@@ -80,13 +81,20 @@ def _check_range(what: str, tokens: np.ndarray, vocab_size: int) -> None:
 def _log_probs(scores: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax of (rows, V) scores in one (rows, V) buffer:
     each row minus its max, exponentiated and summed, then the scores minus
-    (max + log of that sum)."""
-    top = scores.max(axis=1, keepdims=True)
-    out = np.subtract(scores, top)
-    np.exp(out, out=out)
-    norm = np.log(out.sum(axis=1, keepdims=True))
-    norm += top
-    return np.subtract(scores, norm, out=out)
+    (max + log of that sum), in parts of rows."""
+    out = np.empty_like(scores)
+
+    def rows(lo: int, hi: int) -> None:
+        part, into = scores[lo:hi], out[lo:hi]
+        top = part.max(axis=1, keepdims=True)
+        np.subtract(part, top, out=into)
+        np.exp(into, out=into)
+        norm = np.log(into.sum(axis=1, keepdims=True))
+        norm += top
+        np.subtract(part, norm, out=into)
+
+    parallel.each(rows, scores.shape[0], scores.size)
+    return out
 
 
 def _step_logprobs(model: Seq2SeqModel, prev: int, state, encoded) -> tuple[np.ndarray, DecoderState]:

@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Node, ParameterStore
 from .data import BOS, Batch
 
@@ -288,14 +289,15 @@ class Seq2SeqModel:
         x = ad.embedding_rows(self.tgt_embed.value, prev_tokens)
         layers = []
         for cell, (h, c) in zip(self.dec_cells, state.layers):
-            xw = x @ cell.w_in.value + cell.bias.value
+            xw = parallel.matmul(x, cell.w_in.value, bias=cell.bias.value)
             _, _, c_all, _, h_all = ad.lstm_forward(xw, h, c, cell.w_rec.value)
             x = h_all[0]
             layers.append((x, c_all[0]))
-        context = ad.attention_forward(x @ self.attn_bilinear.value, *encoded.attention_memory)[2]
+        projected = parallel.matmul(x, self.attn_bilinear.value)
+        context = ad.attention_forward(projected, *encoded.attention_memory)[2]
         gen_in = context if self.config.generator_input == "context" else np.concatenate(
             [x, context], axis=1)
-        scores = gen_in @ self.gen_weight.value + self.gen_bias.value
+        scores = parallel.matmul(gen_in, self.gen_weight.value, bias=self.gen_bias.value)
         return StepOutput(scores, DecoderState(layers))
 
     # -- full teacher-forced pass -------------------------------------------

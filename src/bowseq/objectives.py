@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Node, ParameterStore
 from .model import ForwardPass
 
@@ -101,26 +102,42 @@ class NonFiniteGradientError(FloatingPointError):
         super().__init__(f"non-finite gradient norm at parameter {parameter!r}")
 
 
+def _most_parts(store: ParameterStore) -> int:
+    """The most parts that a walk over the store's parameters in blocks of
+    ``_BLOCK`` splits one parameter into: the scratch arrays it needs."""
+    biggest = max((node.value.size for _, node in store.items()), default=0)
+    return parallel.parts(-(-biggest // _BLOCK), biggest)
+
+
 def clip_gradients(store: ParameterStore, max_norm: float = 10.0) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the factor applied (1.0 when no clipping was needed).  A
     non-finite norm raises NonFiniteGradientError before any gradient is
     touched: scaling an inf entry by a zero factor would only turn it into
-    NaN.  Squares are summed block by block through one scratch array, in a
-    fixed order that does not depend on the BLAS thread count.
+    NaN.  Each block's squares are summed through a scratch array of its
+    part, the blocks in parallel, and the block sums are added in block
+    order: the total does not depend on how the blocks were split.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    scratch = np.empty(_BLOCK)
+    scratch = [np.empty(_BLOCK) for _ in range(_most_parts(store))]
     total = 0.0
     for name, node in store.items():
         g = node.grad.reshape(-1)
-        for lo in range(0, g.size, _BLOCK):
-            block = g[lo : lo + _BLOCK]
-            squares = scratch[: block.size]
-            np.multiply(block, block, out=squares)
-            total += float(squares.sum())
+        sums = np.empty(-(-g.size // _BLOCK))
+
+        def sum_squares(lo: int, hi: int) -> None:
+            squares = scratch.pop()
+            for j in range(lo, hi):
+                block = g[j * _BLOCK : (j + 1) * _BLOCK]
+                np.multiply(block, block, out=squares[: block.size])
+                sums[j] = squares[: block.size].sum()
+            scratch.append(squares)
+
+        parallel.each(sum_squares, sums.size, g.size)
+        for block_sum in sums.tolist():
+            total += block_sum
         if not math.isfinite(total):
             raise NonFiniteGradientError(name)
     norm = math.sqrt(total)
@@ -129,7 +146,9 @@ def clip_gradients(store: ParameterStore, max_norm: float = 10.0) -> float:
     factor = max_norm / norm
     for _, node in store.items():
         if node._grad is not None:  # a missing gradient reads as read-only zeros
-            node._grad *= factor
+            grad = np.atleast_1d(node._grad)
+            parallel.each(lambda lo, hi: np.multiply(grad[lo:hi], factor, out=grad[lo:hi]),
+                          len(grad), grad.size)
     return factor
 
 
@@ -157,37 +176,44 @@ class AdamState:
 def adam_step(store: ParameterStore, state: AdamState) -> None:
     """One bias-corrected Adam update from the currently accumulated gradients.
 
-    Walks each parameter in cache-sized blocks through two scratch arrays, so
-    no operation makes a full-size temporary; the arithmetic is elementwise
-    and in the whole-array formula's order, so the result is bit-identical.
+    Walks each parameter in cache-sized blocks, the blocks in parallel, each
+    part through two scratch arrays of its own, so no operation makes a
+    full-size temporary; the arithmetic is elementwise and in the
+    whole-array formula's order, so the result is bit-identical.
     """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     correct1 = 1.0 - b1 ** state.step
     correct2 = 1.0 - b2 ** state.step
-    scratch = np.empty(_BLOCK), np.empty(_BLOCK)
+    scratch = [np.empty((2, _BLOCK)) for _ in range(_most_parts(store))]
     for name, node in store.items():
         # Views: the stored arrays are C-contiguous (see ParameterStore.create).
         x = node.value.reshape(-1)
         m = state.m[name].reshape(-1)
         v = state.v[name].reshape(-1)
         g = node.grad.reshape(-1)
-        for lo in range(0, x.size, _BLOCK):
-            hi = lo + _BLOCK
-            gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
-            s, t = scratch[0][: gb.size], scratch[1][: gb.size]
-            mb *= b1
-            np.multiply(1.0 - b1, gb, out=s)
-            mb += s
-            vb *= b2
-            np.multiply(gb, gb, out=s)
-            s *= 1.0 - b2
-            vb += s
-            # x -= lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(vb, correct2, out=s)
-            np.sqrt(s, out=s)
-            s += state.eps
-            np.divide(mb, correct1, out=t)
-            t *= state.lr
-            t /= s
-            x[lo:hi] -= t
+
+        def update(first: int, last: int) -> None:
+            pair = scratch.pop()
+            for lo in range(first * _BLOCK, min(last * _BLOCK, x.size), _BLOCK):
+                hi = lo + _BLOCK
+                gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+                s, t = pair[0][: gb.size], pair[1][: gb.size]
+                mb *= b1
+                np.multiply(1.0 - b1, gb, out=s)
+                mb += s
+                vb *= b2
+                np.multiply(gb, gb, out=s)
+                s *= 1.0 - b2
+                vb += s
+                # x -= lr * (m / c1) / (sqrt(v / c2) + eps)
+                np.divide(vb, correct2, out=s)
+                np.sqrt(s, out=s)
+                s += state.eps
+                np.divide(mb, correct1, out=t)
+                t *= state.lr
+                t /= s
+                x[lo:hi] -= t
+            scratch.append(pair)
+
+        parallel.each(update, -(-x.size // _BLOCK), x.size)

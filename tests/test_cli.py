@@ -282,7 +282,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("flag, value", [
         ("--hidden-size", "0"), ("--batch-size", "0"), ("--source-length", "0"),
         ("--param-scale", "-1"), ("--src-vocab-size", "3"), ("--step", "-1"),
-        ("--tolerance", "0"), ("--dec-layers", "2"),
+        ("--tolerance", "0"), ("--dec-layers", "2"), ("--seed", "-1"),
     ])
     def test_bad_grad_check_option_is_a_usage_error(self, capsys, flag, value):
         assert main(["grad-check", flag, value]) == 1
