@@ -9,11 +9,10 @@ norm 1.0, no dropout, 30 epochs of batch 32, and beam-10 test BLEU.  Only
 the model seed varies; seed 7 is the test's own, so its row must read the
 test's figures.
 
-The runs go two at a time, each in a child process with
-``OPENBLAS_NUM_THREADS=1``; bowseq sets OpenBLAS to one thread itself on
-first use anyway, and at these shapes splits only the validation set's
-encoder products over a second thread.  Bits do not depend on the thread
-count (README, Threads).
+The runs go two at a time, each in a child process.  bowseq sets OpenBLAS
+to one thread itself on first use, and at these shapes splits only the
+validation set's encoder products over a second thread.  Bits do not depend
+on the thread count (README, Threads).
 The JSON holds, per seed and arm, the beam-10 test BLEU and, per epoch, the
 greedy validation BLEU, the mean bag loss and the fraction of batches whose
 gradient was clipped.  Apart from the ``wall_s`` fields, two runs write
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -91,8 +89,7 @@ def run_arm(seed: int, arm: str) -> dict:
 
 
 def run_child(seed: int, arm: str) -> dict:
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, __file__, "--child", str(seed), arm], env=env,
+    proc = subprocess.run([sys.executable, __file__, "--child", str(seed), arm],
                           capture_output=True, text=True)
     if proc.returncode:
         raise RuntimeError(f"seed {seed}, arm {arm} failed:\n{proc.stderr}")

@@ -496,17 +496,17 @@ def attention(query: Node, bilinear: Node, memory: Node, mask: np.ndarray) -> No
         g = out.grad.reshape(steps, batch, hidden).transpose(1, 0, 2)  # (B, T, H)
         # The weights' (T, B, L) gradient, C-contiguous as a weights node
         # held it, so that its row sums below add in that node's order.
-        g_w = np.ascontiguousarray(parallel.matmul(g, values).transpose(1, 0, 2))
+        g_w = np.ascontiguousarray((g @ values).transpose(1, 0, 2))
         if memory.requires_grad:
-            dm = parallel.matmul(w.transpose(1, 2, 0), g).transpose(1, 0, 2)
+            dm = (w.transpose(1, 2, 0) @ g).transpose(1, 0, 2)
             _accumulate(memory, dm.reshape(memory.value.shape))
         d_act = w * (g_w - (g_w * w).sum(axis=2, keepdims=True))
         d_energy = (d_act * (1.0 - act * act)).transpose(1, 0, 2)  # (B, T, L)
         if memory.requires_grad:
             qb = projected.reshape(steps, batch, hidden).transpose(1, 0, 2)
-            dm = parallel.matmul(d_energy.transpose(0, 2, 1), qb).transpose(1, 0, 2)
+            dm = (d_energy.transpose(0, 2, 1) @ qb).transpose(1, 0, 2)
             _accumulate(memory, dm.reshape(memory.value.shape))
-        d_projected = parallel.matmul(d_energy, keys).transpose(1, 0, 2).reshape(rows, hidden)
+        d_projected = (d_energy @ keys).transpose(1, 0, 2).reshape(rows, hidden)
         if query.requires_grad:
             _accumulate(query, parallel.matmul(d_projected, bilinear.value.T))
         if bilinear.requires_grad:

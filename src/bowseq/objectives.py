@@ -102,38 +102,30 @@ class NonFiniteGradientError(FloatingPointError):
         super().__init__(f"non-finite gradient norm at parameter {parameter!r}")
 
 
-def _most_parts(store: ParameterStore) -> int:
-    """The most parts that a walk over the store's parameters in blocks of
-    ``_BLOCK`` splits one parameter into: the scratch arrays it needs."""
-    biggest = max((node.value.size for _, node in store.items()), default=0)
-    return parallel.parts(-(-biggest // _BLOCK), biggest)
-
-
 def clip_gradients(store: ParameterStore, max_norm: float = 10.0) -> float:
     """Scale all gradients so their global L2 norm is at most ``max_norm``.
 
     Returns the factor applied (1.0 when no clipping was needed).  A
     non-finite norm raises NonFiniteGradientError before any gradient is
     touched: scaling an inf entry by a zero factor would only turn it into
-    NaN.  Each block's squares are summed through a scratch array of its
-    part, the blocks in parallel, and the block sums are added in block
-    order: the total does not depend on how the blocks were split.
+    NaN.  The blocks' squares are summed in parallel parts, each through a
+    block-sized scratch array that the part allocates itself, and the block
+    sums are added in block order: the total does not depend on how the
+    blocks were split.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    scratch = [np.empty(_BLOCK) for _ in range(_most_parts(store))]
     total = 0.0
     for name, node in store.items():
         g = node.grad.reshape(-1)
         sums = np.empty(-(-g.size // _BLOCK))
 
         def sum_squares(lo: int, hi: int) -> None:
-            squares = scratch.pop()
+            squares = np.empty(min(_BLOCK, g.size))
             for j in range(lo, hi):
                 block = g[j * _BLOCK : (j + 1) * _BLOCK]
                 np.multiply(block, block, out=squares[: block.size])
                 sums[j] = squares[: block.size].sum()
-            scratch.append(squares)
 
         parallel.each(sum_squares, sums.size, g.size)
         for block_sum in sums.tolist():
@@ -176,16 +168,15 @@ class AdamState:
 def adam_step(store: ParameterStore, state: AdamState) -> None:
     """One bias-corrected Adam update from the currently accumulated gradients.
 
-    Walks each parameter in cache-sized blocks, the blocks in parallel, each
-    part through two scratch arrays of its own, so no operation makes a
-    full-size temporary; the arithmetic is elementwise and in the
-    whole-array formula's order, so the result is bit-identical.
+    Walks each parameter in cache-sized blocks, the blocks in parallel; each
+    part allocates its own pair of block-sized scratch arrays, so no
+    operation makes a full-size temporary.  The arithmetic is elementwise
+    and in the whole-array formula's order, so the result is bit-identical.
     """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     correct1 = 1.0 - b1 ** state.step
     correct2 = 1.0 - b2 ** state.step
-    scratch = [np.empty((2, _BLOCK)) for _ in range(_most_parts(store))]
     for name, node in store.items():
         # Views: the stored arrays are C-contiguous (see ParameterStore.create).
         x = node.value.reshape(-1)
@@ -194,7 +185,7 @@ def adam_step(store: ParameterStore, state: AdamState) -> None:
         g = node.grad.reshape(-1)
 
         def update(first: int, last: int) -> None:
-            pair = scratch.pop()
+            pair = np.empty((2, min(_BLOCK, x.size)))
             for lo in range(first * _BLOCK, min(last * _BLOCK, x.size), _BLOCK):
                 hi = lo + _BLOCK
                 gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
@@ -214,6 +205,5 @@ def adam_step(store: ParameterStore, state: AdamState) -> None:
                 t *= state.lr
                 t /= s
                 x[lo:hi] -= t
-            scratch.append(pair)
 
         parallel.each(update, -(-x.size // _BLOCK), x.size)

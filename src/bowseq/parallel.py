@@ -15,14 +15,13 @@ work itself:
   ``[0, n)``, for rows or blocks of elementwise work;
 - ``columns(fn, m, k, n)`` runs ``fn(lo, hi)`` over the output columns of
   an (m, k) x (k, n) product, for phases built around one;
-- ``matmul(a, b, out, bias)`` is a product, plus a bias row, split by
-  ``columns``, or along the batch axis of a 3-D product;
-- ``parts(n, work)`` is the number of parts ``each`` would use, for sizing
-  per-part scratch.
+- ``matmul(a, b, out, bias)`` is a product, plus a bias row, a 2-D one
+  split by ``columns``.
 
 The caller runs the first part itself; the workers run the others under a
 copy of its ``contextvars`` context, which carries NumPy's ``errstate``.
-Every part writes only its own slice of arrays that the caller allocated.
+Every part writes only its own slice of arrays that the caller allocated,
+and any scratch it allocates itself.
 
 Splits move no bit.  Elementwise work and row-wise reductions are the same
 arithmetic on any contiguous part.  A product is split only along its output
@@ -181,19 +180,12 @@ def _blas_to_one_thread() -> bool:
     return False
 
 
-def parts(n: int, work: int, floor: int = _MIN_ENTRIES) -> int:
-    """How many parts ``each(fn, n, work)`` runs: 1 when ``work`` is under
-    twice the floor."""
-    width = _pool.width or _pool.start()
-    if work < 2 * floor:
-        return 1
-    return max(1, min(width, n, work // floor))
-
-
-def each(fn: Part, n: int, work: int, floor: int = _MIN_ENTRIES) -> None:
-    """Run ``fn(lo, hi)`` over ``parts(n, work, floor)`` contiguous parts
-    of ``[0, n)`` that cover it, at least ``floor`` of ``work`` each."""
-    count = parts(n, work, floor)
+def each(fn: Part, n: int, work: int) -> None:
+    """Run ``fn(lo, hi)`` over contiguous parts of ``[0, n)`` that cover it:
+    at most ``n`` parts and one per thread of the pool, with at least
+    ``_MIN_ENTRIES`` of ``work`` in each, so work under twice that runs as
+    one part."""
+    count = min(_pool.width or _pool.start(), n, work // _MIN_ENTRIES)
     if count < 2:
         fn(0, n)
         return
@@ -221,13 +213,11 @@ def columns(fn: Part, m: int, k: int, n: int) -> None:
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
            bias: np.ndarray | None = None) -> np.ndarray:
     """``np.matmul(a, b, out=out)``, plus a (1, n) ``bias`` row when one is
-    given, split over the cores: a 2-D product by ``columns``, the bias
-    added within each part, and a 3-D product whose operands share their
-    batch axis along that axis.  A split's output is allocated here when
-    ``out`` is None."""
+    given.  A 2-D product is split over the cores by ``columns``, the bias
+    added within each part, and its output is allocated here when ``out``
+    is None."""
     _pool.width or _pool.start()  # the first call of any function here sets BLAS
-    big = a.size * b.shape[-1] >= 2 * _MIN_PRODUCT  # multiply-adds
-    if big and a.ndim == 2 and b.ndim == 2:
+    if a.ndim == 2 and b.ndim == 2 and a.size * b.shape[1] >= 2 * _MIN_PRODUCT:
         if out is None:
             out = np.empty((a.shape[0], b.shape[1]), np.result_type(a, b))
 
@@ -239,13 +229,7 @@ def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
 
         columns(part, *a.shape, b.shape[1])
         return out
-    if big and a.ndim == 3 and b.ndim == 3 and a.shape[0] == b.shape[0]:
-        if out is None:
-            out = np.empty(a.shape[:2] + b.shape[2:], np.result_type(a, b))
-        each(lambda lo, hi: np.matmul(a[lo:hi], b[lo:hi], out=out[lo:hi]), a.shape[0],
-             a.size * b.shape[2], _MIN_PRODUCT)
-    else:
-        out = np.matmul(a, b, out=out)
+    out = np.matmul(a, b, out=out)
     if bias is not None:
         out += bias
     return out

@@ -1,7 +1,9 @@
 """Package surface: every name ``bowseq`` exports exists, and so does every
-call site the benchmark traces."""
+call site the benchmark traces and every bowseq name the scripts use."""
 
+import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import bowseq
@@ -21,4 +23,28 @@ def test_every_benchmark_traced_call_site_exists(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     tracing = importlib.import_module("tracing")
     missing = [(name, attr) for name, owner, attr in tracing.LAYERS if attr not in owner.__dict__]
+    assert missing == []
+
+
+def test_every_bowseq_name_the_scripts_use_exists():
+    """The scripts import bowseq by name, ``paper_batch.py`` down to
+    ``training._train_batch`` and ``cli._random_batch``, and no other test
+    runs them: each of their imports from bowseq must succeed, and every
+    attribute they read off a bowseq module must exist."""
+    missing, read = [], set()
+    for script in ("paper_batch.py", "a4_seeds.py"):
+        path = Path(__file__).resolve().parents[1] / "scripts" / script
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names: dict = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bowseq"):
+                exec(compile(ast.Module([node], []), str(path), "exec"), names)
+        modules = {name: value for name, value in names.items() if inspect.ismodule(value)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                read.add((node.value.id, node.attr))
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append((script, node.value.id, node.attr))
+    assert {("training", "_train_batch"), ("cli", "_random_batch")} <= read
     assert missing == []

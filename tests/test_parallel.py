@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -87,14 +88,6 @@ def test_matmul_matches_the_unsplit_product(m, k, n):
                                               err_msg=f"{width} parts, transposed {a_t, b_t}")
 
 
-def test_batched_matmul_splits_along_the_batch():
-    rng = np.random.default_rng(4)
-    a, b = rng.standard_normal((12, 50, 512)), rng.standard_normal((12, 512, 60))
-    expected = np.matmul(a, b)
-    for width, got in each_width(lambda: parallel.matmul(a, b)).items():
-        np.testing.assert_array_equal(got, expected, err_msg=f"{width} parts")
-
-
 def test_column_cuts_fall_on_tiles_and_keep_the_floor():
     seen = []
     with split_into(3):
@@ -105,6 +98,18 @@ def test_column_cuts_fall_on_tiles_and_keep_the_floor():
         # Two parts would hold 128 and 2 columns, the second under the floor.
         parallel.columns(lambda lo, hi: seen.append((lo, hi)), 16, 4096, 130)
     assert seen == [(0, 130)]
+
+
+@pytest.mark.parametrize("n,work,count", [(1 << 20, 2 * parallel._MIN_ENTRIES - 1, 1),
+                                           (1, 1 << 30, 1), (1 << 20, 1 << 20, 3)],
+                         ids=["work-under-twice-the-floor", "one-index", "three-parts"])
+def test_each_runs_contiguous_parts_that_cover_the_range(n, work, count):
+    seen = []
+    with split_into(3):
+        parallel.each(lambda lo, hi: seen.append((lo, hi)), n, work)
+    seen.sort()
+    assert len(seen) == count and seen[0][0] == 0 and seen[-1][1] == n
+    assert all(hi == lo for (_, hi), (lo, _) in zip(seen, seen[1:]))
 
 
 @pytest.mark.parametrize("budget", [ad._SCORE_BUDGET, 1 << 20], ids=["one-chunk", "two-chunks"])
@@ -168,6 +173,25 @@ def test_adam_steps():
     for width, arrays in results.items():
         for got, expected in zip(arrays, results[1]):
             np.testing.assert_array_equal(got, expected, err_msg=f"{width} parts")
+
+
+def test_clipping_and_adam_make_no_full_size_temporary():
+    """Each part of clipping and Adam allocates only block-sized scratch: at
+    most 512 KB per part, where a temporary the size of ``gen.weight``
+    (1.02M entries) alone would be 8 MB."""
+    def run():
+        store = _store_with_gradients()
+        state = AdamState.for_store(store, lr=1e-3)
+        tracemalloc.start()
+        try:
+            clip_gradients(store, 5.0)
+            adam_step(store, state)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for width, peak in each_width(run).items():
+        assert peak < 4 << 20, f"{width} parts: peak {peak} bytes"
 
 
 def wide_setup(vocab=4000, hidden=128, n_pairs=32, length=10, seed=3):
