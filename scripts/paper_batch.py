@@ -1,12 +1,15 @@
 """Two training batches and beam-10 decoding at the paper's configuration.
 
-    python3 scripts/paper_batch.py --root . --out runs/paper_batch.json
+    python3 scripts/paper_batch.py --root . --out runs/paper_batch.json [--pairs N]
 
 The configuration is the ``train`` subcommand's defaults: vocabularies of
 50,000 words plus the 4 reserved entries, E=H=512, 3 encoder and 2 decoder
 layers, dropout 0.2, the context generator, batches of 64, Adam at lr 3e-4,
-clip norm 10 and the first epoch's bag weight.  Each batch holds 64 random
-pairs of 50-token sources and targets from ``cli._random_batch``.  After
+clip norm 10 and the first epoch's bag weight.  The script holds N random
+pairs (``--pairs``, default two batches' worth) of 50-token sources and
+targets, cuts them into batches with ``make_batches`` as an epoch is cut,
+and trains the first two batches of that list while it holds the rest, so
+the peak RSS shows what an epoch of N pairs costs beside a batch.  After
 the two batches, beam 10 decodes 4 random 50-token sources one at a time,
 with a 30-token cap.
 
@@ -14,7 +17,7 @@ The work runs in a child process that caps its own address space at
 ``CAP_GIB`` with RLIMIT_AS, imports bowseq from ``<root>/src``, so that one
 copy of this script can measure any checkout, and reads its own peak
 resident memory.
-The JSON holds the seconds of each batch, the milliseconds per decoded
+The JSON holds N, the seconds of each batch, the milliseconds per decoded
 sentence, the peak RSS in MiB, the cap, and the root's git revision.
 """
 
@@ -37,14 +40,14 @@ SEED = 0
 CAP_GIB = 6.5
 
 
-def measure(root: Path) -> dict:
-    """The child's work: returns the JSON record."""
+def measure(root: Path, pairs: int) -> dict:
+    """The child's work on ``pairs`` pairs: returns the JSON record."""
     cap = int(CAP_GIB * (1 << 30))
     resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     sys.path.insert(0, str(root / "src"))
     import numpy as np
 
-    from bowseq import cli, training
+    from bowseq import cli, data, training
     from bowseq.inference import BeamConfig, beam_search
     from bowseq.model import ModelConfig, Seq2SeqModel
     from bowseq.objectives import AdamState, ScheduleParams, bag_weight
@@ -61,9 +64,14 @@ def measure(root: Path) -> dict:
     adam = AdamState.for_store(model.params, lr=args.lr)
     weight = bag_weight(0, ScheduleParams(cap=getattr(args, "lambda"), start=args.k,
                                           slope=args.alpha))
+    sources = rng.integers(4, vocab, (pairs, length)).tolist()
+    contents = rng.integers(4, vocab, (pairs, length - 1)).tolist()
+    corpus = [data.ExamplePair(tuple(s), tuple(c) + (data.EOS,), data.extract_bag(c))
+              for s, c in zip(sources, contents)]
+    del sources, contents  # the corpus alone stays held, as in training
+    batches = data.make_batches(corpus, args.batch_size, vocab, SEED)
     batch_s = []
-    for index in range(BATCHES):
-        batch = cli._random_batch(rng, args.batch_size, length, length, vocab, vocab)
+    for index, batch in enumerate(batches[:BATCHES]):
         started = time.perf_counter()
         training._train_batch(model, batch, weight, args.clip_norm, adam, rng, 0, index)
         batch_s.append(time.perf_counter() - started)
@@ -74,6 +82,7 @@ def measure(root: Path) -> dict:
         beam_search(model, source, beam)
     decode_s = time.perf_counter() - started
     return {
+        "pairs": pairs,
         "config": {"vocab": vocab, "emb_size": args.emb_size, "hidden_size": args.hidden_size,
                    "layers": [args.enc_layers, args.dec_layers], "batch_size": args.batch_size,
                    "length": length, "beam_width": BEAM_WIDTH, "decode_cap": DECODE_CAP,
@@ -100,14 +109,16 @@ def main() -> int:
     parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
                         help="checkout whose src/ is measured (default: this one)")
     parser.add_argument("--out", help="where to write the JSON (default: print it)")
+    parser.add_argument("--pairs", type=int, default=2 * 64,
+                        help="pairs held and cut into batches (default: two batches of 64)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     root = Path(args.root).resolve()
     if args.child:
-        json.dump(measure(root), sys.stdout)
+        json.dump(measure(root, args.pairs), sys.stdout)
         return 0
-    proc = subprocess.run([sys.executable, __file__, "--child", "--root", str(root)],
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, __file__, "--child", "--root", str(root),
+                           "--pairs", str(args.pairs)], capture_output=True, text=True)
     if proc.returncode:
         print(proc.stderr, file=sys.stderr)
         return proc.returncode

@@ -21,13 +21,13 @@ once, and the losses work in log space on the scores.  The forward
 arithmetic of the LSTM and attention primitives is a plain function on
 arrays (``lstm_forward``, and ``attention_forward`` over the encoder layout
 of ``attention_layout``), which decoding calls without a graph.
-``generator_losses`` fuses the generator with the word loss and the bag
-sum, so that training never holds the (T*B, V) scores whole, and
-``bag_nll`` is the whole bag loss on the (B, V) bag.  The bag sum is
-``fold_steps``, the one fold of steps that ``model.bow_probabilities`` runs
-too.  Nothing floors a probability: there is no word softmax, no log node
-and no sigmoid node; ``stable_sigmoid`` and ``stable_softplus`` are array
-functions.
+``generator_losses`` fuses the generator with the word loss and the sum
+of each sentence's bag columns, so that training never holds the (T*B, V)
+scores whole nor a (B, V) bag, and ``bag_nll`` is the whole bag loss on
+the (B, K) bag.  The bag sum is ``fold_steps``, the one fold of steps that
+``model.bow_probabilities`` runs too.  Nothing floors a probability:
+there is no word softmax, no log node and no sigmoid node;
+``stable_sigmoid`` and ``stable_softplus`` are array functions.
 
 Nothing broadcasts implicitly.  The elementwise ``add`` and ``mul`` take
 two arrays of one shape; the only bias is the (1, n) row of ``affine``,
@@ -552,59 +552,60 @@ def attention_forward(projected: np.ndarray, keys: np.ndarray, values: np.ndarra
     return act, w, contexts.reshape(steps * batch, hidden)
 
 
-def fold_steps(blocks: np.ndarray, weights: np.ndarray, total: np.ndarray | None = None,
-               term: np.ndarray | None = None) -> np.ndarray:
+def fold_steps(blocks: np.ndarray, weights: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
     """The (B, n) sum over t of weights[b, t] * blocks[t, b] of (T, B, n)
     ``blocks`` and (B, T) ``weights``, typically a 0/1 mask of real steps,
-    added into ``total`` in place when one is given, through the scratch
-    ``term`` of its shape when one is given.  The steps are added as a left
-    fold in ascending t, one fixed order whatever produced them."""
+    added into ``total`` in place when one is given.  The steps are added
+    as a left fold in ascending t, one fixed order whatever produced them."""
     start = 0
     if total is None:
         total, start = blocks[0] * weights[:, :1], 1
-    if term is None:
-        term = np.empty_like(total)
+    term = np.empty_like(total)
     for t in range(start, blocks.shape[0]):
         np.multiply(blocks[t], weights[:, t : t + 1], out=term)
         total += term
     return total
 
 
-def generator_losses(
-    x: Node, weight: Node, bias: Node, targets: np.ndarray, mask: np.ndarray
-) -> tuple[Node, Node]:
+def generator_losses(x: Node, weight: Node, bias: Node, targets: np.ndarray, mask: np.ndarray,
+                     bag_columns: np.ndarray) -> tuple[Node, Node]:
     """The generator scores x @ weight + bias of T*B time-major rows, fused
     with the masked word loss and the bag sum that read them.
 
     ``targets`` and ``mask`` are (B, T), so row t*B + b of ``x`` holds step
-    t of sentence b.  Returns the nodes (word, bag):
+    t of sentence b, and row b of the (B, K) ``bag_columns`` names the
+    score columns of sentence b's bag.  Returns the nodes (word, bag):
 
     - word: the negative log-likelihood of the gold columns under the row
       softmax, logsumexp(row) - gold score, summed over real steps and
       divided by B.  No probability is floored.
-    - bag: the (B, V) scores summed over the steps with ``mask`` as weights
-      by ``fold_steps``, chunk after chunk into one total.
+    - bag: the (B, K) scores of each row's bag columns summed over the
+      steps with ``mask`` as weights by ``fold_steps``, chunk after chunk
+      into one total; with all V columns in order, the dense bag sum.
 
     The (T*B, V) scores are never whole.  Chunks of steps go through one
     buffer of at most ``_SCORE_BUDGET`` entries (one step at least), and
     each row keeps only its max, its exp sum and its gold score.  The
     backward rule walks the chunks in reverse, recomputing each one's scores
     except the last forward chunk, which is still in the buffer.  It writes
-    (softmax - one-hot) * mask * d(word) / B + d(bag) * mask into the buffer
-    and accumulates the gradients of x, weight and bias chunk by chunk; a
-    weight that holds no gradient adopts the first chunk's product.  At
-    one chunk the scores and word loss are the arithmetic of separate affine
-    and cross-entropy nodes, bit for bit.
+    (softmax - one-hot) * mask * d(word) / B into the buffer, adds
+    d(bag) * mask into the bag columns with one gather and one scatter, and
+    accumulates the gradients of x, weight and bias chunk by chunk; a
+    weight that holds no gradient adopts the first chunk's product.  A
+    column repeated in a row gets only one of its adds, so a column may
+    repeat only where d(bag) is zero, as at ``bag_nll``'s masked padding.
+    At one chunk the scores and word loss are the arithmetic of separate
+    affine and cross-entropy nodes, bit for bit.
 
     The work is split over the cores by ``parallel``, in phases that each
-    write their own slices: by columns the products, the bias and the bag
-    fold and spread, and by rows the softmax.  No split moves a bit.
+    write their own slices: by columns the products and the bias, and by
+    rows the softmax.  No split moves a bit.
 
     As in ``lstm_scan``, word is a child of bag whose own rule only hands
     its gradient over, and bag's rule does the work for both.  When nothing
     read the bag, its gradient stays unallocated and the bag term is skipped.
     """
-    targets = np.asarray(targets)
+    targets, bag_columns = np.asarray(targets), np.asarray(bag_columns)
     mask = np.asarray(mask, dtype=np.float64)
     xv, w, b = x.value, weight.value, bias.value
     if (
@@ -616,19 +617,23 @@ def generator_losses(
         or targets.size == 0
         or mask.shape != targets.shape
         or xv.shape[0] != targets.size
+        or bag_columns.ndim != 2 or len(bag_columns) != len(targets)
     ):
         raise ShapeError("generator_losses", xv.shape, w.shape, b.shape, targets.shape,
-                         mask.shape)
-    if not np.issubdtype(targets.dtype, np.integer):
-        raise ValueError("generator_losses: targets must be integers")
+                         mask.shape, bag_columns.shape)
+    if not all(np.issubdtype(a.dtype, np.integer) for a in (targets, bag_columns)):
+        raise ValueError("generator_losses: targets and bag columns must be integers")
     batch, steps = targets.shape
     vocab = w.shape[1]
-    if targets.min() < 0 or targets.max() >= vocab:
-        raise IndexError("generator_losses: target index out of range")
+    for name, index in (("target index", targets), ("bag column", bag_columns)):
+        if index.size and (index.min() < 0 or index.max() >= vocab):
+            raise IndexError(f"generator_losses: {name} out of range")
     span = min(steps, max(1, _SCORE_BUDGET // (batch * vocab)))  # steps per chunk
     chunks = [(t, min(t + span, steps)) for t in range(0, steps, span)]
     gold = targets.T.reshape(-1)
     row_mask = mask.T.reshape(-1, 1)
+    # Where step t of each row's bag columns sits in the flattened buffer.
+    picks = np.arange(span * batch).reshape(span, batch, 1) * vocab + bag_columns
     top = np.empty((xv.shape[0], 1))
     total = np.empty((xv.shape[0], 1))
     gold_score = np.empty(xv.shape[0])
@@ -638,23 +643,12 @@ def generator_losses(
         return parallel.matmul(xv[t0 * batch : t1 * batch], w, buffer[: (t1 - t0) * batch], b)
 
     buffer = np.empty((span * batch, vocab))
-    bag = np.empty((batch, vocab))
-    term = np.empty((batch, vocab))  # fold_steps' scratch
+    bag = None
     # Non-finite scores give a NaN loss, which the caller reports.
     with np.errstate(invalid="ignore"):
         for t0, t1 in chunks:
             s = scores(t0, t1, buffer)
-
-            def add_to_bag(lo: int, hi: int) -> None:
-                steps, into = s[:, lo:hi].reshape(t1 - t0, batch, hi - lo), bag[:, lo:hi]
-                weights = mask[:, t0:t1]
-                if t0 == 0:  # the first step starts the total
-                    np.multiply(steps[0], weights[:, :1], out=into)
-                    steps, weights = steps[1:], weights[:, 1:]
-                fold_steps(steps, weights, into, term[:, lo:hi])
-
-            # The product's own column parts, so each thread reads what it wrote.
-            parallel.columns(add_to_bag, s.shape[0], w.shape[0], vocab)
+            bag = fold_steps(buffer.reshape(-1)[picks[: t1 - t0]], mask[:, t0:t1], bag)
 
             def normalise(lo: int, hi: int) -> None:
                 at, part = slice(t0 * batch + lo, t0 * batch + hi), s[lo:hi]
@@ -683,7 +677,6 @@ def generator_losses(
         kept = bool(held)
         buffer = held.pop() if kept else np.empty((span * batch, vocab))
         row_scale = row_mask * (d_word / batch)
-        spread = np.empty((batch, vocab)) if d_bag is not None else None
         d_x = np.empty_like(xv) if x.requires_grad else None
         d_weight = None
         for index in reversed(range(len(chunks))):
@@ -703,6 +696,8 @@ def generator_losses(
                 part *= row_scale[at]
 
             parallel.each(softmax_minus_gold, e.shape[0], e.size)
+            if d_bag is not None:
+                buffer.reshape(-1)[picks[: t1 - t0]] += d_bag * mask[:, t0:t1].T[:, :, None]
             adopt = weight.requires_grad and weight._grad is None
             if adopt:
                 weight._grad = np.empty_like(w)
@@ -714,11 +709,6 @@ def generator_losses(
 
             def weight_and_bias(lo: int, hi: int) -> None:
                 cols = e[:, lo:hi]
-                if d_bag is not None:
-                    step_spread = spread[:, lo:hi]
-                    for t in range(t0, t1):
-                        np.multiply(d_bag[:, lo:hi], mask[:, t : t + 1], out=step_spread)
-                        cols[(t - t0) * batch : (t - t0 + 1) * batch] += step_spread
                 if adopt:
                     np.matmul(xv[rows].T, cols, out=weight._grad[:, lo:hi])
                 elif weight.requires_grad:
@@ -755,9 +745,10 @@ def stable_softplus(x: np.ndarray) -> np.ndarray:
 
 
 def bag_nll(bag: Node, indicator: np.ndarray) -> Node:
-    """The bag negative log-likelihood of (B, V) step-summed scores s, a
-    mean over the B rows: sum(softplus(-s) * indicator), which is -log
-    sigmoid(s) on the bag's words.
+    """The bag negative log-likelihood of (B, K) step-summed scores s of
+    the bag's columns, a mean over the B rows: sum(softplus(-s) * indicator)
+    for the (B, K) 0/1 mask ``indicator``, which is -log sigmoid(s) on the
+    bag's words.  On a (B, V) sum and indicator it is the dense loss.
 
     Its gradient is indicator * -sigmoid(-s) times the upstream over B.  It
     does not vanish the way the gradient of a floored log of a probability

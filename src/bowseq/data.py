@@ -122,11 +122,14 @@ def make_pair(
 
 @dataclass
 class Batch:
-    """Padded index matrices plus masks and bag indicators.
+    """Padded index matrices plus masks and each sentence's bag.
 
     ``source``/``target`` are (B, L)/(B, M) int64 with PAD=0 beyond each
-    length.  Masks are float 0/1.  ``bag_indicator`` is (B, V_target) and
-    0/1; row i is 1 at the words of pair i's bag.
+    length.  Masks are float 0/1.  ``bag_columns`` is (B, K) int64, K the
+    largest bag in the batch: row i holds the words of pair i's bag, each
+    once, then PAD, which is in no bag.  ``bag_indicator`` is its (B, K)
+    0/1 mask.  A batch given no columns reads ``bag_indicator`` as a dense
+    (B, V_target) 0/1 indicator and converts it once.
     """
 
     source: np.ndarray
@@ -136,6 +139,12 @@ class Batch:
     target_lengths: np.ndarray
     target_mask: np.ndarray
     bag_indicator: np.ndarray
+    bag_columns: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.bag_columns is None:
+            rows = [np.nonzero(row)[0] for row in self.bag_indicator]
+            self.bag_columns, _, self.bag_indicator = _pad_matrix(rows)
 
     @property
     def size(self) -> int:
@@ -154,14 +163,16 @@ def _pad_matrix(rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray, 
 
 
 def pack_batch(pairs: Sequence[ExamplePair], tgt_vocab_size: int) -> Batch:
+    """One padded batch; each bag packs as the set of its words, all in [4, V)."""
     if not pairs:
         raise ValueError("cannot pack an empty batch")
     src, src_len, src_mask = _pad_matrix([p.source for p in pairs])
     tgt, tgt_len, tgt_mask = _pad_matrix([p.target for p in pairs])
-    indicator = np.zeros((len(pairs), tgt_vocab_size), dtype=np.float64)
-    for i, p in enumerate(pairs):
-        indicator[i, list(p.bag)] = 1.0
-    return Batch(src, src_len, src_mask, tgt, tgt_len, tgt_mask, indicator)
+    bags = [sorted(set(p.bag)) for p in pairs]
+    if any(w <= EOS or w >= tgt_vocab_size for bag in bags for w in bag):
+        raise ValueError(f"bag word outside [{EOS + 1}, {tgt_vocab_size})")
+    columns, _, bag_mask = _pad_matrix(bags)
+    return Batch(src, src_len, src_mask, tgt, tgt_len, tgt_mask, bag_mask, columns)
 
 
 def make_batches(

@@ -112,7 +112,7 @@ class ForwardPass:
     """Teacher-forced outputs of all T steps; the losses read only these."""
 
     word: Node                       # word negative log-likelihood, mean over the batch
-    bag_scores: Node                 # (B, V) scores summed over real target steps
+    bag_scores: Node                 # (B, K) bag columns' scores summed over real steps
     generator_input: Node            # (T*B, H or 2H) the generator's input, time-major
     generator: tuple[Node, Node]     # its weight and bias
 
@@ -325,7 +325,8 @@ class Seq2SeqModel:
         else:
             gen_in = ad.concat_cols([x, context])
         generator = (self.gen_weight, self.gen_bias)
-        word, bag = ad.generator_losses(gen_in, *generator, batch.target, batch.target_mask)
+        word, bag = ad.generator_losses(gen_in, *generator, batch.target, batch.target_mask,
+                                        batch.bag_columns)
         return ForwardPass(word, bag, gen_in, generator)
 
 

@@ -70,13 +70,10 @@ def word_loss(forward: ForwardPass) -> Node:
 
 def bag_loss(bag_scores: Node, indicator: np.ndarray) -> Node:
     """Mean over the batch of the bag negative log-likelihood, from the
-    (B, V) step-summed scores s: -log sigmoid(s), which is softplus(-s), on
-    each word of the bag.
-
-    ``indicator`` rows hold the 0/1 bag membership; rows with an empty bag
-    contribute zero.  The result is one ``bag_nll`` node on ``bag_scores``,
-    which checks the indicator's shape.
-    """
+    step-summed scores s of each bag's columns: -log sigmoid(s), which is
+    softplus(-s), on each word of the bag.  ``indicator`` is the 0/1 mask
+    of s, a batch's ``bag_indicator``; rows with an empty bag contribute
+    zero.  The result is one ``bag_nll`` node on ``bag_scores``."""
     return ad.bag_nll(bag_scores, indicator)
 
 

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import score_losses
+from conftest import every_column, score_losses
 
 from bowseq import autodiff as ad
 from bowseq.autodiff import (
@@ -21,7 +21,7 @@ from bowseq.autodiff import (
     finite_difference_check,
     parameter,
 )
-from bowseq.data import EOS, ExamplePair, extract_bag, make_batches
+from bowseq.data import EOS, ExamplePair, extract_bag, make_batches, pack_batch
 from bowseq.model import ModelConfig, Seq2SeqModel
 from bowseq.objectives import bag_loss, total_loss, word_loss
 
@@ -43,6 +43,42 @@ def bag_nll_reference(s, indicator, upstream):
     g = np.zeros_like(s) + np.float64(upstream) * factor
     grad = ((g * indicator) * sigmoid(s * -1.0)) * -1.0
     return value * factor, grad
+
+
+def dense_generator_oracle(x, w, b, targets, mask, indicator, bag_weight, span):
+    """The dense bag that ``generator_losses`` once computed, one operation
+    after another on plain arrays: the scores of chunks of ``span`` steps,
+    a V-wide (B, V) fold of them in ascending steps, the dense ``bag_nll``
+    gradient d_bag, and a backward pass over the chunks in reverse that
+    spreads d_bag * mask into every column of each step's rows.  Returns
+    the (B, V) bag and the gradients of x, w and b for the loss word +
+    bag_weight * bag_nll."""
+    batch, steps = targets.shape
+    chunks = [(t, min(t + span, steps)) for t in range(0, steps, span)]
+    gold, rows = targets.T.reshape(-1), np.arange(batch * span)
+    top, total, bag = np.empty((len(x), 1)), np.empty((len(x), 1)), None
+    for t0, t1 in chunks:
+        s = (x[t0 * batch : t1 * batch] @ w + b).reshape(t1 - t0, batch, -1)
+        for t in range(t0, t1):
+            term = s[t - t0] * mask[:, t : t + 1]
+            bag = term if bag is None else bag + term
+        s = s.reshape((t1 - t0) * batch, -1)
+        top[t0 * batch : t1 * batch] = s.max(axis=1, keepdims=True)
+        total[t0 * batch : t1 * batch] = np.exp(s - top[t0 * batch : t1 * batch]).sum(
+            axis=1, keepdims=True)
+    d_bag = -((bag_weight * (1.0 / batch) * indicator) * ad.stable_sigmoid(bag * -1.0))
+    d_x, d_w, d_b = np.empty_like(x), None, None
+    for t0, t1 in reversed(chunks):
+        at = slice(t0 * batch, t1 * batch)
+        e = np.exp(x[at] @ w + b - top[at]) / total[at]
+        e[rows[: len(e)], gold[at]] -= 1.0
+        e *= mask.T.reshape(-1, 1)[at] * (1.0 / batch)
+        for t in range(t0, t1):
+            e[(t - t0) * batch : (t - t0 + 1) * batch] += d_bag * mask[:, t : t + 1]
+        d_w = x[at].T @ e if d_w is None else d_w + x[at].T @ e
+        d_b = e.sum(axis=0, keepdims=True) if d_b is None else d_b + e.sum(axis=0, keepdims=True)
+        d_x[at] = e @ w.T
+    return bag, (d_x, d_w, d_b)
 
 
 def fd_gradient(f, x, step=1e-6):
@@ -290,7 +326,7 @@ class TestBackwardRules:
         upstream = constant(rng.normal(size=(2, 6)))
 
         def build():
-            word, bag = ad.generator_losses(x, w, bias, targets, mask)
+            word, bag = ad.generator_losses(x, w, bias, targets, mask, every_column(2, 6))
             return ad.add(ad.scale(word, 0.7), ad.sum_all(ad.mul(bag, upstream)))
 
         self._check(build, [x, w, bias])
@@ -299,7 +335,7 @@ class TestBackwardRules:
         probs = np.exp(scores) / np.exp(scores).sum(axis=1, keepdims=True)
         want = -sum(np.log(probs[t * 2 + b, targets[b, t]])
                     for b in range(2) for t in range(5) if mask[b, t]) / 2
-        word, bag = ad.generator_losses(x, w, bias, targets, mask)
+        word, bag = ad.generator_losses(x, w, bias, targets, mask, every_column(2, 6))
         np.testing.assert_allclose(word.value, want, rtol=0, atol=1e-12)
         summed = sum(scores[2 * t : 2 * t + 2] * mask[:, t : t + 1] for t in range(5))
         np.testing.assert_allclose(bag.value, summed, rtol=0, atol=1e-12)
@@ -322,7 +358,7 @@ class TestBackwardRules:
             monkeypatch.setattr(ad, "_SCORE_BUDGET", budget)
             for p in (x, w, bias):
                 p.grad = None
-            word, bag = ad.generator_losses(x, w, bias, targets, mask)
+            word, bag = ad.generator_losses(x, w, bias, targets, mask, every_column(batch, vocab))
             backward(ad.add(word, ad.sum_all(ad.mul(bag, upstream))))
             return word.value, bag.value, [p.grad for p in (x, w, bias)]
 
@@ -342,8 +378,8 @@ class TestBackwardRules:
         x = parameter(rng.normal(size=(6, 4)))
         w, bias = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(1, 3)))
         word, bag = ad.generator_losses(x, w, bias, np.array([[0, 2, 1], [1, 1, 0]]),
-                                        np.ones((2, 3)))
-        loss = ad.add(word, ad.bag_nll(bag, np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])))
+                                        np.ones((2, 3)), np.array([[0, 2], [1, 0]]))
+        loss = ad.add(word, ad.bag_nll(bag, np.array([[1.0, 1.0], [1.0, 0.0]])))
         backward(loss)
         once = [p.grad.copy() for p in (x, w, bias)]
         backward(loss)
@@ -358,7 +394,8 @@ class TestBackwardRules:
         x = parameter(rng.normal(size=(1, hidden)))
         w = parameter(rng.normal(size=(hidden, vocab)) * 0.01)
         bias = parameter(np.zeros((1, vocab)))
-        word, _ = ad.generator_losses(x, w, bias, np.array([[3]]), np.ones((1, 1)))
+        word, _ = ad.generator_losses(x, w, bias, np.array([[3]]), np.ones((1, 1)),
+                                      np.zeros((1, 0), dtype=int))
         tracemalloc.start()
         try:
             backward(word)
@@ -369,14 +406,58 @@ class TestBackwardRules:
         assert peak < 2 * hidden * vocab * 8
 
     def test_generator_losses_rejects_bad_targets(self):
+        """Targets and bag columns alike: shapes, integer type, range."""
         x, w = constant(np.zeros((4, 2))), constant(np.zeros((2, 3)))
         bias = constant(np.zeros((1, 3)))
+        targets, mask, columns = np.zeros((2, 2), dtype=int), np.ones((2, 2)), np.ones((2, 1), int)
         with pytest.raises(ShapeError, match="generator_losses"):
-            ad.generator_losses(x, w, bias, np.zeros((2, 3), dtype=int), np.ones((2, 3)))
-        with pytest.raises(IndexError, match="out of range"):
-            ad.generator_losses(x, w, bias, np.full((2, 2), 3), np.ones((2, 2)))
+            ad.generator_losses(x, w, bias, np.zeros((2, 3), dtype=int), np.ones((2, 3)), columns)
+        for bad in (np.ones((3, 1), int), np.ones(2, int)):
+            with pytest.raises(ShapeError, match="generator_losses"):
+                ad.generator_losses(x, w, bias, targets, mask, bad)
+        with pytest.raises(IndexError, match="target index out of range"):
+            ad.generator_losses(x, w, bias, np.full((2, 2), 3), mask, columns)
+        for bad in (-1, 3):
+            with pytest.raises(IndexError, match="bag column out of range"):
+                ad.generator_losses(x, w, bias, targets, mask, np.full((2, 1), bad))
         with pytest.raises(ValueError, match="integers"):
-            ad.generator_losses(x, w, bias, np.zeros((2, 2)), np.ones((2, 2)))
+            ad.generator_losses(x, w, bias, np.zeros((2, 2)), mask, columns)
+        with pytest.raises(ValueError, match="integers"):
+            ad.generator_losses(x, w, bias, targets, mask, np.ones((2, 1)))
+
+    @pytest.mark.parametrize("span", [None, 2], ids=["one-chunk", "chunks"])
+    def test_generator_losses_bag_columns_match_the_dense_oracle(self, span, monkeypatch):
+        """Packed bag columns against ``dense_generator_oracle``, the V-wide
+        fold and spread with ``bag_nll`` on the dense (B, V) indicator:
+        x, weight and bias get the same gradients bit for bit, and the bag
+        values equal the oracle's at the columns, PAD slots included.
+        Padded targets of unequal lengths and bag sizes, one bag empty, over
+        6 steps, at one chunk and in chunks of 2 steps."""
+        rng = np.random.default_rng(37)
+        vocab, hidden = 40, 5
+        pairs = [ExamplePair((4,), tgt + (EOS,), extract_bag(tgt))
+                 for tgt in [(5, 9, 9, 30, 12), (), (7, 39), (20, 21, 22, 23, 24)]]
+        batch = pack_batch(pairs, vocab)
+        steps = batch.target.shape[1]
+        if span is not None:
+            monkeypatch.setattr(ad, "_SCORE_BUDGET", span * len(pairs) * vocab)
+        dense = np.zeros((len(pairs), vocab))
+        for i, pair in enumerate(pairs):
+            dense[i, list(pair.bag)] = 1.0
+        x0 = rng.normal(size=(steps * len(pairs), hidden))
+        w0, b0 = rng.normal(size=(hidden, vocab)), rng.normal(size=(1, vocab))
+        x, w, bias = parameter(x0), parameter(w0), parameter(b0)
+        word, bag = ad.generator_losses(x, w, bias, batch.target, batch.target_mask,
+                                        batch.bag_columns)
+        backward(ad.add(word, ad.scale(ad.bag_nll(bag, batch.bag_indicator), 0.7)))
+        want_bag, want_grads = dense_generator_oracle(x0, w0, b0, batch.target,
+                                                      batch.target_mask, dense, 0.7,
+                                                      span or steps)
+        assert batch.bag_columns.shape == (4, 5) and batch.bag_indicator.sum() == 11
+        np.testing.assert_array_equal(
+            bag.value, np.take_along_axis(want_bag, batch.bag_columns, axis=1))
+        for got, want in zip((x.grad, w.grad, bias.grad), want_grads):
+            np.testing.assert_array_equal(got, want)
 
     def test_embedding_scatter_adds_repeated_rows(self):
         table = parameter(np.random.default_rng(6).normal(size=(5, 3)))
@@ -717,7 +798,8 @@ class TestFiniteDifferenceHarness:
             context = ad.attention(memory, s["bilinear"], memory, steps)
             hidden = ad.concat_cols([memory, context])
             features = ad.affine(hidden, s["w2"], s["b2"])
-            nll, bag = ad.generator_losses(features, s["w3"], s["b3"], picks, steps)
+            nll, bag = ad.generator_losses(features, s["w3"], s["b3"], picks, steps,
+                                           every_column(2, 5))
             spread = ad.add(ad.bag_nll(bag, bag_words), ad.sum_all(ad.mul(bag, bag)))
             return ad.add(ad.add(nll, ad.scale(spread, 0.5)), constant(np.asarray(0.25)))
 

@@ -1,5 +1,7 @@
 """Vocabulary, batching, and toy-corpus tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from bowseq.data import (
     EOS,
     PAD,
     UNK,
+    Batch,
     ExamplePair,
     ToyTaskSpec,
     Vocab,
@@ -143,16 +146,65 @@ class TestBatching:
         )
 
     def test_bag_indicator_counts(self):
-        pairs = self._pairs([3])
+        """Each row holds its bag's words, then PAD under a 0 mask, out to
+        the batch's largest bag."""
+        pairs = self._pairs([3, 5, 1])
         batch = pack_batch(pairs, 10)
-        assert batch.bag_indicator.shape == (1, 10)
-        assert batch.bag_indicator[0].sum() == len(pairs[0].bag)
-        assert set(np.nonzero(batch.bag_indicator[0])[0]) == set(pairs[0].bag)
+        width = max(len(p.bag) for p in pairs)
+        assert batch.bag_columns.shape == batch.bag_indicator.shape == (3, width)
+        assert batch.bag_columns.dtype == np.int64
+        for i, pair in enumerate(pairs):
+            real = batch.bag_indicator[i] == 1.0
+            assert batch.bag_indicator[i].sum() == len(pair.bag)
+            assert tuple(batch.bag_columns[i][real]) == pair.bag
+            assert np.all(batch.bag_columns[i][~real] == PAD)
 
     def test_repeated_bag_word_packs_to_one(self):
-        """The indicator is 0/1 even for a pair built with a repeated bag word."""
+        """A bag word packs once even for a pair built with a repeated bag
+        word: counted twice, it would weigh twice in the loss."""
         batch = pack_batch([ExamplePair((4,), (5, 6, 5, EOS), (5, 5, 6))], 8)
-        np.testing.assert_array_equal(batch.bag_indicator, [[0, 0, 0, 0, 0, 1, 1, 0]])
+        np.testing.assert_array_equal(batch.bag_columns, [[5, 6]])
+        np.testing.assert_array_equal(batch.bag_indicator, [[1.0, 1.0]])
+
+    @pytest.mark.parametrize("word", [-1, 3, 8, 9])
+    def test_bag_word_outside_the_vocabulary_rejected(self, word):
+        """A negative index would otherwise name a column from the end."""
+        with pytest.raises(ValueError, match=r"bag word outside \[4, 8\)"):
+            pack_batch([ExamplePair((4,), (5, EOS), (5, word))], 8)
+
+    def test_dense_indicator_converts_to_bag_columns(self):
+        """A batch built with a dense (B, V) indicator and no columns holds
+        the columns and mask that ``pack_batch`` packs."""
+        pairs = self._pairs([3, 5, 2])
+        packed = pack_batch(pairs, 10)
+        dense = np.zeros((3, 10))
+        for i, pair in enumerate(pairs):
+            dense[i, list(pair.bag)] = 1.0
+        fields = ("source", "source_lengths", "source_mask", "target", "target_lengths",
+                  "target_mask")
+        converted = Batch(**{f: getattr(packed, f) for f in fields}, bag_indicator=dense)
+        np.testing.assert_array_equal(converted.bag_columns, packed.bag_columns)
+        np.testing.assert_array_equal(converted.bag_indicator, packed.bag_indicator)
+
+    def test_batch_list_holds_no_vocabulary_wide_array(self):
+        """256 pairs of 50-token targets at the paper's vocabulary, in
+        batches of 64: the list holds bag columns, not four dense (64, V)
+        float64 indicators of 25.6 MB each."""
+        rng = np.random.default_rng(2)
+        vocab = 50_004
+        pairs = []
+        for _ in range(256):
+            src = tuple(int(t) for t in rng.integers(4, vocab, 50))
+            tgt = tuple(int(t) for t in rng.integers(4, vocab, 49)) + (EOS,)
+            pairs.append(ExamplePair(src, tgt, extract_bag(tgt)))
+        tracemalloc.start()
+        try:
+            batches = make_batches(pairs, 64, vocab, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(batches) == 4
+        assert peak < 2 * 1024 * 1024
 
     def test_single_example_single_batch(self):
         batches = make_batches(self._pairs([4]), batch_size=8, tgt_vocab_size=10, seed=1)

@@ -326,12 +326,14 @@ class TestBagProbabilities:
 
     def test_equals_the_sigmoid_of_the_bag_training_folds(self):
         """With every target step real, the per-step score rows of a
-        teacher-forced pass give the bits of the sigmoid of its bag."""
+        teacher-forced pass give, at each bag's columns, the bits of the
+        sigmoid of its bag."""
         model, rng = tiny_model(seed=19, generator_input="concat")
         batch = toy_batch(model, rng)
         forward = model.forward_teacher_forced(batch)
         rows = np.split(forward.scores.value, batch.target.shape[1])
-        np.testing.assert_array_equal(bow_probabilities([constant(r) for r in rows]).value,
+        probs = bow_probabilities([constant(r) for r in rows]).value
+        np.testing.assert_array_equal(np.take_along_axis(probs, batch.bag_columns, axis=1),
                                       ad.stable_sigmoid(forward.bag_scores.value))
 
     def test_empty_input_rejected(self):
@@ -374,7 +376,7 @@ class TestForwardTeacherForced:
         forward = model.forward_teacher_forced(batch)
         summed = sum(forward.scores.value[2 * t + 1] * batch.target_mask[1, t] for t in range(4))
         np.testing.assert_allclose(
-            sigmoid(forward.bag_scores.value[1]), sigmoid(summed), atol=1e-12
+            sigmoid(forward.bag_scores.value[1]), sigmoid(summed[batch.bag_columns[1]]), atol=1e-12
         )
 
     def test_padded_row_probs_match_unbatched_prefix(self):
@@ -387,7 +389,8 @@ class TestForwardTeacherForced:
             target=np.vstack([full.target, [[5, EOS, 0]]]),
             target_lengths=np.array([3, 2]),
             target_mask=np.array([[1.0, 1, 1], [1, 1, 0]]),
-            bag_indicator=np.vstack([full.bag_indicator, np.zeros((1, 13))]),
+            bag_indicator=np.vstack([full.bag_indicator, np.zeros_like(full.bag_indicator)]),
+            bag_columns=np.vstack([full.bag_columns, np.zeros_like(full.bag_columns)]),
         )
         solo = Batch(
             source=np.array([[4, 9]]), source_lengths=np.array([2]),

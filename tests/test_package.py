@@ -28,7 +28,7 @@ def test_every_benchmark_traced_call_site_exists(monkeypatch):
 
 def test_every_bowseq_name_the_scripts_use_exists():
     """The scripts import bowseq by name, ``paper_batch.py`` down to
-    ``training._train_batch`` and ``cli._random_batch``, and no other test
+    ``training._train_batch`` and ``data.make_batches``, and no other test
     runs them: each of their imports from bowseq must succeed, and every
     attribute they read off a bowseq module must exist."""
     missing, read = [], set()
@@ -46,5 +46,5 @@ def test_every_bowseq_name_the_scripts_use_exists():
                 read.add((node.value.id, node.attr))
                 if not hasattr(modules[node.value.id], node.attr):
                     missing.append((script, node.value.id, node.attr))
-    assert {("training", "_train_batch"), ("cli", "_random_batch")} <= read
+    assert {("training", "_train_batch"), ("data", "make_batches")} <= read
     assert missing == []

@@ -122,12 +122,15 @@ def test_generator_losses_values_and_gradients(budget, monkeypatch):
     b0 = rng.standard_normal((1, vocab))
     targets = rng.integers(0, vocab, (batch, steps))
     mask = (np.arange(steps) < rng.integers(1, steps + 1, (batch, 1))).astype(np.float64)
-    indicator = (rng.random((batch, vocab)) < 0.01).astype(np.float64)
+    # Bags of 1 to 50 distinct words, padded with PAD under a 0 mask.
+    bag_mask = (np.arange(50) < rng.integers(1, 51, (batch, 1))).astype(np.float64)
+    columns = np.stack([rng.choice(np.arange(4, vocab), 50, replace=False) for _ in range(batch)])
+    columns[bag_mask == 0.0] = 0
 
     def run():
         x, w, b = ad.parameter(x0), ad.parameter(w0), ad.parameter(b0)
-        word, bag = ad.generator_losses(x, w, b, targets, mask)
-        ad.backward(ad.add(word, ad.scale(ad.bag_nll(bag, indicator), 0.7)))
+        word, bag = ad.generator_losses(x, w, b, targets, mask, columns)
+        ad.backward(ad.add(word, ad.scale(ad.bag_nll(bag, bag_mask), 0.7)))
         return [word.value, bag.value, x.grad, w.grad, b.grad]
 
     results = each_width(run)

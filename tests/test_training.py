@@ -1,7 +1,7 @@
 """Training-loop tests: checkpoints and logs land where asked, the schedule
 feeds through, baseline parity on the word term, non-finite aborts, the
-recorded clip factor, a training batch's peak memory and the pages a warm
-batch faults in."""
+recorded clip factor, a training batch's peak memory and the pages warm
+batches fault in."""
 
 import platform
 import tracemalloc
@@ -217,6 +217,34 @@ class TestTrainModel:
             training._train_batch(model, batch, *args)
             faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         assert max(faults) < 100, faults
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc policy set on glibc only")
+    def test_different_warm_batches_fault_in_no_fresh_pages(self):
+        """At train-wide's shape (V=16000, E=H=128, B=16, 20 tokens) eight
+        different batches, each on its first use: from the third on, none
+        faults in fresh pages.  A dense (B, V) bag indicator, allocated when
+        the batches were cut but written only at its bag entries, faulted in
+        about 250 pages on its first full read."""
+        import resource  # Unix only, like glibc
+
+        vocab, length = 16000, 20
+        config = ModelConfig(src_vocab_size=vocab, tgt_vocab_size=vocab, emb_size=128,
+                             hidden_size=128, dropout=0.2, generator_input="context")
+        rng = np.random.default_rng(6)
+        model = Seq2SeqModel(config, init_rng=rng)
+        pairs = []
+        for _ in range(8 * 16):
+            src = tuple(int(t) for t in rng.integers(4, vocab, length))
+            tgt = tuple(int(t) for t in rng.integers(4, vocab, length - 1)) + (EOS,)
+            pairs.append(ExamplePair(src, tgt, extract_bag(tgt)))
+        batches = make_batches(pairs, 16, vocab, seed=0)
+        args = (0.1, 10.0, AdamState.for_store(model.params, lr=3e-4), rng, 0, 0)
+        faults = []
+        for batch in batches:
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            training._train_batch(model, batch, *args)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert len(faults) == 8 and max(faults[2:]) < 100, faults
 
     def test_validation_columns_filled_when_requested(self):
         model, pairs, rng = tiny_setup()
