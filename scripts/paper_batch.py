@@ -18,12 +18,15 @@ The work runs in a child process that caps its own address space at
 copy of this script can measure any checkout, and reads its own peak
 resident memory.
 The JSON holds N, the seconds of each batch, the milliseconds per decoded
-sentence, the peak RSS in MiB, the cap, and the root's git revision.
+sentence, the peak RSS in MiB, the cap, the root's git revision, and the
+SHA-256 of its ``src/**/*.py`` as perfbench's provenance takes it, which
+tells apart two checkouts without ``.git``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import resource
 import subprocess
@@ -104,6 +107,14 @@ def git_revision(root: Path) -> str | None:
     return out.stdout.strip() or None
 
 
+def source_sha256(root: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted((root / "src").rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(Path(__file__).resolve().parent.parent),
@@ -122,7 +133,8 @@ def main() -> int:
     if proc.returncode:
         print(proc.stderr, file=sys.stderr)
         return proc.returncode
-    record = {"root": str(root), "git_revision": git_revision(root), **json.loads(proc.stdout)}
+    record = {"root": str(root), "git_revision": git_revision(root),
+              "source_sha256": source_sha256(root), **json.loads(proc.stdout)}
     text = json.dumps(record, indent=1) + "\n"
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

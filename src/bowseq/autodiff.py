@@ -15,12 +15,12 @@ allocate one.
 
 The model runs on one coarse primitive per layer, each with a hand-written
 backward rule over time-major (T*B)-row matrices, which hold T steps of B
-rows: ``lstm_scan`` runs a whole LSTM layer in one direction, ``attention``
-takes the bilinear projection, weights and contexts of all decoder steps at
-once, and the losses work in log space on the scores.  The forward
-arithmetic of the LSTM and attention primitives is a plain function on
-arrays (``lstm_forward``, and ``attention_forward`` over the encoder layout
-of ``attention_layout``), which decoding calls without a graph.
+rows: ``lstm_scan`` runs a whole LSTM layer in one direction, input projection
+included, ``attention`` takes the bilinear projection, weights and contexts of
+all decoder steps at once, and the losses work in log space on the scores.
+The forward arithmetic of the LSTM and attention primitives is a plain
+function on arrays (``lstm_forward``, and ``attention_forward`` over the
+encoder layout of ``attention_layout``), which decoding calls without a graph.
 ``generator_losses`` fuses the generator with the word loss and the sum
 of each sentence's bag columns, so that training never holds the (T*B, V)
 scores whole nor a (B, V) bag, and ``bag_nll`` is the whole bag loss on
@@ -288,57 +288,61 @@ def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: fl
 # ---------------------------------------------------------------------------
 
 
-def lstm_scan(
-    xw: Node,
-    h: Node,
-    c: Node,
-    w_rec: Node,
-    mask: np.ndarray | None = None,
-    reverse: bool = False,
-) -> tuple[Node, Node, Node]:
-    """A whole LSTM layer: every step's gates, state update and padding carry.
+def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
+              mask: np.ndarray | None = None, reverse: bool = False) -> tuple[Node, Node, Node]:
+    """A whole LSTM layer: the input projection x @ w_in + bias, one
+    product as in ``affine``, then every step's gates, state update and
+    padding carry.
 
-    ``xw`` holds the input projections x W_in + bias of T steps of B rows,
-    time-major, B being the rows of the initial (h, c).  Gates lie along
-    columns as [input, forget, cell, output].  The steps run in position
-    order, or last position first if ``reverse``.  ``mask``, a (B, T) 0/1
-    array, marks real positions: a row with mask 0 carries its previous h
-    and c through the step unchanged.
+    ``x`` holds the inputs of T steps of B rows, time-major, B being the
+    rows of the initial (h, c).  Gates lie along columns as [input, forget,
+    cell, output].  The steps run in position order, or last position first
+    if ``reverse``.  ``mask``, a (B, T) 0/1 array, marks real positions: a
+    row with mask 0 carries its previous h and c through the step unchanged.
 
     Returns the nodes (outputs, h', c'): the (T*B, H) states of every step
     in position order, and the state after the last step taken, all views of
     the forward's (T, B, ·) buffers.  They are one primitive: c' holds the
     backward rule, h' is a child of c' and outputs of h', and their own
-    rules only hand their gradients over.  The rule walks the steps in
-    reverse, writes every dz into one (T*B, 4H) array that ``xw`` adopts,
-    and adds the recurrent weight gradient one step at a time.  The forward
-    is ``lstm_forward``.
+    rules only hand their gradients over.  The forward is ``lstm_forward``,
+    and the layer keeps its tz, c and h, 6H floats per row and step.  The
+    rule recomputes the gates and tanh(c) with the forward's ufuncs, turns
+    tz into the slope in place (a later pass runs the forward again), walks
+    the steps in reverse, writing every dz into one (T*B, 4H) array and
+    adding the recurrent weight gradient step by step, and ends with
+    ``affine``'s products on that array.
     """
     batch, hs = h.value.shape
-    rows = xw.value.shape[0]
+    rows = x.value.shape[0]
     if (
-        xw.value.ndim != 2
-        or xw.value.shape[1] != 4 * hs
+        x.value.ndim != 2
+        or w_in.value.shape != (x.value.shape[1], 4 * hs)
+        or bias.value.shape != (1, 4 * hs)
         or rows == 0
         or batch == 0
         or rows % batch
         or c.value.shape != h.value.shape
         or w_rec.value.shape != (hs, 4 * hs)
     ):
-        raise ShapeError("lstm_scan", xw.value.shape, h.value.shape, c.value.shape,
-                         w_rec.value.shape)
+        raise ShapeError("lstm_scan", x.value.shape, w_in.value.shape, bias.value.shape,
+                         h.value.shape, c.value.shape, w_rec.value.shape)
     steps = rows // batch
     drop = None
     if mask is not None:
         if np.shape(mask) != (batch, steps):
-            raise ShapeError("lstm_scan", xw.value.shape, h.value.shape, np.shape(mask))
+            raise ShapeError("lstm_scan", x.value.shape, h.value.shape, np.shape(mask))
         drop = (np.asarray(mask, dtype=np.float64).T <= 0)[:, :, None]  # (T, B, 1)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     w = w_rec.value
-    tz, act, c_all, tanh_c_all, h_all = lstm_forward(xw.value, h.value, c.value, w, drop, reverse)
-    i_all, f_all, g_all, o_all = (act[:, :, k * hs : (k + 1) * hs] for k in range(4))
-    scale_sq = _gate_columns(hs)[2]
-    c_out = Node(c_all[order[-1]], parents=(xw, h, c, w_rec))
+
+    def run() -> tuple[np.ndarray, ...]:
+        xw = parallel.matmul(x.value, w_in.value, bias=bias.value)
+        return lstm_forward(xw, h.value, c.value, w, drop, reverse)
+
+    tz, c_all, h_all = run()
+    passes: list[bool] = []  # the first backward pass turns tz into the slope
+    scale, shift, scale_sq = _gate_columns(hs)
+    c_out = Node(c_all[order[-1]], parents=(x, w_in, bias, h, c, w_rec))
     h_out = Node(h_all[order[-1]], parents=(c_out,))
     outputs = Node(h_all.reshape(rows, hs), parents=(h_out,))
     handed_over: list[np.ndarray | None] = []
@@ -354,20 +358,27 @@ def lstm_scan(
         # An absent child reads as zero.
         dh = np.zeros((batch, hs)) if dh is None else dh
         dc = np.zeros((batch, hs)) if out._grad is None else out._grad
+        slope = run()[0] if passes else tz
+        passes.append(True)
+        act = slope * scale
+        act += shift
+        i_all, f_all, g_all, o_all = (act[:, :, k * hs : (k + 1) * hs] for k in range(4))
         # d act / d z is (1 - tz^2) / 4 on the sigmoid blocks and 1 - tz^2 on g.
-        slope = tz * tz
+        np.multiply(slope, slope, out=slope)
         np.subtract(1.0, slope, out=slope)
         slope *= scale_sq
+        # On a padded row this is tanh of the carried c, which no term reads.
+        tanh_c_all = np.tanh(c_all)
         d_tanh_c = tanh_c_all * tanh_c_all
         np.subtract(1.0, d_tanh_c, out=d_tanh_c)
-        dz_all = np.empty((steps, batch, 4 * hs))
+        dz_all = np.empty((rows, 4 * hs))
         for t in reversed(order):
             first = t == order[0]
             prev = t + 1 if reverse else t - 1
             if d_steps is not None:
                 dh = dh + d_steps[t]
             dc_t = dc + dh * o_all[t] * d_tanh_c[t]
-            dz = dz_all[t]
+            dz = dz_all[t * batch : (t + 1) * batch]
             np.multiply(dc_t, g_all[t], out=dz[:, :hs])
             np.multiply(dc_t, c.value if first else c_all[prev], out=dz[:, hs : 2 * hs])
             np.multiply(dc_t, i_all[t], out=dz[:, 2 * hs : 3 * hs])
@@ -385,8 +396,13 @@ def lstm_scan(
             if w_rec.requires_grad:
                 _accumulate(w_rec, parallel.matmul((h.value if first else h_all[prev]).T, dz))
             dh, dc = dh_prev, dc_prev
-        if xw.requires_grad:
-            _accumulate(xw, dz_all.reshape(rows, 4 * hs))
+        del slope, act, i_all, f_all, g_all, o_all, tanh_c_all, d_tanh_c
+        if x.requires_grad:
+            _accumulate(x, parallel.matmul(dz_all, w_in.value.T))
+        if w_in.requires_grad:
+            _accumulate(w_in, parallel.matmul(x.value.T, dz_all))
+        if bias.requires_grad:
+            _accumulate(bias, dz_all.sum(axis=0, keepdims=True))
         if h.requires_grad:
             _accumulate(h, dh)
         if c.requires_grad:
@@ -402,38 +418,38 @@ def lstm_forward(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_rec: np.ndarray
                  drop: np.ndarray | None = None, reverse: bool = False) -> tuple[np.ndarray, ...]:
     """The forward arithmetic of ``lstm_scan`` on arrays; ``drop`` is None
     or the (T, B, 1) bool array of padded rows.  Returns the (T, B, ·)
-    buffers (tz, act, c, tanh(c), h): tanh of the scaled pre-activations,
-    the gates [i, f, g, o] and every step's state, carried on padded rows."""
+    buffers (tz, c, h): tanh of the scaled pre-activations, written over the
+    (T*B, 4H) projections ``xw``, which nothing else may read, and every
+    step's state, carried on padded rows; the gates and tanh(c) are scratch."""
     batch, hs = h.shape
     steps = xw.shape[0] // batch
-    xwv = xw.reshape(steps, batch, 4 * hs)
+    tz = xw.reshape(steps, batch, 4 * hs)   # tanh(scale * z), in place
     # sigmoid(z) = 0.5 + 0.5 tanh(z / 2), so one tanh over the four gate
     # blocks, scaled per column, yields all gate activations at once.
     scale, shift, _ = _gate_columns(hs)
-    tz = np.empty((steps, batch, 4 * hs))   # tanh(scale * z)
-    act = np.empty((steps, batch, 4 * hs))  # [i, f, g, o]
+    hw = np.empty((batch, 4 * hs))
+    act = np.empty((batch, 4 * hs))  # [i, f, g, o]
+    tanh_c = np.empty((batch, hs))
     c_all = np.empty((steps, batch, hs))
-    tanh_c_all = np.empty((steps, batch, hs))
     h_all = np.empty((steps, batch, hs))
-    i_all, f_all, g_all, o_all = (act[:, :, k * hs : (k + 1) * hs] for k in range(4))
+    i, f, g, o = (act[:, k * hs : (k + 1) * hs] for k in range(4))
     h_prev, c_prev = h, c
     for t in range(steps - 1, -1, -1) if reverse else range(steps):
         z = tz[t]
-        parallel.matmul(h_prev, w_rec, z)
-        z += xwv[t]
+        z += parallel.matmul(h_prev, w_rec, hw)
         z *= scale
         np.tanh(z, out=z)
-        np.multiply(z, scale, out=act[t])
-        act[t] += shift
-        np.multiply(f_all[t], c_prev, out=c_all[t])
-        c_all[t] += i_all[t] * g_all[t]
-        np.tanh(c_all[t], out=tanh_c_all[t])
-        np.multiply(o_all[t], tanh_c_all[t], out=h_all[t])
+        np.multiply(z, scale, out=act)
+        act += shift
+        np.multiply(f, c_prev, out=c_all[t])
+        c_all[t] += i * g
+        np.tanh(c_all[t], out=tanh_c)
+        np.multiply(o, tanh_c, out=h_all[t])
         if drop is not None:
             np.copyto(h_all[t], h_prev, where=drop[t])
             np.copyto(c_all[t], c_prev, where=drop[t])
         h_prev, c_prev = h_all[t], c_all[t]
-    return tz, act, c_all, tanh_c_all, h_all
+    return tz, c_all, h_all
 
 
 @functools.lru_cache(maxsize=None)

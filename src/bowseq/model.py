@@ -10,8 +10,8 @@ over the target vocabulary.  The sentence-level bag-of-words probability is
 sigmoid of the scores summed over the real target timesteps.
 
 Sequences are time-major (T*B)-row matrices: rows t*B .. t*B+B-1 hold step
-t.  Each LSTM layer and direction is one matmul that projects all its
-inputs and one ``lstm_scan`` primitive that steps through the positions.
+t.  Each LSTM layer and direction is one ``lstm_scan`` primitive, which
+projects all its inputs in one matmul and steps through the positions.
 The decoder has no input feeding, so under teacher forcing attention and
 generator run once over all T steps, attention as one ``attention``
 primitive from the decoder states to the contexts.  A decoding step runs
@@ -177,8 +177,7 @@ class LstmCell:
         (h, c), last step first if ``reverse``; rows with ``mask`` (B, T) 0
         (trailing PAD) keep their previous state.  Returns the (T*B, H)
         outputs in position order and the final (h, c)."""
-        xw = ad.affine(x, self.w_in, self.bias)  # every step's input projection at once
-        return ad.lstm_scan(xw, h, c, self.w_rec, mask, reverse)
+        return ad.lstm_scan(x, self.w_in, self.bias, h, c, self.w_rec, mask, reverse)
 
 
 class Seq2SeqModel:
@@ -290,7 +289,7 @@ class Seq2SeqModel:
         layers = []
         for cell, (h, c) in zip(self.dec_cells, state.layers):
             xw = parallel.matmul(x, cell.w_in.value, bias=cell.bias.value)
-            _, _, c_all, _, h_all = ad.lstm_forward(xw, h, c, cell.w_rec.value)
+            _, c_all, h_all = ad.lstm_forward(xw, h, c, cell.w_rec.value)
             x = h_all[0]
             layers.append((x, c_all[0]))
         projected = parallel.matmul(x, self.attn_bilinear.value)

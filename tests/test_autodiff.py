@@ -136,9 +136,11 @@ class TestPrimitiveValues:
 
     def test_lstm_cell_pad_rows_carry_state_exactly(self):
         rng = np.random.default_rng(12)
-        xw = constant(rng.normal(size=(4, 8)))  # T=2, B=2, H=2
+        x = constant(rng.normal(size=(4, 3)))  # T=2, B=2, E=3, H=2
+        w_in, bias = constant(rng.normal(size=(3, 8))), constant(rng.normal(size=(1, 8)))
         h, c = constant(rng.normal(size=(2, 2))), constant(rng.normal(size=(2, 2)))
-        outputs, h_new, c_new = ad.lstm_scan(xw, h, c, constant(rng.normal(size=(2, 8))),
+        outputs, h_new, c_new = ad.lstm_scan(x, w_in, bias, h, c,
+                                             constant(rng.normal(size=(2, 8))),
                                              np.array([[0.0, 0.0], [1.0, 1.0]]))
         np.testing.assert_array_equal(outputs.value[[0, 2]], h.value[[0, 0]])
         np.testing.assert_array_equal(h_new.value[0], h.value[0])
@@ -148,30 +150,32 @@ class TestPrimitiveValues:
     def test_lstm_scan_steps_match_single_step_scans(self):
         """Each step is computed the same way whatever T is: a scan over T
         steps gives the bits of T chained scans at T=1, forward and reverse,
-        gradients included."""
+        gradients included.  The projection's weight and bias sum their
+        steps' gradients in another order, so those are only close."""
         rng = np.random.default_rng(19)
-        xw_steps = [parameter(rng.normal(size=(2, 4 * 3))) for _ in range(3)]  # B=2, H=3
+        x_steps = [parameter(rng.normal(size=(2, 5))) for _ in range(3)]  # B=2, E=5, H=3
+        w_in, bias = parameter(rng.normal(size=(5, 12))), parameter(rng.normal(size=(1, 12)))
         h0, c0 = parameter(rng.normal(size=(2, 3))), parameter(rng.normal(size=(2, 3)))
         w_rec = parameter(rng.normal(size=(3, 12)))
         go, gh, gc = (rng.normal(size=s) for s in ((6, 3), (2, 3), (2, 3)))
-        xw = parameter(np.concatenate([p.value for p in xw_steps]))
-        leaves = xw_steps + [xw, h0, c0, w_rec]
+        x = parameter(np.concatenate([p.value for p in x_steps]))
+        leaves = x_steps + [x, w_in, bias, h0, c0, w_rec]
 
         def dot(n, g):
             return ad.sum_all(ad.mul(n, constant(g)))
 
         for reverse in (False, True):
-            runs = []
+            runs, sums = [], []
             for whole in (True, False):
                 for p in leaves:
                     p.grad = None
                 if whole:
-                    outputs, h, c = ad.lstm_scan(xw, h0, c0, w_rec, reverse=reverse)
-                    inputs, steps = [xw], [outputs]
+                    outputs, h, c = ad.lstm_scan(x, w_in, bias, h0, c0, w_rec, reverse=reverse)
+                    inputs, steps = [x], [outputs]
                 else:
-                    inputs, h, c, steps = xw_steps, h0, c0, [None] * 3
+                    inputs, h, c, steps = x_steps, h0, c0, [None] * 3
                     for t in (2, 1, 0) if reverse else (0, 1, 2):
-                        steps[t], h, c = ad.lstm_scan(xw_steps[t], h, c, w_rec)
+                        steps[t], h, c = ad.lstm_scan(x_steps[t], w_in, bias, h, c, w_rec)
                 root = ad.add(dot(h, gh), dot(c, gc))
                 for n, g in zip(steps, np.split(go, len(steps))):
                     root = ad.add(root, dot(n, g))
@@ -179,8 +183,11 @@ class TestPrimitiveValues:
                 runs.append([np.concatenate([n.value for n in steps]),
                              np.concatenate([p.grad for p in inputs]),
                              h.value, c.value, h0.grad, c0.grad, w_rec.grad])
+                sums.append([w_in.grad, bias.grad])
             for whole, chained in zip(*runs):
                 assert np.array_equal(whole, chained)
+            for whole, chained in zip(*sums):
+                np.testing.assert_allclose(chained, whole, rtol=1e-13, atol=1e-13)
 
     def test_attention_rows_do_not_depend_on_step_count(self):
         """The contexts of one step at T=1 are the bits of that step's rows
@@ -219,16 +226,28 @@ class TestShapeErrors:
         with pytest.raises(ShapeError, match="mul"):
             ad.mul(constant(np.ones((2, 2))), constant(np.ones((2, 3))))
 
+    @staticmethod
+    def _projection(inputs=3, gates=8):
+        return constant(np.ones((inputs, gates))), constant(np.ones((1, gates)))
+
     def test_lstm_cell_step_outside_inputs(self):
         with pytest.raises(ShapeError, match="lstm_scan"):  # 5 rows are not whole steps of B=2
-            ad.lstm_scan(constant(np.ones((5, 8))), constant(np.ones((2, 2))),
-                         constant(np.ones((2, 2))), constant(np.ones((2, 8))))
+            ad.lstm_scan(constant(np.ones((5, 3))), *self._projection(),
+                         constant(np.ones((2, 2))), constant(np.ones((2, 2))),
+                         constant(np.ones((2, 8))))
+
+    @pytest.mark.parametrize("projection", [(4, 8), (3, 6)], ids=["input-width", "gate-width"])
+    def test_lstm_scan_projection_must_fit_input_and_gates(self, projection):
+        with pytest.raises(ShapeError, match="lstm_scan"):
+            ad.lstm_scan(constant(np.ones((4, 3))), *self._projection(*projection),
+                         constant(np.ones((2, 2))), constant(np.ones((2, 2))),
+                         constant(np.ones((2, 8))))
 
     def test_lstm_scan_mask_must_be_batch_by_steps(self):
         with pytest.raises(ShapeError, match="lstm_scan"):
-            ad.lstm_scan(constant(np.ones((4, 8))), constant(np.ones((2, 2))),
-                         constant(np.ones((2, 2))), constant(np.ones((2, 8))),
-                         np.ones((2, 1)))
+            ad.lstm_scan(constant(np.ones((4, 3))), *self._projection(),
+                         constant(np.ones((2, 2))), constant(np.ones((2, 2))),
+                         constant(np.ones((2, 8))), np.ones((2, 1)))
 
     def test_attention_memory_must_cover_every_position(self):
         with pytest.raises(ShapeError, match="attention"):
@@ -491,7 +510,8 @@ class TestBackwardRules:
 
     def test_lstm_cell_two_steps_with_pad_rows(self):
         rng = np.random.default_rng(14)
-        xw = parameter(rng.normal(size=(2 * 3, 4 * 2)))  # T=2, B=3, H=2
+        x = parameter(rng.normal(size=(2 * 3, 3)))  # T=2, B=3, E=3, H=2
+        w_in, bias = parameter(rng.normal(size=(3, 8))), parameter(rng.normal(size=(1, 8)))
         h0 = parameter(rng.normal(size=(3, 2)))
         c0 = parameter(rng.normal(size=(3, 2)))
         w_rec = parameter(rng.normal(size=(2, 8)))
@@ -499,10 +519,10 @@ class TestBackwardRules:
         gh, gc = constant(rng.normal(size=(3, 2))), constant(rng.normal(size=(3, 2)))
 
         def build():
-            _, h, c = ad.lstm_scan(xw, h0, c0, w_rec, mask)
+            _, h, c = ad.lstm_scan(x, w_in, bias, h0, c0, w_rec, mask)
             return ad.add(ad.sum_all(ad.mul(h, gh)), ad.sum_all(ad.mul(c, gc)))
 
-        self._check(build, [xw, h0, c0, w_rec])
+        self._check(build, [x, w_in, bias, h0, c0, w_rec])
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("reads", ["all", "outputs", "h", "c"])
@@ -512,7 +532,8 @@ class TestBackwardRules:
         outputs, h' and c', or on one of them alone, so that the rule of c'
         also runs when a child handing it a gradient is not in the graph."""
         rng = np.random.default_rng(35)
-        xw = parameter(rng.normal(size=(4 * 3, 4 * 2)))  # T=4, B=3, H=2
+        x = parameter(rng.normal(size=(4 * 3, 3)))  # T=4, B=3, E=3, H=2
+        w_in, bias = parameter(rng.normal(size=(3, 8))), parameter(rng.normal(size=(1, 8)))
         h0 = parameter(rng.normal(size=(3, 2)))
         c0 = parameter(rng.normal(size=(3, 2)))
         w_rec = parameter(rng.normal(size=(2, 8)))
@@ -520,13 +541,30 @@ class TestBackwardRules:
         upstream = [constant(rng.normal(size=s)) for s in ((12, 2), (3, 2), (3, 2))]
 
         def build():
-            nodes = ad.lstm_scan(xw, h0, c0, w_rec, mask, reverse=reverse)
+            nodes = ad.lstm_scan(x, w_in, bias, h0, c0, w_rec, mask, reverse=reverse)
             parts = [ad.sum_all(ad.mul(n, g)) for n, g in zip(nodes, upstream)]
             if reads != "all":
                 return parts[["outputs", "h", "c"].index(reads)]
             return ad.add(ad.add(parts[0], parts[1]), parts[2])
 
-        self._check(build, [xw, h0, c0, w_rec])
+        self._check(build, [x, w_in, bias, h0, c0, w_rec])
+
+    def test_lstm_scan_backward_twice_doubles(self):
+        """The first pass takes over the forward's tz and turns it into the
+        slope; a second pass over the same graph runs the forward again and
+        adds the same gradients, up to the order in which the steps add into
+        the recurrent weight's."""
+        rng = np.random.default_rng(36)
+        shapes = ((3 * 2, 3), (3, 8), (1, 8), (2, 2), (2, 2), (2, 8))  # T=3, B=2, E=3, H=2
+        leaves = [parameter(rng.normal(size=s)) for s in shapes]
+        outputs, h, c = ad.lstm_scan(*leaves, np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]),
+                                     reverse=True)
+        loss = ad.add(ad.sum_all(ad.mul(outputs, outputs)), ad.sum_all(ad.mul(h, c)))
+        backward(loss)
+        once = [p.grad.copy() for p in leaves]
+        backward(loss)
+        for p, g in zip(leaves, once):
+            np.testing.assert_allclose(p.grad, 2 * g, rtol=1e-15, atol=1e-15)
 
     def test_attention_weights_and_context_with_masked_positions(self):
         """``attention`` computes the weights and the contexts in one node:
@@ -694,11 +732,12 @@ class TestGraphStructure:
         return len(seen)
 
     @pytest.mark.parametrize("variant", ["paper"])
-    def test_a4_shape_training_loss_is_39_nodes(self, variant):
+    def test_a4_shape_training_loss_is_36_nodes(self, variant):
         """A training loss of the A4 configuration (concat, 1/1 layers,
-        E=H=64, B=32, no dropout) is 39 nodes:
-        attention is one node over (query, bilinear, memory) and the bag
-        loss one node over the bag."""
+        E=H=64, B=32, no dropout) is 36 nodes:
+        each LSTM layer and direction is three nodes over its input and
+        parameters, attention is one node over (query, bilinear, memory)
+        and the bag loss one node over the bag."""
         config = ModelConfig(src_vocab_size=24, tgt_vocab_size=24, emb_size=64, hidden_size=64,
                              enc_layers=1, dec_layers=1, dropout=0.0, generator_input="concat")
         rng = np.random.default_rng(7)
@@ -712,7 +751,7 @@ class TestGraphStructure:
         forward = model.forward_teacher_forced(batch, train=True, rng=rng)
         bag = bag_loss(forward.bag_scores, batch.bag_indicator)
         assert len(bag.parents) == 1 and bag.parents[0] is forward.bag_scores
-        assert self._node_count(total_loss(word_loss(forward), bag, 0.1)) == 39
+        assert self._node_count(total_loss(word_loss(forward), bag, 0.1)) == 36
 
         encoded = model.encode(batch.source, batch.source_mask)
         query = constant(rng.normal(size=(batch.target.size, 64)))
@@ -793,8 +832,7 @@ class TestFiniteDifferenceHarness:
 
         def loss(s):
             x = ad.dropout(ad.embedding_lookup(s["table"], idx), drop)
-            xw = ad.affine(x, s["w1"], s["b1"])
-            memory, _, _ = ad.lstm_scan(xw, h0, c0, s["w_rec"], steps)
+            memory, _, _ = ad.lstm_scan(x, s["w1"], s["b1"], h0, c0, s["w_rec"], steps)
             context = ad.attention(memory, s["bilinear"], memory, steps)
             hidden = ad.concat_cols([memory, context])
             features = ad.affine(hidden, s["w2"], s["b2"])

@@ -2,13 +2,14 @@
 padding neutrality, the bag-probability reduction, and checkpoint I/O."""
 
 import errno
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bowseq import autodiff as ad
-from bowseq.autodiff import ParameterStore, constant
+from bowseq.autodiff import ParameterStore, constant, parameter
 from bowseq.data import BOS, EOS, Batch
 from bowseq.model import (
     LstmCell,
@@ -153,6 +154,26 @@ class TestLstmCell:
         np.testing.assert_array_equal(c_new.value[1], c.value[1])
         assert not np.allclose(h_new.value[0], h.value[0])
 
+    def test_step_keeps_under_seven_floats_per_hidden_unit_and_row_step(self):
+        """A layer's forward keeps the tz, c and h of every step, 6H floats
+        per row and step; with its nodes, it keeps under 7H.  The gates,
+        tanh(c) and a separate projection would take 15H."""
+        steps, batch, hidden = 20, 16, 128
+        rng = np.random.default_rng(24)
+        cell = LstmCell(ParameterStore(), "cell", hidden, hidden,
+                        lambda s: rng.uniform(-0.1, 0.1, s))
+        x = parameter(rng.normal(size=(steps * batch, hidden)))
+        h, c = constant(np.zeros((batch, hidden))), constant(np.zeros((batch, hidden)))
+        cell.step(x, h, c)  # caches and worker threads start outside the trace
+        tracemalloc.start()
+        try:
+            nodes = cell.step(x, h, c)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nodes[0].shape == (steps * batch, hidden)
+        assert kept <= 7 * hidden * 8 * steps * batch
+
 
 class TestEncoder:
     def test_states_are_sum_of_directions(self):
@@ -275,6 +296,29 @@ class TestDecoder:
         out1 = model.decode_step(np.array([BOS]), state, enc)
         out2 = model.decode_step(np.array([4]), out1.state, enc)
         assert not np.allclose(out1.state.layers[0][0], out2.state.layers[0][0])
+
+    def test_decode_step_leaves_its_inputs_alone(self):
+        """Two steps from the same inputs give the same scores and states,
+        and neither writes into the state, the encoder's attention memory or
+        a parameter."""
+        model, rng = tiny_model(seed=17, enc_layers=2, dec_layers=2, generator_input="concat")
+        enc = model.encode(np.array([[4, 5, 6], [7, 8, 0]]), np.array([[1.0, 1, 1], [1, 1, 0]]))
+        state = model.initial_decoder_state(enc)
+        prev = np.array([BOS, 5])
+
+        def inputs():
+            return ([a.copy() for layer in state.layers for a in layer]
+                    + [a.copy() for a in enc.attention_memory]
+                    + [node.value.copy() for _, node in model.params.items()])
+
+        before = inputs()
+        first = model.decode_step(prev, state, enc)
+        second = model.decode_step(prev, state, enc)
+        np.testing.assert_array_equal(first.scores, second.scores)
+        for a, b in zip(first.state.layers, second.state.layers):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(before, inputs(), strict=True):
+            np.testing.assert_array_equal(a, b)
 
     def test_out_of_range_previous_token_rejected(self):
         model, rng = tiny_model(seed=14)
