@@ -17,10 +17,11 @@ The work runs in a child process that caps its own address space at
 ``CAP_GIB`` with RLIMIT_AS, imports bowseq from ``<root>/src``, so that one
 copy of this script can measure any checkout, and reads its own peak
 resident memory.
-The JSON holds N, the seconds of each batch, the milliseconds per decoded
-sentence, the peak RSS in MiB, the cap, the root's git revision, and the
-SHA-256 of its ``src/**/*.py`` as perfbench's provenance takes it, which
-tells apart two checkouts without ``.git``.
+The JSON holds N, the seconds of each batch, the resident memory at each
+batch's end (``VmRSS``, null where ``/proc/self/status`` is missing), the
+milliseconds per decoded sentence, the peak RSS in MiB, the cap, the root's
+git revision, and the SHA-256 of its ``src/**/*.py`` as perfbench's
+provenance takes it, which tells apart two checkouts without ``.git``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,19 @@ DECODE_CAP = 30
 SEED = 0
 #: Address-space cap of the measuring child, GiB.
 CAP_GIB = 6.5
+
+
+def resident_mib() -> float | None:
+    """This process's resident memory now, in MiB, or None without
+    ``/proc/self/status``."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1]) / 1024.0  # reported in kB
+    except OSError:
+        pass
+    return None
 
 
 def measure(root: Path, pairs: int) -> dict:
@@ -73,11 +87,12 @@ def measure(root: Path, pairs: int) -> dict:
               for s, c in zip(sources, contents)]
     del sources, contents  # the corpus alone stays held, as in training
     batches = data.make_batches(corpus, args.batch_size, vocab, SEED)
-    batch_s = []
+    batch_s, batch_end_rss = [], []
     for index, batch in enumerate(batches[:BATCHES]):
         started = time.perf_counter()
         training._train_batch(model, batch, weight, args.clip_norm, adam, rng, 0, index)
         batch_s.append(time.perf_counter() - started)
+        batch_end_rss.append(resident_mib())
     sources = rng.integers(4, vocab, (SENTENCES, length)).tolist()
     beam = BeamConfig(width=BEAM_WIDTH, max_length=DECODE_CAP)
     started = time.perf_counter()
@@ -91,6 +106,7 @@ def measure(root: Path, pairs: int) -> dict:
                    "length": length, "beam_width": BEAM_WIDTH, "decode_cap": DECODE_CAP,
                    "sentences": SENTENCES},
         "batch_s": batch_s,
+        "batch_end_rss_mib": batch_end_rss,
         "decode_ms_per_sentence": 1000.0 * decode_s / SENTENCES,
         # Linux reports ru_maxrss in KiB.
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,

@@ -305,11 +305,12 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
     the forward's (T, B, ·) buffers.  They are one primitive: c' holds the
     backward rule, h' is a child of c' and outputs of h', and their own
     rules only hand their gradients over.  The forward is ``lstm_forward``,
-    and the layer keeps its tz, c and h, 6H floats per row and step.  The
-    rule recomputes the gates and tanh(c) with the forward's ufuncs, turns
-    tz into the slope in place (a later pass runs the forward again), walks
-    the steps in reverse, writing every dz into one (T*B, 4H) array and
-    adding the recurrent weight gradient step by step, and ends with
+    and the layer keeps its tz, c and h, 6H floats per row and step; after
+    the backward rule only c and h, 2H.  The rule recomputes the gates and
+    tanh(c) with the forward's ufuncs, turns tz into the slope in place and
+    frees it before the last products (a later pass runs the forward again),
+    walks the steps in reverse, writing every dz into one (T*B, 4H) array
+    and adding the recurrent weight gradient step by step, and ends with
     ``affine``'s products on that array.
     """
     batch, hs = h.value.shape
@@ -340,7 +341,6 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
         return lstm_forward(xw, h.value, c.value, w, drop, reverse)
 
     tz, c_all, h_all = run()
-    passes: list[bool] = []  # the first backward pass turns tz into the slope
     scale, shift, scale_sq = _gate_columns(hs)
     c_out = Node(c_all[order[-1]], parents=(x, w_in, bias, h, c, w_rec))
     h_out = Node(h_all[order[-1]], parents=(c_out,))
@@ -351,6 +351,7 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
         handed_over.append(out._grad)
 
     def backward_c(out: Node) -> None:
+        nonlocal tz
         # The outputs rule runs before the h' rule, so h''s gradient pops first.
         dh = handed_over.pop() if handed_over else None
         d_outputs = handed_over.pop() if handed_over else None
@@ -358,8 +359,8 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
         # An absent child reads as zero.
         dh = np.zeros((batch, hs)) if dh is None else dh
         dc = np.zeros((batch, hs)) if out._grad is None else out._grad
-        slope = run()[0] if passes else tz
-        passes.append(True)
+        # The first pass takes tz over as the slope; a later one runs the forward again.
+        slope, tz = (run()[0] if tz is None else tz), None
         act = slope * scale
         act += shift
         i_all, f_all, g_all, o_all = (act[:, :, k * hs : (k + 1) * hs] for k in range(4))
@@ -878,8 +879,8 @@ class ParameterStore:
 
     def zero_gradients(self) -> None:
         """Release every parameter's gradient.  It reads as zeros until the
-        next backward pass, whose first contribution it adopts, so no
-        zero-filled array outlives the optimizer step that last read it."""
+        next backward pass, whose first contribution it adopts; training
+        calls this once the optimizer step has read the gradients."""
         for node in self._params.values():
             node.grad = None
 

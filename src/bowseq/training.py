@@ -106,10 +106,12 @@ def _train_batch(
 ) -> LossBreakdown:
     """Forward, backward, clip and one Adam step for one batch.
 
-    The previous batch's gradients are released before the forward pass, so
-    this batch's activations and score buffer never sit beside them.  The
-    batch's graph is local here, so it is freed on return, before the next
-    batch builds its own.
+    The gradients live from the backward pass to the Adam step that reads
+    them and are released there, also when the step raises, so neither the
+    next batch nor the epoch-end validation and checkpoints run beside them.
+    Gradients a caller left behind are released before the forward pass.
+    The batch's graph is local here, so it is freed on return, before the
+    next batch builds its own.
     """
     model.params.zero_gradients()
     forward = model.forward_teacher_forced(batch, train=True, rng=rng)
@@ -122,15 +124,17 @@ def _train_batch(
             f"non-finite loss at epoch {epoch}, batch {index}: "
             f"word={breakdown.word} bag={breakdown.bag}"
         )
-    ad.backward(loss)
     try:
+        ad.backward(loss)
         breakdown.clip_factor = clip_gradients(model.params, clip_norm)
+        adam_step(model.params, adam)
     except NonFiniteGradientError as err:
         raise TrainingError(
             f"non-finite gradient at epoch {epoch}, batch {index}: "
             f"first in parameter {err.parameter!r}"
         ) from err
-    adam_step(model.params, adam)
+    finally:
+        model.params.zero_gradients()
     return breakdown
 
 

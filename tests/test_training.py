@@ -181,7 +181,7 @@ class TestTrainModel:
             pairs.append(ExamplePair(src, tgt, extract_bag(tgt)))
         (batch,) = make_batches(pairs, batch_size, vocab, seed=0)
         args = (1.0, 10.0, AdamState.for_store(model.params), rng, 0, 0)
-        training._train_batch(model, batch, *args)  # gradients exist from here on
+        training._train_batch(model, batch, *args)  # caches and the Adam moments are warm
         tracemalloc.start()
         try:
             training._train_batch(model, batch, *args)
@@ -332,6 +332,41 @@ class TestTrainModel:
         monkeypatch.setattr(model, "forward_teacher_forced", forward)
         train_model(model, pairs, ScheduleParams(), rng, epochs=1, batch_size=4)
         assert len(held) == 3 and held == [[], [], []]
+
+    def test_gradients_are_released_once_adam_has_read_them(self, monkeypatch):
+        """No parameter holds a gradient once a batch returns or raises for
+        a non-finite gradient, nor while an epoch end validates."""
+        model, pairs, rng = tiny_setup()
+
+        def held():
+            return [name for name, node in model.params.items() if node._grad is not None]
+
+        batch = make_batches(pairs, 4, 16, seed=0)[0]
+        args = (0.5, 10.0, AdamState.for_store(model.params), rng, 0, 0)
+        training._train_batch(model, batch, *args)
+        assert held() == []
+        real_backward = training.ad.backward
+
+        def poisoned_backward(root):
+            real_backward(root)
+            model.params["enc.l0.bwd.w_rec"].grad[0, 3] = np.nan
+
+        monkeypatch.setattr(training.ad, "backward", poisoned_backward)
+        with pytest.raises(TrainingError, match="non-finite gradient"):
+            training._train_batch(model, batch, *args)
+        assert held() == []
+        monkeypatch.setattr(training.ad, "backward", real_backward)
+        real_validate, seen = training._validate, []
+
+        def validate(*args):
+            seen.append(held())
+            return real_validate(*args)
+
+        monkeypatch.setattr(training, "_validate", validate)
+        val = ValidationSet([[4, 5, 6], [7, 8]], [["t0", "t1"], ["t2"]],
+                            Vocab([f"t{i}" for i in range(12)]))
+        train_model(model, pairs, ScheduleParams(), rng, epochs=2, batch_size=4, validation=val)
+        assert seen == [[], []]
 
 
 class TestDeterminism:
