@@ -9,9 +9,11 @@ Graphs must stay acyclic, so that reference counting frees each one as soon
 as its root is dropped and the cyclic garbage collector never has work to
 do.  A node references its parents and its backward rule; the rule
 references the parents and the arrays it saved, never its own output node:
-``backward`` passes that node in as the rule's argument.  A gradient array
-is allocated on first read, so forward-only graphs and constants never
-allocate one.
+``backward`` passes that node in as the rule's argument.  A graph is
+backpropagated once: ``backward`` drops each rule, and with it the arrays
+it saved, as soon as the rule has run, and refuses a graph that has lost a
+rule.  A missing gradient reads as a zero view and stores nothing, so
+forward-only graphs and constants never allocate one.
 
 The model runs on one coarse primitive per layer, each with a hand-written
 backward rule over time-major (T*B)-row matrices, which hold T steps of B
@@ -30,11 +32,11 @@ there is no word softmax, no log node and no sigmoid node;
 ``stable_sigmoid`` and ``stable_softplus`` are array functions.
 
 Nothing broadcasts implicitly.  The elementwise ``add`` and ``mul`` take
-two arrays of one shape; the only bias is the (1, n) row of ``affine``,
-whose backward rule sums it over rows.  Anything richer (gold-column
-losses, the bag loss, attention over a memory) is its own primitive with an
-explicit backward rule, so no gradient ever flows through an implicit numpy
-broadcast.
+two arrays of one shape; a bias is a (1, n) row of ``affine``, ``lstm_scan``
+or ``generator_losses``, whose backward rule sums its gradient over rows.
+Anything richer (gold-column losses, the bag loss, attention over a memory)
+is its own primitive with an explicit backward rule, so no gradient ever
+flows through an implicit numpy broadcast.
 """
 
 from __future__ import annotations
@@ -64,10 +66,11 @@ class Node:
     ``grad`` always has the same shape as ``value``.  A node with no
     gradient reads as a read-only zero view and stores nothing; every rule
     adds through ``_accumulate``, which adopts the first contribution.
-    Leaves (no parents) accumulate gradients across backward passes until
-    released; an interior node's gradient lives only from its first
-    contribution to the end of its own rule.  ``_backward(node)`` is called
-    with the node itself, so no rule needs to capture its own output.
+    Leaves (no parents) accumulate gradients across graphs until released.
+    An interior node's gradient lives only from its first contribution to
+    the end of its own rule.  ``backward`` calls that rule once, as
+    ``_backward(node)`` with the node itself, so no rule needs to capture
+    its own output, and takes it off the node before the call.
     """
 
     __slots__ = ("value", "_grad", "parents", "requires_grad", "_backward")
@@ -306,12 +309,11 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
     backward rule, h' is a child of c' and outputs of h', and their own
     rules only hand their gradients over.  The forward is ``lstm_forward``,
     and the layer keeps its tz, c and h, 6H floats per row and step; after
-    the backward rule only c and h, 2H.  The rule recomputes the gates and
-    tanh(c) with the forward's ufuncs, turns tz into the slope in place and
-    frees it before the last products (a later pass runs the forward again),
-    walks the steps in reverse, writing every dz into one (T*B, 4H) array
-    and adding the recurrent weight gradient step by step, and ends with
-    ``affine``'s products on that array.
+    the backward rule only c and h, 2H, since tz goes with the rule.  The
+    rule recomputes the gates and tanh(c) with the forward's ufuncs, turns
+    tz into the slope in place, walks the steps in reverse, writing every dz
+    into one (T*B, 4H) array and adding the recurrent weight gradient step
+    by step, and ends with ``affine``'s products on that array.
     """
     batch, hs = h.value.shape
     rows = x.value.shape[0]
@@ -335,12 +337,8 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
         drop = (np.asarray(mask, dtype=np.float64).T <= 0)[:, :, None]  # (T, B, 1)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     w = w_rec.value
-
-    def run() -> tuple[np.ndarray, ...]:
-        xw = parallel.matmul(x.value, w_in.value, bias=bias.value)
-        return lstm_forward(xw, h.value, c.value, w, drop, reverse)
-
-    tz, c_all, h_all = run()
+    xw = parallel.matmul(x.value, w_in.value, bias=bias.value)
+    tz, c_all, h_all = lstm_forward(xw, h.value, c.value, w, drop, reverse)
     scale, shift, scale_sq = _gate_columns(hs)
     c_out = Node(c_all[order[-1]], parents=(x, w_in, bias, h, c, w_rec))
     h_out = Node(h_all[order[-1]], parents=(c_out,))
@@ -351,7 +349,6 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
         handed_over.append(out._grad)
 
     def backward_c(out: Node) -> None:
-        nonlocal tz
         # The outputs rule runs before the h' rule, so h''s gradient pops first.
         dh = handed_over.pop() if handed_over else None
         d_outputs = handed_over.pop() if handed_over else None
@@ -359,8 +356,7 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
         # An absent child reads as zero.
         dh = np.zeros((batch, hs)) if dh is None else dh
         dc = np.zeros((batch, hs)) if out._grad is None else out._grad
-        # The first pass takes tz over as the slope; a later one runs the forward again.
-        slope, tz = (run()[0] if tz is None else tz), None
+        slope = tz  # turned into the slope in place: the graph is backpropagated once
         act = slope * scale
         act += shift
         i_all, f_all, g_all, o_all = (act[:, :, k * hs : (k + 1) * hs] for k in range(4))
@@ -603,8 +599,9 @@ def generator_losses(x: Node, weight: Node, bias: Node, targets: np.ndarray, mas
     The (T*B, V) scores are never whole.  Chunks of steps go through one
     buffer of at most ``_SCORE_BUDGET`` entries (one step at least), and
     each row keeps only its max, its exp sum and its gold score.  The
-    backward rule walks the chunks in reverse, recomputing each one's scores
-    except the last forward chunk, which is still in the buffer.  It writes
+    backward rule walks the chunks in reverse in the forward's buffer, which
+    the graph holds until that rule has run, recomputing each chunk's scores
+    except the last one's, whose exp the forward left there.  It writes
     (softmax - one-hot) * mask * d(word) / B into the buffer, adds
     d(bag) * mask into the bag columns with one gather and one scatter, and
     accumulates the gradients of x, weight and bias chunk by chunk; a
@@ -655,16 +652,17 @@ def generator_losses(x: Node, weight: Node, bias: Node, targets: np.ndarray, mas
     total = np.empty((xv.shape[0], 1))
     gold_score = np.empty(xv.shape[0])
 
-    def scores(t0: int, t1: int, buffer: np.ndarray) -> np.ndarray:
+    buffer = np.empty((span * batch, vocab))
+
+    def scores(t0: int, t1: int) -> np.ndarray:
         """The scores of steps [t0, t1), written into the buffer's first rows."""
         return parallel.matmul(xv[t0 * batch : t1 * batch], w, buffer[: (t1 - t0) * batch], b)
 
-    buffer = np.empty((span * batch, vocab))
     bag = None
     # Non-finite scores give a NaN loss, which the caller reports.
     with np.errstate(invalid="ignore"):
         for t0, t1 in chunks:
-            s = scores(t0, t1, buffer)
+            s = scores(t0, t1)
             bag = fold_steps(buffer.reshape(-1)[picks[: t1 - t0]], mask[:, t0:t1], bag)
 
             def normalise(lo: int, hi: int) -> None:
@@ -678,7 +676,6 @@ def generator_losses(x: Node, weight: Node, bias: Node, targets: np.ndarray, mas
             parallel.each(normalise, s.shape[0], s.size)
         nll = np.log(total[:, 0]) - (gold_score - top[:, 0])
         value = np.sum(nll.reshape(-1, batch).T * mask) * (1.0 / batch)
-    held = [buffer]  # the last chunk's exp, for the first backward pass
     bag_out = Node(bag, parents=(x, weight, bias))
     word_out = Node(value, parents=(bag_out,))
     handed_over: list[float] = []
@@ -689,18 +686,15 @@ def generator_losses(x: Node, weight: Node, bias: Node, targets: np.ndarray, mas
     def backward_bag(out: Node) -> None:
         d_word = handed_over.pop() if handed_over else 0.0
         d_bag = out._grad
-        # The first pass takes over the forward's buffer and releases it; a
-        # later pass recomputes every chunk in a buffer of its own.
-        kept = bool(held)
-        buffer = held.pop() if kept else np.empty((span * batch, vocab))
         row_scale = row_mask * (d_word / batch)
         d_x = np.empty_like(xv) if x.requires_grad else None
         d_weight = None
         for index in reversed(range(len(chunks))):
             t0, t1 = chunks[index]
             rows = slice(t0 * batch, t1 * batch)
-            fresh = not (kept and index == len(chunks) - 1)
-            e = scores(t0, t1, buffer) if fresh else buffer[: (t1 - t0) * batch]
+            # The last chunk's exp is still in the forward's buffer.
+            fresh = index != len(chunks) - 1
+            e = scores(t0, t1) if fresh else buffer[: (t1 - t0) * batch]
 
             def softmax_minus_gold(lo: int, hi: int) -> None:
                 at, part = slice(t0 * batch + lo, t0 * batch + hi), e[lo:hi]
@@ -821,24 +815,25 @@ def _topo_order(root: Node) -> list[Node]:
 def backward(root: Node) -> None:
     """Accumulate d(root)/d(leaf) into every reachable trainable leaf.
 
-    Interior gradients are scratch: reset on entry, and each one dropped as
-    soon as its node's rule has run, so none outlives the call.  Leaf
-    gradients add up across calls until zero_gradients, so backpropagating
-    the same root twice yields exactly twice the single-pass leaf gradients.
+    A graph is backpropagated once.  Each interior node's rule is taken off
+    the node before it runs, so the arrays it saved go once it has run, also
+    when it raises, and each interior gradient goes with it.  A graph in
+    which some interior node has lost its rule, whether to an earlier pass
+    or to a rule that raised, is refused with a ValueError before any rule
+    runs.  Leaf gradients add up across graphs until zero_gradients.
     """
     if root.value.size != 1:
         raise ValueError(f"backward: root must be scalar, got shape {root.value.shape}")
     if not root.requires_grad:
         return
     order = _topo_order(root)
-    for node in order:
-        if node.parents:
-            node.grad = None
+    if any(node.parents and node._backward is None for node in order):
+        raise ValueError("backward: the graph was already backpropagated")
     _accumulate(root, np.ones_like(root.value))
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node)
         if node.parents:
+            rule, node._backward = node._backward, None
+            rule(node)
             node.grad = None
 
 

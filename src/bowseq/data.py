@@ -40,12 +40,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self._itos)
 
-    def index(self, token: str) -> int:
-        return self._stoi.get(token, UNK)
-
-    def token(self, index: int) -> str:
-        return self._itos[index]
-
     def encode(self, tokens: Iterable[str]) -> list[int]:
         return [self._stoi.get(t, UNK) for t in tokens]
 

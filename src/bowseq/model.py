@@ -79,10 +79,6 @@ class EncoderStates:
     mask: np.ndarray                # (B, L) float 0/1
     finals: list[tuple[tuple[Node, Node], tuple[Node, Node]]]  # [(fwd(h,c), bwd(h,c))] per layer
 
-    @property
-    def length(self) -> int:
-        return self.mask.shape[1]
-
     @functools.cached_property
     def attention_memory(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The keys, values and open positions ``attention_forward`` reads,

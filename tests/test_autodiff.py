@@ -388,23 +388,6 @@ class TestBackwardRules:
         for whole, parts in zip(one[2], chunked[2]):
             assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
 
-    def test_generator_losses_backward_twice_doubles(self, monkeypatch):
-        """The first pass takes over the forward's buffer; a second pass over
-        the same graph recomputes every chunk and adds the same gradient, up
-        to the order in which the chunks add into it."""
-        monkeypatch.setattr(ad, "_SCORE_BUDGET", 2 * 2 * 3)  # chunks of 2 steps and 1
-        rng = np.random.default_rng(33)
-        x = parameter(rng.normal(size=(6, 4)))
-        w, bias = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(1, 3)))
-        word, bag = ad.generator_losses(x, w, bias, np.array([[0, 2, 1], [1, 1, 0]]),
-                                        np.ones((2, 3)), np.array([[0, 2], [1, 0]]))
-        loss = ad.add(word, ad.bag_nll(bag, np.array([[1.0, 1.0], [1.0, 0.0]])))
-        backward(loss)
-        once = [p.grad.copy() for p in (x, w, bias)]
-        backward(loss)
-        for p, g in zip((x, w, bias), once):
-            np.testing.assert_allclose(p.grad, 2 * g, rtol=1e-15, atol=1e-15)
-
     def test_generator_losses_adopts_a_released_weight_gradient(self):
         """One chunk into a weight that holds no gradient allocates one (H, V)
         array, the gradient itself: no zero fill and no scratch copy."""
@@ -549,23 +532,6 @@ class TestBackwardRules:
 
         self._check(build, [x, w_in, bias, h0, c0, w_rec])
 
-    def test_lstm_scan_backward_twice_doubles(self):
-        """The first pass takes over the forward's tz and turns it into the
-        slope; a second pass over the same graph runs the forward again and
-        adds the same gradients, up to the order in which the steps add into
-        the recurrent weight's."""
-        rng = np.random.default_rng(36)
-        shapes = ((3 * 2, 3), (3, 8), (1, 8), (2, 2), (2, 2), (2, 8))  # T=3, B=2, E=3, H=2
-        leaves = [parameter(rng.normal(size=s)) for s in shapes]
-        outputs, h, c = ad.lstm_scan(*leaves, np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]),
-                                     reverse=True)
-        loss = ad.add(ad.sum_all(ad.mul(outputs, outputs)), ad.sum_all(ad.mul(h, c)))
-        backward(loss)
-        once = [p.grad.copy() for p in leaves]
-        backward(loss)
-        for p, g in zip(leaves, once):
-            np.testing.assert_allclose(p.grad, 2 * g, rtol=1e-15, atol=1e-15)
-
     def test_attention_weights_and_context_with_masked_positions(self):
         """``attention`` computes the weights and the contexts in one node:
         the gradients of the queries, the bilinear matrix and the memory
@@ -606,35 +572,62 @@ class TestBackwardRules:
 
 
 class TestBackwardSemantics:
-    def test_repeated_backward_doubles_leaf_gradients(self):
-        a = parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        root = ad.bag_nll(a, np.array([[1.0, 0.0], [0.0, 1.0]]))
-        backward(root)
-        once = a.grad.copy()
-        backward(root)
-        np.testing.assert_array_equal(a.grad, 2.0 * once)
-
     def test_scaled_root_scales_gradients_linearly(self):
         a = parameter(np.array([[0.3, -0.2], [0.1, 0.7]]))
-        root = ad.bag_nll(a, np.array([[1.0, 0.0], [0.0, 1.0]]))
-        backward(root)
+        indicator = np.array([[1.0, 0.0], [0.0, 1.0]])
+        backward(ad.bag_nll(a, indicator))
         base = a.grad.copy()
         a.grad = None
-        backward(ad.scale(root, 3.5))
+        backward(ad.scale(ad.bag_nll(a, indicator), 3.5))
         np.testing.assert_allclose(a.grad, 3.5 * base, rtol=0, atol=1e-12)
 
     def test_two_roots_accumulate_into_shared_leaf(self):
         a = parameter(np.array([[1.0, -1.0]]))
-        r1, r2 = ad.sum_all(ad.mul(a, a)), ad.bag_nll(a, np.array([[1.0, 1.0]]))
-        backward(r1)
+
+        def r1():
+            return ad.sum_all(ad.mul(a, a))
+
+        def r2():
+            return ad.bag_nll(a, np.array([[1.0, 1.0]]))
+
+        backward(r1())
         g1 = a.grad.copy()
         a.grad = None
-        backward(r2)
+        backward(r2())
         g2 = a.grad.copy()
         a.grad = None
-        backward(r1)
-        backward(r2)
+        backward(r1())
+        backward(r2())
         np.testing.assert_allclose(a.grad, g1 + g2, atol=1e-15)
+
+    def test_backward_refuses_a_used_graph(self):
+        """A graph is backpropagated once.  A second pass over the same root,
+        a root built on a node that was already backpropagated, and a retry
+        after a rule raised mid-pass each raise before any rule runs, and
+        leave every leaf gradient as it was."""
+        rng = np.random.default_rng(38)
+        a, b = parameter(rng.normal(size=(2, 2))), parameter(rng.normal(size=(2, 2)))
+
+        def refused(root):
+            before = [a.grad.copy(), b.grad.copy()]
+            with pytest.raises(ValueError, match="already backpropagated"):
+                backward(root)
+            for leaf, grad in zip((a, b), before):
+                np.testing.assert_array_equal(leaf.grad, grad)
+
+        product = ad.mul(a, b)
+        root = ad.sum_all(product)
+        backward(root)
+        refused(root)
+        # The new root's own rules would reach a, so none of them may run.
+        refused(ad.add(ad.sum_all(ad.mul(a, a)), ad.scale(ad.sum_all(product), 2.0)))
+
+        a.grad, b.grad = None, np.zeros((2, 2))
+        b.grad.flags.writeable = False
+        root = ad.add(ad.sum_all(ad.mul(a, a)), ad.sum_all(ad.mul(b, b)))
+        with pytest.raises(ValueError, match="read-only"):
+            backward(root)
+        refused(root)
 
     def test_backward_requires_scalar_root(self):
         a = parameter(np.ones((2, 2)))
@@ -696,7 +689,7 @@ class TestGraphLifetime:
         assert found == 0
 
     def test_backward_keeps_leaf_gradients_only(self):
-        """Every interior gradient is dropped once its node's rule has run,
+        """Every interior gradient and rule is dropped once the rule has run,
         the hand-overs of the LSTM scans and the generator included, while
         every parameter keeps its gradient."""
         model, batch, rng = self._small_model_batch()
@@ -709,7 +702,7 @@ class TestGraphLifetime:
             node = stack.pop()
             if node.parents:
                 interior += 1
-                assert node._grad is None, node
+                assert node._grad is None and node._backward is None, node
             for parent in node.parents:
                 if id(parent) not in seen:
                     seen.add(id(parent))

@@ -191,7 +191,7 @@ class TestEncoder:
     def test_single_position_source(self):
         model, rng = tiny_model(seed=4)
         enc = model.encode(np.array([[7]]))
-        assert enc.length == 1
+        assert enc.mask.shape[1] == 1
         (fh, _), (bh, _) = enc.finals[0]
         np.testing.assert_allclose(enc.memory.value, fh.value + bh.value, atol=1e-15)
 
@@ -239,7 +239,7 @@ class TestAttention:
         enc = model.encode(rng.integers(4, 11, size=(2, 3)))
         q = constant(rng.normal(size=(2, 6)))
         context = model.attend(q, enc)
-        states = [position(enc, i) for i in range(enc.length)]
+        states = [position(enc, i) for i in range(enc.mask.shape[1])]
         want_w, want_c = attention_oracle(q.value, states, model.attn_bilinear.value)
         np.testing.assert_allclose(attention_weights(model, q, enc), want_w, atol=1e-10)
         np.testing.assert_allclose(context.value, want_c, atol=1e-10)
@@ -262,7 +262,7 @@ class TestAttention:
         assert np.all(w >= 0) and np.all(w <= 1)
         np.testing.assert_allclose(w.sum(axis=1), [1.0, 1.0], atol=1e-12)
         recombined = sum(
-            w[:, i : i + 1] * position(enc, i) for i in range(enc.length)
+            w[:, i : i + 1] * position(enc, i) for i in range(enc.mask.shape[1])
         )
         np.testing.assert_allclose(model.attend(q, enc).value, recombined, atol=1e-12)
 

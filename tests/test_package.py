@@ -1,5 +1,6 @@
 """Package surface: every name ``bowseq`` exports exists, and so does every
-call site the benchmark traces and every bowseq name the scripts use."""
+call site the benchmark traces and every bowseq name the scripts and the
+benchmark's worker use."""
 
 import ast
 import importlib
@@ -27,13 +28,15 @@ def test_every_benchmark_traced_call_site_exists(monkeypatch):
 
 
 def test_every_bowseq_name_the_scripts_use_exists():
-    """The scripts import bowseq by name, ``paper_batch.py`` down to
-    ``training._train_batch`` and ``data.make_batches``, and no other test
-    runs them: each of their imports from bowseq must succeed, and every
-    attribute they read off a bowseq module must exist."""
+    """The scripts and the benchmark's worker import bowseq by name,
+    ``paper_batch.py`` down to ``training._train_batch`` and
+    ``data.make_batches``, the worker down to ``greedy_decode`` and
+    ``training.make_batches``, and no other test runs them: each of their
+    imports from bowseq must succeed, and every attribute they read off a
+    bowseq module must exist."""
     missing, read = [], set()
-    for script in ("paper_batch.py", "a4_seeds.py"):
-        path = Path(__file__).resolve().parents[1] / "scripts" / script
+    for script in ("scripts/paper_batch.py", "scripts/a4_seeds.py", "perfbench/worker.py"):
+        path = Path(__file__).resolve().parents[1] / script
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names: dict = {}
         for node in ast.walk(tree):
@@ -46,5 +49,6 @@ def test_every_bowseq_name_the_scripts_use_exists():
                 read.add((node.value.id, node.attr))
                 if not hasattr(modules[node.value.id], node.attr):
                     missing.append((script, node.value.id, node.attr))
-    assert {("training", "_train_batch"), ("data", "make_batches")} <= read
+    assert {("training", "_train_batch"), ("data", "make_batches"),
+            ("training", "make_batches"), ("inference", "beam_search")} <= read
     assert missing == []
