@@ -24,12 +24,13 @@ The forward arithmetic of the LSTM and attention primitives is a plain
 function on arrays (``lstm_forward``, and ``attention_forward`` over the
 encoder layout of ``attention_layout``), which decoding calls without a graph.
 ``generator_losses`` fuses the generator with the word loss and the sum
-of each sentence's bag columns, so that training never holds the (T*B, V)
-scores whole nor a (B, V) bag, and ``bag_nll`` is the whole bag loss on
-the (B, K) bag.  The bag sum is ``fold_steps``, the one fold of steps that
-``model.bow_probabilities`` runs too.  Nothing floors a probability:
-there is no word softmax, no log node and no sigmoid node;
-``stable_sigmoid`` and ``stable_softplus`` are array functions.
+of each sentence's bag columns, so that training holds the (T*B, V) scores
+once, in one buffer that their gradient overwrites, and never a (B, V) bag,
+and ``bag_nll`` is the whole bag loss on the (B, K) bag.  The bag sum is
+``fold_steps``, the one fold of steps that ``model.bow_probabilities`` runs
+too.  Nothing floors a probability: there is no word softmax, no log node
+and no sigmoid node; ``stable_sigmoid`` and ``stable_softplus`` are array
+functions.
 
 Nothing broadcasts implicitly.  The elementwise ``add`` and ``mul`` take
 two arrays of one shape; a bias is a (1, n) row of ``affine``, ``lstm_scan``
@@ -464,9 +465,8 @@ def _gate_columns(hs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return columns
 
 
-#: Most entries a chunked kernel holds in one temporary: 2^23 float64
-#: entries, 64 MiB.  ``attention_forward`` and ``generator_losses`` run
-#: their steps in chunks that fit it.
+#: Most entries ``attention_forward`` holds in one temporary: 2^23 float64
+#: entries, 64 MiB.  It runs its steps in chunks that fit it.
 _SCORE_BUDGET = 1 << 23
 
 
@@ -593,22 +593,18 @@ def generator_losses(x: Node, weight: Node, bias: Node, targets: np.ndarray, mas
       softmax, logsumexp(row) - gold score, summed over real steps and
       divided by B.  No probability is floored.
     - bag: the (B, K) scores of each row's bag columns summed over the
-      steps with ``mask`` as weights by ``fold_steps``, chunk after chunk
-      into one total; with all V columns in order, the dense bag sum.
+      steps with ``mask`` as weights by ``fold_steps``; with all V columns
+      in order, the dense bag sum.
 
-    The (T*B, V) scores are never whole.  Chunks of steps go through one
-    buffer of at most ``_SCORE_BUDGET`` entries (one step at least), and
-    each row keeps only its max, its exp sum and its gold score.  The
-    backward rule walks the chunks in reverse in the forward's buffer, which
-    the graph holds until that rule has run, recomputing each chunk's scores
-    except the last one's, whose exp the forward left there.  It writes
-    (softmax - one-hot) * mask * d(word) / B into the buffer, adds
-    d(bag) * mask into the bag columns with one gather and one scatter, and
-    accumulates the gradients of x, weight and bias chunk by chunk; a
-    weight that holds no gradient adopts the first chunk's product.  A
-    column repeated in a row gets only one of its adds, so a column may
-    repeat only where d(bag) is zero, as at ``bag_nll``'s masked padding.
-    At one chunk the scores and word loss are the arithmetic of separate
+    The forward computes the (T*B, V) scores once, into one buffer, and
+    normalises them there: each row keeps its max, its exp sum and its gold
+    score, and the buffer its exp, which the graph holds until the backward
+    rule has run.  That rule writes (softmax - one-hot) * mask * d(word) / B
+    over the exp, adds d(bag) * mask into the bag columns with one gather
+    and one scatter, and takes the gradients of x, weight and bias from the
+    buffer.  A column repeated in a row gets only one of its adds, so a
+    column may repeat only where d(bag) is zero, as at ``bag_nll``'s masked
+    padding.  The scores and word loss are the arithmetic of separate
     affine and cross-entropy nodes, bit for bit.
 
     The work is split over the cores by ``parallel``, in phases that each
@@ -642,38 +638,27 @@ def generator_losses(x: Node, weight: Node, bias: Node, targets: np.ndarray, mas
     for name, index in (("target index", targets), ("bag column", bag_columns)):
         if index.size and (index.min() < 0 or index.max() >= vocab):
             raise IndexError(f"generator_losses: {name} out of range")
-    span = min(steps, max(1, _SCORE_BUDGET // (batch * vocab)))  # steps per chunk
-    chunks = [(t, min(t + span, steps)) for t in range(0, steps, span)]
     gold = targets.T.reshape(-1)
     row_mask = mask.T.reshape(-1, 1)
-    # Where step t of each row's bag columns sits in the flattened buffer.
-    picks = np.arange(span * batch).reshape(span, batch, 1) * vocab + bag_columns
+    # Where step t of each row's bag columns sits in the flattened scores.
+    picks = np.arange(steps * batch).reshape(steps, batch, 1) * vocab + bag_columns
     top = np.empty((xv.shape[0], 1))
     total = np.empty((xv.shape[0], 1))
     gold_score = np.empty(xv.shape[0])
 
-    buffer = np.empty((span * batch, vocab))
+    def normalise(lo: int, hi: int) -> None:
+        part = e[lo:hi]
+        gold_score[lo:hi] = part[np.arange(hi - lo), gold[lo:hi]]
+        np.max(part, axis=1, keepdims=True, out=top[lo:hi])
+        part -= top[lo:hi]
+        np.exp(part, out=part)
+        np.sum(part, axis=1, keepdims=True, out=total[lo:hi])
 
-    def scores(t0: int, t1: int) -> np.ndarray:
-        """The scores of steps [t0, t1), written into the buffer's first rows."""
-        return parallel.matmul(xv[t0 * batch : t1 * batch], w, buffer[: (t1 - t0) * batch], b)
-
-    bag = None
     # Non-finite scores give a NaN loss, which the caller reports.
     with np.errstate(invalid="ignore"):
-        for t0, t1 in chunks:
-            s = scores(t0, t1)
-            bag = fold_steps(buffer.reshape(-1)[picks[: t1 - t0]], mask[:, t0:t1], bag)
-
-            def normalise(lo: int, hi: int) -> None:
-                at, part = slice(t0 * batch + lo, t0 * batch + hi), s[lo:hi]
-                gold_score[at] = part[np.arange(hi - lo), gold[at]]
-                np.max(part, axis=1, keepdims=True, out=top[at])
-                part -= top[at]
-                np.exp(part, out=part)
-                np.sum(part, axis=1, keepdims=True, out=total[at])
-
-            parallel.each(normalise, s.shape[0], s.size)
+        e = parallel.matmul(xv, w, bias=b)
+        bag = fold_steps(e.reshape(-1)[picks], mask)
+        parallel.each(normalise, e.shape[0], e.size)
         nll = np.log(total[:, 0]) - (gold_score - top[:, 0])
         value = np.sum(nll.reshape(-1, batch).T * mask) * (1.0 / batch)
     bag_out = Node(bag, parents=(x, weight, bias))
@@ -685,58 +670,35 @@ def generator_losses(x: Node, weight: Node, bias: Node, targets: np.ndarray, mas
 
     def backward_bag(out: Node) -> None:
         d_word = handed_over.pop() if handed_over else 0.0
-        d_bag = out._grad
         row_scale = row_mask * (d_word / batch)
-        d_x = np.empty_like(xv) if x.requires_grad else None
-        d_weight = None
-        for index in reversed(range(len(chunks))):
-            t0, t1 = chunks[index]
-            rows = slice(t0 * batch, t1 * batch)
-            # The last chunk's exp is still in the forward's buffer.
-            fresh = index != len(chunks) - 1
-            e = scores(t0, t1) if fresh else buffer[: (t1 - t0) * batch]
 
-            def softmax_minus_gold(lo: int, hi: int) -> None:
-                at, part = slice(t0 * batch + lo, t0 * batch + hi), e[lo:hi]
-                if fresh:
-                    part -= top[at]
-                    np.exp(part, out=part)
-                part /= total[at]
-                # Exact for gold probabilities of 1/2 and above.
-                part[np.arange(hi - lo), gold[at]] -= 1.0
-                part *= row_scale[at]
+        def softmax_minus_gold(lo: int, hi: int) -> None:
+            part = e[lo:hi]
+            part /= total[lo:hi]
+            # Exact for gold probabilities of 1/2 and above.
+            part[np.arange(hi - lo), gold[lo:hi]] -= 1.0
+            part *= row_scale[lo:hi]
 
-            parallel.each(softmax_minus_gold, e.shape[0], e.size)
-            if d_bag is not None:
-                buffer.reshape(-1)[picks[: t1 - t0]] += d_bag * mask[:, t0:t1].T[:, :, None]
-            adopt = weight.requires_grad and weight._grad is None
-            if adopt:
-                weight._grad = np.empty_like(w)
-            elif weight.requires_grad and d_weight is None:
-                # One scratch for every chunk: above the mmap threshold a
-                # fresh (H, V) array per chunk would be a fresh mapping.
-                d_weight = np.empty_like(w)
-            d_bias = np.empty((1, vocab)) if bias.requires_grad else None
+        parallel.each(softmax_minus_gold, e.shape[0], e.size)
+        if out._grad is not None:
+            e.reshape(-1)[picks] += out._grad * mask.T[:, :, None]
+        d_weight = np.empty_like(w) if weight.requires_grad else None
+        d_bias = np.empty((1, vocab)) if bias.requires_grad else None
 
-            def weight_and_bias(lo: int, hi: int) -> None:
-                cols = e[:, lo:hi]
-                if adopt:
-                    np.matmul(xv[rows].T, cols, out=weight._grad[:, lo:hi])
-                elif weight.requires_grad:
-                    part = d_weight[:, lo:hi]
-                    np.matmul(xv[rows].T, cols, out=part)
-                    grad = weight._grad[:, lo:hi]
-                    grad += part
-                if d_bias is not None:
-                    np.sum(cols, axis=0, keepdims=True, out=d_bias[:, lo:hi])
-
-            parallel.columns(weight_and_bias, w.shape[0], e.shape[0], vocab)
-            if d_x is not None:
-                parallel.matmul(e, w.T, d_x[rows])
+        def weight_and_bias(lo: int, hi: int) -> None:
+            cols = e[:, lo:hi]
+            if d_weight is not None:
+                np.matmul(xv.T, cols, out=d_weight[:, lo:hi])
             if d_bias is not None:
-                _accumulate(bias, d_bias)
-        if d_x is not None:
-            _accumulate(x, d_x)
+                np.sum(cols, axis=0, keepdims=True, out=d_bias[:, lo:hi])
+
+        parallel.columns(weight_and_bias, w.shape[0], e.shape[0], vocab)
+        if d_weight is not None:
+            _accumulate(weight, d_weight)
+        if d_bias is not None:
+            _accumulate(bias, d_bias)
+        if x.requires_grad:
+            _accumulate(x, parallel.matmul(e, w.T))
 
     word_out._backward = backward_word
     bag_out._backward = backward_bag

@@ -354,7 +354,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     lines = read_parallel(args.train_src, args.train_tgt)
     pairs = encode_pairs(lines, src_vocab, tgt_vocab, args.max_sent_len)
-    print(f"dropped {len(lines) - len(pairs)} of {len(lines)} training pairs longer than "
+    read = len(lines)
+    del lines  # the strings are 4-5 times the pairs, and training reads only the pairs
+    print(f"dropped {read - len(pairs)} of {read} training pairs longer than "
           f"{args.max_sent_len} tokens or with a blank side")
     if not pairs:
         raise ValueError("training corpus is empty after length filtering")

@@ -17,8 +17,9 @@ generator run once over all T steps, attention as one ``attention``
 primitive from the decoder states to the contexts.  A decoding step runs
 the same kernels, ``lstm_forward`` and ``attention_forward``, at T=1 on
 arrays and builds no graph; decoding turns its scores into log-probabilities.
-Training never builds the (T*B, V) scores whole: one fused primitive takes
-the word loss and the bag sum from them in log space, chunk by chunk.
+Training builds the (T*B, V) scores once: one fused primitive takes the
+word loss and the bag sum from them in log space, and its backward rule
+turns them into their own gradient in place.
 """
 
 from __future__ import annotations

@@ -330,12 +330,10 @@ class TestBackwardRules:
             np.testing.assert_array_equal(node.value, want_value)
             np.testing.assert_array_equal(scores.grad, want_grad)
 
-    def test_generator_losses_with_padding(self, monkeypatch):
-        """T=5 steps of B=2 rows in chunks of 2, 2 and 1 steps; row t*B + b
-        is step t of sentence b.  The word loss and an upstream on the bag
-        against finite differences; masked steps neither cost nor give x a
-        gradient."""
-        monkeypatch.setattr(ad, "_SCORE_BUDGET", 2 * 2 * 6)
+    def test_generator_losses_with_padding(self):
+        """T=5 steps of B=2 rows; row t*B + b is step t of sentence b.  The
+        word loss and an upstream on the bag against finite differences;
+        masked steps neither cost nor give x a gradient."""
         rng = np.random.default_rng(32)
         x = parameter(rng.normal(size=(10, 3)))
         w = parameter(rng.normal(size=(3, 6)))
@@ -358,35 +356,6 @@ class TestBackwardRules:
         np.testing.assert_allclose(word.value, want, rtol=0, atol=1e-12)
         summed = sum(scores[2 * t : 2 * t + 2] * mask[:, t : t + 1] for t in range(5))
         np.testing.assert_allclose(bag.value, summed, rtol=0, atol=1e-12)
-
-    def test_generator_losses_chunks_match_one_chunk(self, monkeypatch):
-        """Chunking changes no score: the loss and the bag are the same bits
-        at one chunk and at chunks of 2 steps with a remainder.  The
-        gradients add their chunks in another order, so they agree to 1e-12
-        of their largest entry."""
-        rng = np.random.default_rng(34)
-        batch, steps, hidden, vocab = 3, 7, 16, 300
-        x = parameter(rng.normal(size=(steps * batch, hidden)))
-        w = parameter(rng.normal(size=(hidden, vocab)) * 0.3)
-        bias = parameter(rng.normal(size=(1, vocab)))
-        targets = rng.integers(0, vocab, size=(batch, steps))
-        mask = (rng.random((batch, steps)) < 0.8).astype(np.float64)
-        upstream = constant(rng.normal(size=(batch, vocab)))
-
-        def run(budget):
-            monkeypatch.setattr(ad, "_SCORE_BUDGET", budget)
-            for p in (x, w, bias):
-                p.grad = None
-            word, bag = ad.generator_losses(x, w, bias, targets, mask, every_column(batch, vocab))
-            backward(ad.add(word, ad.sum_all(ad.mul(bag, upstream))))
-            return word.value, bag.value, [p.grad for p in (x, w, bias)]
-
-        one = run(steps * batch * vocab)
-        chunked = run(2 * batch * vocab)
-        assert np.array_equal(one[0], chunked[0])
-        assert np.array_equal(one[1], chunked[1])
-        for whole, parts in zip(one[2], chunked[2]):
-            assert np.max(np.abs(parts - whole)) <= 1e-12 * np.max(np.abs(whole))
 
     def test_generator_losses_adopts_a_released_weight_gradient(self):
         """One chunk into a weight that holds no gradient allocates one (H, V)
@@ -427,22 +396,19 @@ class TestBackwardRules:
         with pytest.raises(ValueError, match="integers"):
             ad.generator_losses(x, w, bias, targets, mask, np.ones((2, 1)))
 
-    @pytest.mark.parametrize("span", [None, 2], ids=["one-chunk", "chunks"])
-    def test_generator_losses_bag_columns_match_the_dense_oracle(self, span, monkeypatch):
+    def test_generator_losses_bag_columns_match_the_dense_oracle(self):
         """Packed bag columns against ``dense_generator_oracle``, the V-wide
         fold and spread with ``bag_nll`` on the dense (B, V) indicator:
         x, weight and bias get the same gradients bit for bit, and the bag
         values equal the oracle's at the columns, PAD slots included.
         Padded targets of unequal lengths and bag sizes, one bag empty, over
-        6 steps, at one chunk and in chunks of 2 steps."""
+        6 steps."""
         rng = np.random.default_rng(37)
         vocab, hidden = 40, 5
         pairs = [ExamplePair((4,), tgt + (EOS,), extract_bag(tgt))
                  for tgt in [(5, 9, 9, 30, 12), (), (7, 39), (20, 21, 22, 23, 24)]]
         batch = pack_batch(pairs, vocab)
         steps = batch.target.shape[1]
-        if span is not None:
-            monkeypatch.setattr(ad, "_SCORE_BUDGET", span * len(pairs) * vocab)
         dense = np.zeros((len(pairs), vocab))
         for i, pair in enumerate(pairs):
             dense[i, list(pair.bag)] = 1.0
@@ -453,8 +419,7 @@ class TestBackwardRules:
                                         batch.bag_columns)
         backward(ad.add(word, ad.scale(ad.bag_nll(bag, batch.bag_indicator), 0.7)))
         want_bag, want_grads = dense_generator_oracle(x0, w0, b0, batch.target,
-                                                      batch.target_mask, dense, 0.7,
-                                                      span or steps)
+                                                      batch.target_mask, dense, 0.7, steps)
         assert batch.bag_columns.shape == (4, 5) and batch.bag_indicator.sum() == 11
         np.testing.assert_array_equal(
             bag.value, np.take_along_axis(want_bag, batch.bag_columns, axis=1))

@@ -112,9 +112,7 @@ def test_each_runs_contiguous_parts_that_cover_the_range(n, work, count):
     assert all(hi == lo for (_, hi), (lo, _) in zip(seen, seen[1:]))
 
 
-@pytest.mark.parametrize("budget", [ad._SCORE_BUDGET, 1 << 20], ids=["one-chunk", "two-chunks"])
-def test_generator_losses_values_and_gradients(budget, monkeypatch):
-    monkeypatch.setattr(ad, "_SCORE_BUDGET", budget)
+def test_generator_losses_values_and_gradients():
     rng = np.random.default_rng(8)
     batch, steps, hidden, vocab = 16, 20, 128, 5000
     x0 = rng.standard_normal((steps * batch, hidden))
