@@ -565,16 +565,14 @@ def attention_forward(projected: np.ndarray, keys: np.ndarray, values: np.ndarra
     return act, w, contexts.reshape(steps * batch, hidden)
 
 
-def fold_steps(blocks: np.ndarray, weights: np.ndarray, total: np.ndarray | None = None) -> np.ndarray:
+def fold_steps(blocks: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The (B, n) sum over t of weights[b, t] * blocks[t, b] of (T, B, n)
-    ``blocks`` and (B, T) ``weights``, typically a 0/1 mask of real steps,
-    added into ``total`` in place when one is given.  The steps are added
-    as a left fold in ascending t, one fixed order whatever produced them."""
-    start = 0
-    if total is None:
-        total, start = blocks[0] * weights[:, :1], 1
+    ``blocks`` and (B, T) ``weights``, typically a 0/1 mask of real steps.
+    The steps are added as a left fold in ascending t, one fixed order
+    whatever produced them."""
+    total = blocks[0] * weights[:, :1]
     term = np.empty_like(total)
-    for t in range(start, blocks.shape[0]):
+    for t in range(1, blocks.shape[0]):
         np.multiply(blocks[t], weights[:, t : t + 1], out=term)
         total += term
     return total

@@ -7,15 +7,15 @@ including EOS; a hypothesis that reaches the cap is force-terminated through
 the decoder's real distribution so its score still equals the sum of its
 step log probabilities.
 
-The search encodes B sentences once as a padded batch and steps k*B decoder
-rows at a time, on arrays through the layers' forward kernels, with no
-graph: row j*B + b holds beam j of sentence b (rows past a sentence's live
-beams are unread carriers), so attention reads the beam index as its step
-index and never copies the encoder memory.  Each sentence
-keeps its top ``width`` expansions by (-log-likelihood, tokens): ties break
-toward the smaller token sequence.  Greedy batch decoding is width 1;
-``greedy_decode`` and ``score_sequence``, one hypothesis at a time, are the
-references the search is tested against.
+Decoding builds no graph.  The search encodes B sentences once as a padded
+batch and steps k*B decoder rows at a time, on arrays through the layers'
+forward kernels: row j*B + b holds beam j of sentence b (rows past a
+sentence's live beams are unread carriers), so attention reads the beam index
+as its step index and never copies the encoder memory.  Each sentence keeps
+its top ``width`` expansions by (-log-likelihood, tokens): ties break toward
+the smaller token sequence.  Greedy batch decoding is width 1; the references
+it is tested against, ``greedy_decode`` and ``score_sequence``, take one
+hypothesis at a time and share the model's encoder and step, not the search.
 """
 
 from __future__ import annotations
@@ -97,8 +97,8 @@ def _log_probs(scores: np.ndarray) -> np.ndarray:
     return out
 
 
-def _step_logprobs(model: Seq2SeqModel, prev: int, state, encoded) -> tuple[np.ndarray, DecoderState]:
-    out = model.decode_step(np.array([prev], dtype=np.int64), state, encoded)
+def _step_logprobs(model: Seq2SeqModel, prev: int, state, memory) -> tuple[np.ndarray, DecoderState]:
+    out = model.decode_step(np.array([prev], dtype=np.int64), state, memory)
     return _log_probs(out.scores)[0], out.state
 
 
@@ -132,13 +132,12 @@ def _search(
     src, lengths, mask = _pad_matrix([_check_source(model, source)[0] for source in sources])
     batch = len(lengths)
     caps = np.full(batch, config.max_length) if config.max_length else 2 * lengths + 10
-    encoded = model.encode(src, mask)
-    state = model.initial_decoder_state(encoded)
+    memory, state = model.start_decoding(src, mask)
     prev = np.full(batch, BOS)
     live = {b: ((), 0.0, b) for b in range(batch)}  # row -> (tokens, log-likelihood, parent row)
     finished: list[list[Hypothesis]] = [[] for _ in range(batch)]
     for step in range(caps.max()):
-        out = model.decode_step(prev, state, encoded)
+        out = model.decode_step(prev, state, memory)
         rows = np.fromiter(live, dtype=np.int64, count=len(live))
         at_cap = caps[rows % batch] == step + 1
         expanded = _expansions(_log_probs(out.scores), rows, at_cap, config.width)
@@ -195,14 +194,13 @@ def greedy_decode(
 ) -> Hypothesis:
     """Step-wise argmax decoding; equivalent to beam search at width 1."""
     src = _check_source(model, source)
-    encoded = model.encode(src)
+    memory, state = model.start_decoding(src, np.ones(src.shape))
     cap = max_length or 2 * src.shape[1] + 10
-    state = model.initial_decoder_state(encoded)
     tokens: list[int] = []
     ll = 0.0
     while True:
         prev = tokens[-1] if tokens else BOS
-        logp, state = _step_logprobs(model, prev, state, encoded)
+        logp, state = _step_logprobs(model, prev, state, memory)
         tok = EOS if len(tokens) == cap - 1 else int(np.argmax(logp))
         tokens.append(tok)
         ll += float(logp[tok])
@@ -214,12 +212,11 @@ def score_sequence(model: Seq2SeqModel, source: Sequence[int], tokens: Sequence[
     """Teacher-forced log-likelihood of an emitted token sequence."""
     src = _check_source(model, source)
     _check_range("target", np.asarray(list(tokens), dtype=np.int64), model.config.tgt_vocab_size)
-    encoded = model.encode(src)
-    state = model.initial_decoder_state(encoded)
+    memory, state = model.start_decoding(src, np.ones(src.shape))
     total = 0.0
     prev = BOS
     for tok in tokens:
-        logp, state = _step_logprobs(model, prev, state, encoded)
+        logp, state = _step_logprobs(model, prev, state, memory)
         total += float(logp[tok])
         prev = tok
     return total

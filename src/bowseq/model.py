@@ -14,9 +14,10 @@ t.  Each LSTM layer and direction is one ``lstm_scan`` primitive, which
 projects all its inputs in one matmul and steps through the positions.
 The decoder has no input feeding, so under teacher forcing attention and
 generator run once over all T steps, attention as one ``attention``
-primitive from the decoder states to the contexts.  A decoding step runs
-the same kernels, ``lstm_forward`` and ``attention_forward``, at T=1 on
-arrays and builds no graph; decoding turns its scores into log-probabilities.
+primitive from the decoder states to the contexts.  Decoding builds no
+graph: ``start_decoding`` and each step at T=1 run the same kernels on
+arrays, ``lstm_forward`` and ``attention_forward``, and decoding turns the
+scores into log-probabilities.
 Training builds the (T*B, V) scores once: one fused primitive takes the
 word loss and the bag sum from them in log space, and its backward rule
 turns them into their own gradient in place.
@@ -24,7 +25,6 @@ turns them into their own gradient in place.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import struct
@@ -74,17 +74,11 @@ class ModelConfig:
 
 @dataclass
 class EncoderStates:
-    """Summed per-position states, validity mask, and per-layer finals."""
+    """Training's graph encoding: summed states, validity mask, layer finals."""
 
     memory: Node                    # (L*B, H) time-major: rows i*B .. i*B+B-1 are position i
     mask: np.ndarray                # (B, L) float 0/1
     finals: list[tuple[tuple[Node, Node], tuple[Node, Node]]]  # [(fwd(h,c), bwd(h,c))] per layer
-
-    @functools.cached_property
-    def attention_memory(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The keys, values and open positions ``attention_forward`` reads,
-        laid out once per encoding for the decoding steps."""
-        return ad.attention_layout(self.memory.value, self.mask)
 
 
 @dataclass
@@ -259,14 +253,27 @@ class Seq2SeqModel:
             x = ad.add(fwd_out, bwd_out)
         return EncoderStates(memory=x, mask=source_mask, finals=finals)
 
-    def _seeds(self, encoded: EncoderStates) -> list:
+    def _seeds(self, finals: list) -> list:
         """Decoder layer j starts from encoder layer enc_layers - dec_layers + j."""
-        return encoded.finals[self.config.enc_layers - self.config.dec_layers :]
+        return finals[self.config.enc_layers - self.config.dec_layers :]
 
-    def initial_decoder_state(self, encoded: EncoderStates) -> DecoderState:
-        seeds = self._seeds(encoded)
-        return DecoderState([(fh.value + bh.value, fc.value + bc.value)
-                             for (fh, fc), (bh, bc) in seeds])
+    def start_decoding(self, source: np.ndarray, source_mask: np.ndarray) -> tuple:
+        """``encode``'s arithmetic on arrays, with no graph: the memory in
+        ``attention_layout``'s (keys, values, open) and the first ``DecoderState``.
+        A layer's buffers go once the layer above has read its outputs."""
+        x = ad.embedding_rows(self.src_embed.value, source.T.reshape(-1))
+        drop = None if np.all(source_mask > 0) else (source_mask.T <= 0)[:, :, None]
+        zeros = np.zeros((source.shape[0], self.config.hidden_size))
+        finals = []
+        for fwd, bwd in self.enc_cells:
+            (fc, fh), (bc, bh) = (
+                ad.lstm_forward(parallel.matmul(x, cell.w_in.value, bias=cell.bias.value),
+                                zeros, zeros, cell.w_rec.value, drop, reverse)[1:]
+                for cell, reverse in ((fwd, False), (bwd, True)))
+            finals.append((fh[-1] + bh[0], fc[-1] + bc[0]))
+            x = (fh + bh).reshape(-1, self.config.hidden_size)
+            del fc, fh, bc, bh
+        return ad.attention_layout(x, source_mask), DecoderState(self._seeds(finals))
 
     # -- attention ----------------------------------------------------------
 
@@ -277,11 +284,9 @@ class Seq2SeqModel:
 
     # -- decoder ------------------------------------------------------------
 
-    def decode_step(
-        self, prev_tokens: np.ndarray, state: DecoderState, encoded: EncoderStates
-    ) -> StepOutput:
-        """One step for previous tokens (B,), on arrays: the teacher-forced
-        pass's arithmetic at T = 1, through the same kernels."""
+    def decode_step(self, prev_tokens: np.ndarray, state: DecoderState, memory: tuple) -> StepOutput:
+        """One step for previous tokens (B,) over ``start_decoding``'s memory,
+        on arrays: the teacher-forced pass's arithmetic at T = 1."""
         x = ad.embedding_rows(self.tgt_embed.value, prev_tokens)
         layers = []
         for cell, (h, c) in zip(self.dec_cells, state.layers):
@@ -290,7 +295,7 @@ class Seq2SeqModel:
             x = h_all[0]
             layers.append((x, c_all[0]))
         projected = parallel.matmul(x, self.attn_bilinear.value)
-        context = ad.attention_forward(projected, *encoded.attention_memory)[2]
+        context = ad.attention_forward(projected, *memory)[2]
         gen_in = context if self.config.generator_input == "context" else np.concatenate(
             [x, context], axis=1)
         scores = parallel.matmul(gen_in, self.gen_weight.value, bias=self.gen_bias.value)
@@ -310,7 +315,7 @@ class Seq2SeqModel:
         bos = np.full((1, batch.size), BOS, dtype=np.int64)
         prev = np.concatenate([bos, batch.target[:, :-1].T]).reshape(-1)
         x = self._maybe_dropout(ad.embedding_lookup(self.tgt_embed, prev), train, rng)
-        seeds = self._seeds(encoded)
+        seeds = self._seeds(encoded.finals)
         for layer, (cell, ((fh, fc), (bh, bc))) in enumerate(zip(self.dec_cells, seeds)):
             if layer > 0:
                 x = self._maybe_dropout(x, train, rng)

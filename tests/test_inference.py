@@ -1,6 +1,7 @@
 """Decoding tests: exhaustive-enumeration oracle for beam search, greedy
 equivalence at width 1, score recomputation, and input validation."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,11 +67,8 @@ class _ScriptedModel:
         self.vocab = vocab
         self.peak = peak
 
-    def encode(self, src, mask=None, train=False, rng=None):
-        return len(src)
-
-    def initial_decoder_state(self, encoded):
-        return _ScriptedState(np.zeros(encoded, dtype=np.int64))
+    def start_decoding(self, src, mask):
+        return None, _ScriptedState(np.zeros(len(src), dtype=np.int64))
 
     def distribution(self, step):
         tok = self.script[step] if step < len(self.script) else EOS
@@ -78,7 +76,7 @@ class _ScriptedModel:
         dist[tok] = self.peak
         return dist
 
-    def decode_step(self, prev, state, encoded):
+    def decode_step(self, prev, state, memory):
         dists = np.stack([self.distribution(step) for step in state.steps])
         return SimpleNamespace(scores=np.log(dists), state=_ScriptedState(state.steps + 1))
 
@@ -157,22 +155,37 @@ class TestBatchedSearch:
         assert len(calls) <= 5
 
     def test_decoding_steps_build_no_graph(self, monkeypatch):
+        """A whole search, encoding included, constructs no autodiff node."""
         model = tiny_model(67)
-        built, encoded = [], []
-        init, encode = ad.Node.__init__, model.encode
+        built = []
+        init = ad.Node.__init__
         monkeypatch.setattr(ad.Node, "__init__", lambda node, *a, **k: built.append(node)
                             or init(node, *a, **k))
-
-        def counted_encode(*args):
-            result = encode(*args)
-            encoded.append(len(built))
-            built.clear()
-            return result
-
-        model.encode = counted_encode
         hyps = beam_search(model, [4, 5, 6], BeamConfig(width=4, max_length=6))
-        assert len(hyps) == 4 and encoded[0] > 0
+        assert len(greedy_decode_batch(model, [[4, 5, 6], [7, 8]])) == 2
+        assert len(hyps) == 4
         assert built == []
+        model.encode(np.array([[4, 5, 6]]))
+        assert built, "the counter sees the graph encoder's nodes"
+
+    def test_greedy_batch_peak_stays_under_three_layer_directions(self):
+        """Decoding holds no encoder state for a backward pass: the traced
+        peak of greedy-decoding 64 sentences of 50 tokens stays under three
+        layer-directions' tz, c and h, 6H floats per row and step, per
+        sentence."""
+        cfg = ModelConfig(src_vocab_size=500, tgt_vocab_size=500, emb_size=64,
+                          hidden_size=64, enc_layers=3, dec_layers=2, dropout=0.0)
+        rng = np.random.default_rng(69)
+        model = Seq2SeqModel(cfg, init_rng=rng)
+        sources = rng.integers(4, 500, size=(64, 50)).tolist()
+        greedy_decode_batch(model, sources[:2], max_length=2)  # caches and threads start first
+        tracemalloc.start()
+        try:
+            greedy_decode_batch(model, sources, max_length=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / len(sources) < 3 * 6 * 64 * 50 * 8
 
     def test_sentences_searched_together_match_one_at_a_time(self):
         # With this seed the sentences finish at different steps, so the search

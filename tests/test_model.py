@@ -81,7 +81,7 @@ def attention_weights(model, query, encoded):
     """The (T*B, L) weights behind ``model.attend``: the attention kernel
     on the projected queries."""
     _, weights, _ = ad.attention_forward(query.value @ model.attn_bilinear.value,
-                                         *encoded.attention_memory)
+                                         *ad.attention_layout(encoded.memory.value, encoded.mask))
     return weights.reshape(query.value.shape[0], -1)
 
 
@@ -89,6 +89,12 @@ def position(encoded, t):
     """Encoder states of source position t, one row per sentence."""
     batch = encoded.mask.shape[0]
     return encoded.memory.value[t * batch : (t + 1) * batch]
+
+
+def start(model, source, mask=None):
+    """``start_decoding`` of a 2-d source, every position real unless ``mask``."""
+    source = np.asarray(source)
+    return model.start_decoding(source, np.ones(source.shape) if mask is None else mask)
 
 
 def tiny_model(seed=0, **overrides):
@@ -278,23 +284,22 @@ class TestDecoder:
         model, rng = tiny_model(seed=12)
         model.gen_weight.value[...] = 0.0
         model.gen_bias.value[...] = 0.0
-        enc = model.encode(np.array([[4, 5]]))
-        out = model.decode_step(np.array([BOS]), model.initial_decoder_state(enc), enc)
+        memory, state = start(model, [[4, 5]])
+        out = model.decode_step(np.array([BOS]), state, memory)
         np.testing.assert_allclose(softmax(out.scores), np.full((1, 13), 1 / 13), atol=1e-12)
 
     def test_large_bias_concentrates_mass(self):
         model, rng = tiny_model(seed=13)
         model.gen_bias.value[0, 7] = 50.0
-        enc = model.encode(np.array([[4, 5]]))
-        out = model.decode_step(np.array([BOS]), model.initial_decoder_state(enc), enc)
+        memory, state = start(model, [[4, 5]])
+        out = model.decode_step(np.array([BOS]), state, memory)
         assert softmax(out.scores)[0, 7] > 0.999
 
     def test_state_advances_between_steps(self):
         model, rng = tiny_model(seed=14)
-        enc = model.encode(np.array([[4, 5, 6]]))
-        state = model.initial_decoder_state(enc)
-        out1 = model.decode_step(np.array([BOS]), state, enc)
-        out2 = model.decode_step(np.array([4]), out1.state, enc)
+        memory, state = start(model, [[4, 5, 6]])
+        out1 = model.decode_step(np.array([BOS]), state, memory)
+        out2 = model.decode_step(np.array([4]), out1.state, memory)
         assert not np.allclose(out1.state.layers[0][0], out2.state.layers[0][0])
 
     def test_decode_step_leaves_its_inputs_alone(self):
@@ -302,18 +307,17 @@ class TestDecoder:
         and neither writes into the state, the encoder's attention memory or
         a parameter."""
         model, rng = tiny_model(seed=17, enc_layers=2, dec_layers=2, generator_input="concat")
-        enc = model.encode(np.array([[4, 5, 6], [7, 8, 0]]), np.array([[1.0, 1, 1], [1, 1, 0]]))
-        state = model.initial_decoder_state(enc)
+        memory, state = start(model, [[4, 5, 6], [7, 8, 0]], np.array([[1.0, 1, 1], [1, 1, 0]]))
         prev = np.array([BOS, 5])
 
         def inputs():
             return ([a.copy() for layer in state.layers for a in layer]
-                    + [a.copy() for a in enc.attention_memory]
+                    + [a.copy() for a in memory]
                     + [node.value.copy() for _, node in model.params.items()])
 
         before = inputs()
-        first = model.decode_step(prev, state, enc)
-        second = model.decode_step(prev, state, enc)
+        first = model.decode_step(prev, state, memory)
+        second = model.decode_step(prev, state, memory)
         np.testing.assert_array_equal(first.scores, second.scores)
         for a, b in zip(first.state.layers, second.state.layers):
             np.testing.assert_array_equal(a, b)
@@ -322,22 +326,38 @@ class TestDecoder:
 
     def test_out_of_range_previous_token_rejected(self):
         model, rng = tiny_model(seed=14)
-        enc = model.encode(np.array([[4, 5, 6]]))
-        state = model.initial_decoder_state(enc)
+        memory, state = start(model, [[4, 5, 6]])
         for prev in (-1, 13):
             with pytest.raises(IndexError, match="out of range"):
-                model.decode_step(np.array([prev]), state, enc)
+                model.decode_step(np.array([prev]), state, memory)
 
     def test_concat_variant_changes_generator_input_width(self):
         model, _ = tiny_model(seed=15, generator_input="concat")
         assert model.gen_weight.value.shape == (12, 13)
 
-    def test_decoder_initialized_from_top_encoder_layers(self):
-        model, rng = tiny_model(seed=16, enc_layers=3, dec_layers=2)
-        enc = model.encode(np.array([[4, 5]]))
-        state = model.initial_decoder_state(enc)
-        for j, (h, c) in enumerate(state.layers):
-            (fh, fc), (bh, bc) = enc.finals[1 + j]
+    @pytest.mark.parametrize("layers, generator_input, sources", [
+        ((1, 1), "context", [[7]]),
+        ((3, 2), "context", [[4, 5, 6, 7], [8, 9, 0, 0], [10, 0, 0, 0]]),
+        ((3, 2), "concat", [[4], [5]]),
+        ((2, 2), "concat", [[4, 5, 6], [7, 8, 0]]),
+    ], ids=["1-1-one-position", "3-2-padded", "3-2-concat-one-position", "2-2-concat-padded"])
+    def test_start_decoding_equals_the_graph_encoder(self, layers, generator_input, sources):
+        """The array encoder's attention memory and first decoder state are
+        the graph encoder's bits: the memory laid out for attention, and
+        decoder layer j seeded from encoder layer enc_layers - dec_layers + j
+        as the sum of its two directions' final states."""
+        enc_layers, dec_layers = layers
+        model, _ = tiny_model(seed=16, enc_layers=enc_layers, dec_layers=dec_layers,
+                              generator_input=generator_input)
+        source = np.array(sources)
+        mask = (source > 0).astype(np.float64)
+        memory, state = model.start_decoding(source, mask)
+        enc = model.encode(source, mask)
+        for got, want in zip(memory, ad.attention_layout(enc.memory.value, mask), strict=True):
+            np.testing.assert_array_equal(got, want)
+        seeds = enc.finals[enc_layers - dec_layers :]
+        assert len(state.layers) == dec_layers
+        for (h, c), ((fh, fc), (bh, bc)) in zip(state.layers, seeds, strict=True):
             np.testing.assert_array_equal(h, fh.value + bh.value)
             np.testing.assert_array_equal(c, fc.value + bc.value)
 
@@ -404,11 +424,10 @@ class TestForwardTeacherForced:
                 batch.source_lengths[1] = 2
                 batch.source_mask[1, 2] = 0.0
                 forward = model.forward_teacher_forced(batch)
-                enc = model.encode(batch.source, batch.source_mask)
-                state = model.initial_decoder_state(enc)
+                memory, state = model.start_decoding(batch.source, batch.source_mask)
                 for t in range(4):
                     prev = np.full(3, BOS) if t == 0 else batch.target[:, t - 1]
-                    out = model.decode_step(prev, state, enc)
+                    out = model.decode_step(prev, state, memory)
                     state = out.state
                     np.testing.assert_array_equal(forward.scores.value[3 * t : 3 * t + 3],
                                                   out.scores)
