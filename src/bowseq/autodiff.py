@@ -13,7 +13,10 @@ references the parents and the arrays it saved, never its own output node:
 backpropagated once: ``backward`` drops each rule, and with it the arrays
 it saved, as soon as the rule has run, and refuses a graph that has lost a
 rule.  A missing gradient reads as a zero view and stores nothing, so
-forward-only graphs and constants never allocate one.
+forward-only graphs and constants never allocate one.  Every rule hands each
+of its inputs its share through ``_accumulate``, and ``_accumulate`` alone
+decides who keeps a gradient: a node that needs none drops its share, so no
+rule asks which of its inputs are constants.
 
 The model runs on one coarse primitive per layer, each with a hand-written
 backward rule over time-major (T*B)-row matrices, which hold T steps of B
@@ -33,8 +36,8 @@ and no sigmoid node; ``stable_sigmoid`` and ``stable_softplus`` are array
 functions.
 
 Nothing broadcasts implicitly.  The elementwise ``add`` and ``mul`` take
-two arrays of one shape; a bias is a (1, n) row of ``affine``, ``lstm_scan``
-or ``generator_losses``, whose backward rule sums its gradient over rows.
+two arrays of one shape; a bias is a (1, n) row of ``lstm_scan`` or
+``generator_losses``, whose backward rule sums its gradient over rows.
 Anything richer (gold-column losses, the bag loss, attention over a memory)
 is its own primitive with an explicit backward rule, so no gradient ever
 flows through an implicit numpy broadcast.
@@ -67,11 +70,14 @@ class Node:
     ``grad`` always has the same shape as ``value``.  A node with no
     gradient reads as a read-only zero view and stores nothing; every rule
     adds through ``_accumulate``, which adopts the first contribution.
-    Leaves (no parents) accumulate gradients across graphs until released.
-    An interior node's gradient lives only from its first contribution to
-    the end of its own rule.  ``backward`` calls that rule once, as
-    ``_backward(node)`` with the node itself, so no rule needs to capture
-    its own output, and takes it off the node before the call.
+    ``requires_grad`` holds for a parameter and for every node computed from
+    one: it decides which rules ``backward`` runs, and which nodes
+    ``_accumulate`` lets keep a gradient.  Leaves (no parents) accumulate
+    gradients across graphs until released.  An interior node's gradient
+    lives only from its first contribution to the end of its own rule.
+    ``backward`` calls that rule once, as ``_backward(node)`` with the node
+    itself, so no rule needs to capture its own output, and takes it off the
+    node before the call.
     """
 
     __slots__ = ("value", "_grad", "parents", "requires_grad", "_backward")
@@ -108,7 +114,8 @@ class Node:
 
 
 def constant(value) -> Node:
-    """Leaf that never receives a gradient."""
+    """Leaf that never receives a gradient: ``_accumulate`` drops whatever
+    a rule hands it."""
     return Node(value)
 
 
@@ -119,7 +126,12 @@ def parameter(value) -> Node:
 
 def _accumulate(node: Node, fresh: np.ndarray) -> None:
     """Add ``fresh``, an array of the node's shape that nothing else holds,
-    into the node's gradient; a node with no gradient yet adopts it."""
+    into the node's gradient; a node with no gradient yet adopts it.  This
+    is the one place that decides who keeps a gradient: a node whose
+    ``requires_grad`` is false, a constant or a node computed from constants
+    alone, drops ``fresh``."""
+    if not node.requires_grad:
+        return
     if node._grad is None:
         node._grad = fresh
     else:
@@ -131,29 +143,6 @@ def _accumulate(node: Node, fresh: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def affine(x: Node, w: Node, bias: Node) -> Node:
-    """x @ w + bias for an (m, k) input, (k, n) weights and a (1, n) bias."""
-    if (
-        x.value.ndim != 2
-        or w.value.ndim != 2
-        or x.value.shape[1] != w.value.shape[0]
-        or bias.value.shape != (1, w.value.shape[1])
-    ):
-        raise ShapeError("affine", x.value.shape, w.value.shape, bias.value.shape)
-    out = Node(parallel.matmul(x.value, w.value, bias=bias.value), parents=(x, w, bias))
-
-    def backward(out: Node) -> None:
-        if x.requires_grad:
-            _accumulate(x, parallel.matmul(out.grad, w.value.T))
-        if w.requires_grad:
-            _accumulate(w, parallel.matmul(x.value.T, out.grad))
-        if bias.requires_grad:
-            _accumulate(bias, out.grad.sum(axis=0, keepdims=True))
-
-    out._backward = backward
-    return out
-
-
 def add(a: Node, b: Node) -> Node:
     """Elementwise sum of two arrays of one shape."""
     if a.value.shape != b.value.shape:
@@ -161,10 +150,8 @@ def add(a: Node, b: Node) -> Node:
     out = Node(a.value + b.value, parents=(a, b))
 
     def backward(out: Node) -> None:
-        if a.requires_grad:
-            _accumulate(a, out.grad.copy())
-        if b.requires_grad:
-            _accumulate(b, out.grad.copy())
+        _accumulate(a, out.grad.copy())
+        _accumulate(b, out.grad.copy())
 
     out._backward = backward
     return out
@@ -177,10 +164,8 @@ def mul(a: Node, b: Node) -> Node:
     out = Node(a.value * b.value, parents=(a, b))
 
     def backward(out: Node) -> None:
-        if a.requires_grad:
-            _accumulate(a, out.grad * b.value)
-        if b.requires_grad:
-            _accumulate(b, out.grad * a.value)
+        _accumulate(a, out.grad * b.value)
+        _accumulate(b, out.grad * a.value)
 
     out._backward = backward
     return out
@@ -192,8 +177,7 @@ def scale(a: Node, factor: float) -> Node:
     out = Node(a.value * factor, parents=(a,))
 
     def backward(out: Node) -> None:
-        if a.requires_grad:
-            _accumulate(a, out.grad * factor)
+        _accumulate(a, out.grad * factor)
 
     out._backward = backward
     return out
@@ -204,8 +188,7 @@ def sum_all(a: Node) -> Node:
     out = Node(a.value.sum(), parents=(a,))
 
     def backward(out: Node) -> None:
-        if a.requires_grad:
-            _accumulate(a, np.full(a.value.shape, out.grad))
+        _accumulate(a, np.full(a.value.shape, out.grad))
 
     out._backward = backward
     return out
@@ -230,10 +213,9 @@ def embedding_lookup(table: Node, indices: np.ndarray) -> Node:
     out = Node(embedding_rows(table.value, idx), parents=(table,))
 
     def backward(out: Node) -> None:
-        if table.requires_grad:
-            d_table = np.zeros_like(table.value)
-            np.add.at(d_table, idx, out.grad)
-            _accumulate(table, d_table)
+        d_table = np.zeros_like(table.value)
+        np.add.at(d_table, idx, out.grad)
+        _accumulate(table, d_table)
 
     out._backward = backward
     return out
@@ -253,8 +235,7 @@ def concat_cols(nodes: Sequence[Node]) -> Node:
 
     def backward(out: Node) -> None:
         for n, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            if n.requires_grad:
-                _accumulate(n, out.grad[:, lo:hi].copy())
+            _accumulate(n, out.grad[:, lo:hi].copy())
 
     out._backward = backward
     return out
@@ -272,8 +253,7 @@ def dropout(a: Node, mask: np.ndarray) -> Node:
     out = Node(a.value * mask, parents=(a,))
 
     def backward(out: Node) -> None:
-        if a.requires_grad:
-            _accumulate(a, out.grad * mask)
+        _accumulate(a, out.grad * mask)
 
     out._backward = backward
     return out
@@ -294,9 +274,8 @@ def make_dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], rate: fl
 
 def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
               mask: np.ndarray | None = None, reverse: bool = False) -> tuple[Node, Node, Node]:
-    """A whole LSTM layer: the input projection x @ w_in + bias, one
-    product as in ``affine``, then every step's gates, state update and
-    padding carry.
+    """A whole LSTM layer: the input projection x @ w_in + bias in one
+    product, then every step's gates, state update and padding carry.
 
     ``x`` holds the inputs of T steps of B rows, time-major, B being the
     rows of the initial (h, c).  Gates lie along columns as [input, forget,
@@ -314,7 +293,8 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
     rule recomputes the gates and tanh(c) with the forward's ufuncs, turns
     tz into the slope in place, walks the steps in reverse, writing every dz
     into one (T*B, 4H) array and adding the recurrent weight gradient step
-    by step, and ends with ``affine``'s products on that array.
+    by step, and ends with the products of the input projection's gradients
+    on that array.
     """
     batch, hs = h.value.shape
     rows = x.value.shape[0]
@@ -391,20 +371,14 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
                 np.copyto(dz, 0.0, where=drop[t])
                 np.copyto(dh_prev, dh, where=drop[t])
                 np.copyto(dc_prev, dc, where=drop[t])
-            if w_rec.requires_grad:
-                _accumulate(w_rec, parallel.matmul((h.value if first else h_all[prev]).T, dz))
+            _accumulate(w_rec, parallel.matmul((h.value if first else h_all[prev]).T, dz))
             dh, dc = dh_prev, dc_prev
         del slope, act, i_all, f_all, g_all, o_all, tanh_c_all, d_tanh_c
-        if x.requires_grad:
-            _accumulate(x, parallel.matmul(dz_all, w_in.value.T))
-        if w_in.requires_grad:
-            _accumulate(w_in, parallel.matmul(x.value.T, dz_all))
-        if bias.requires_grad:
-            _accumulate(bias, dz_all.sum(axis=0, keepdims=True))
-        if h.requires_grad:
-            _accumulate(h, dh)
-        if c.requires_grad:
-            _accumulate(c, dc)
+        _accumulate(x, parallel.matmul(dz_all, w_in.value.T))
+        _accumulate(w_in, parallel.matmul(x.value.T, dz_all))
+        _accumulate(bias, dz_all.sum(axis=0, keepdims=True))
+        _accumulate(h, dh)
+        _accumulate(c, dc)
 
     outputs._backward = hand_over
     h_out._backward = hand_over
@@ -510,20 +484,16 @@ def attention(query: Node, bilinear: Node, memory: Node, mask: np.ndarray) -> No
         # The weights' (T, B, L) gradient, C-contiguous as a weights node
         # held it, so that its row sums below add in that node's order.
         g_w = np.ascontiguousarray((g @ values).transpose(1, 0, 2))
-        if memory.requires_grad:
-            dm = (w.transpose(1, 2, 0) @ g).transpose(1, 0, 2)
-            _accumulate(memory, dm.reshape(memory.value.shape))
+        dm = (w.transpose(1, 2, 0) @ g).transpose(1, 0, 2)
+        _accumulate(memory, dm.reshape(memory.value.shape))
         d_act = w * (g_w - (g_w * w).sum(axis=2, keepdims=True))
         d_energy = (d_act * (1.0 - act * act)).transpose(1, 0, 2)  # (B, T, L)
-        if memory.requires_grad:
-            qb = projected.reshape(steps, batch, hidden).transpose(1, 0, 2)
-            dm = (d_energy.transpose(0, 2, 1) @ qb).transpose(1, 0, 2)
-            _accumulate(memory, dm.reshape(memory.value.shape))
+        qb = projected.reshape(steps, batch, hidden).transpose(1, 0, 2)
+        dm = (d_energy.transpose(0, 2, 1) @ qb).transpose(1, 0, 2)
+        _accumulate(memory, dm.reshape(memory.value.shape))
         d_projected = (d_energy @ keys).transpose(1, 0, 2).reshape(rows, hidden)
-        if query.requires_grad:
-            _accumulate(query, parallel.matmul(d_projected, bilinear.value.T))
-        if bilinear.requires_grad:
-            _accumulate(bilinear, parallel.matmul(query.value.T, d_projected))
+        _accumulate(query, parallel.matmul(d_projected, bilinear.value.T))
+        _accumulate(bilinear, parallel.matmul(query.value.T, d_projected))
 
     out._backward = backward
     return out
@@ -602,8 +572,8 @@ def generator_losses(x: Node, weight: Node, bias: Node, targets: np.ndarray, mas
     and one scatter, and takes the gradients of x, weight and bias from the
     buffer.  A column repeated in a row gets only one of its adds, so a
     column may repeat only where d(bag) is zero, as at ``bag_nll``'s masked
-    padding.  The scores and word loss are the arithmetic of separate
-    affine and cross-entropy nodes, bit for bit.
+    padding.  The scores and word loss are the arithmetic of a separate
+    product-plus-bias node and a cross-entropy node, bit for bit.
 
     The work is split over the cores by ``parallel``, in phases that each
     write their own slices: by columns the products and the bias, and by
@@ -680,23 +650,17 @@ def generator_losses(x: Node, weight: Node, bias: Node, targets: np.ndarray, mas
         parallel.each(softmax_minus_gold, e.shape[0], e.size)
         if out._grad is not None:
             e.reshape(-1)[picks] += out._grad * mask.T[:, :, None]
-        d_weight = np.empty_like(w) if weight.requires_grad else None
-        d_bias = np.empty((1, vocab)) if bias.requires_grad else None
+        d_weight, d_bias = np.empty_like(w), np.empty((1, vocab))
 
         def weight_and_bias(lo: int, hi: int) -> None:
             cols = e[:, lo:hi]
-            if d_weight is not None:
-                np.matmul(xv.T, cols, out=d_weight[:, lo:hi])
-            if d_bias is not None:
-                np.sum(cols, axis=0, keepdims=True, out=d_bias[:, lo:hi])
+            np.matmul(xv.T, cols, out=d_weight[:, lo:hi])
+            np.sum(cols, axis=0, keepdims=True, out=d_bias[:, lo:hi])
 
         parallel.columns(weight_and_bias, w.shape[0], e.shape[0], vocab)
-        if d_weight is not None:
-            _accumulate(weight, d_weight)
-        if d_bias is not None:
-            _accumulate(bias, d_bias)
-        if x.requires_grad:
-            _accumulate(x, parallel.matmul(e, w.T))
+        _accumulate(weight, d_weight)
+        _accumulate(bias, d_bias)
+        _accumulate(x, parallel.matmul(e, w.T))
 
     word_out._backward = backward_word
     bag_out._backward = backward_bag
@@ -736,8 +700,6 @@ def bag_nll(bag: Node, indicator: np.ndarray) -> Node:
         out = Node(np.sum(stable_softplus(s * -1.0) * ind) * factor, parents=(bag,))
 
     def backward(out: Node) -> None:
-        if not bag.requires_grad:
-            return
         d = out.grad * factor * ind
         d *= stable_sigmoid(s * -1.0)
         d *= -1.0

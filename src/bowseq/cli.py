@@ -34,7 +34,6 @@ from .data import (
     extract_bag,
     generate_toy_corpus,
     pack_batch,
-    read_corpus,
     read_lines,
     read_parallel,
 )
@@ -315,10 +314,9 @@ def cmd_gen_toy(args: argparse.Namespace) -> int:
 
 
 def cmd_build_vocab(args: argparse.Namespace) -> int:
-    sentences = []
-    for path in args.corpus:
-        sentences.extend(read_corpus(path))
-    vocab = build_vocab(sentences, args.max_size)
+    # Counted line by line: no file's token lists are held whole.
+    vocab = build_vocab((line.split() for path in args.corpus for line in read_lines(path)),
+                        args.max_size)
     vocab.save(args.out)
     print(f"wrote {len(vocab)} entries (4 reserved) to {args.out}")
     return 0
@@ -329,7 +327,7 @@ def _load_or_build_vocab(
 ) -> Vocab:
     if path and Path(path).exists():
         return Vocab.load(path)
-    vocab = build_vocab(read_corpus(corpus_path), max_size)
+    vocab = build_vocab((line.split() for line in read_lines(corpus_path)), max_size)
     out = Path(path) if path else fallback
     out.parent.mkdir(parents=True, exist_ok=True)
     vocab.save(out)

@@ -110,8 +110,10 @@ class ForwardPass:
     @property
     def scores(self) -> Node:
         """The (T*B, V) pre-softmax scores, time-major, built anew on every
-        read: training never holds them whole."""
-        return ad.affine(self.generator_input, *self.generator)
+        read: training never holds them whole.  A constant: no gradient
+        flows back through them."""
+        w, b = self.generator
+        return ad.constant(parallel.matmul(self.generator_input.value, w.value, bias=b.value))
 
 
 def bow_probabilities(step_scores: Sequence[Node], timesteps: Sequence[int] | None = None) -> Node:

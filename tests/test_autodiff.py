@@ -209,10 +209,15 @@ class TestPrimitiveValues:
                          constant(np.ones((4, 3))), np.array([[1.0, 1.0], [0.0, 0.0]]))
 
 class TestShapeErrors:
-    def test_affine_bias_must_be_one_row(self):
-        with pytest.raises(ShapeError, match="affine"):
-            ad.affine(constant(np.ones((2, 3))), constant(np.ones((3, 4))),
-                      constant(np.ones((2, 4))))
+    def test_bias_must_be_one_row(self):
+        with pytest.raises(ShapeError, match="lstm_scan"):
+            ad.lstm_scan(constant(np.ones((4, 3))), constant(np.ones((3, 8))),
+                         constant(np.ones((2, 8))), constant(np.ones((2, 2))),
+                         constant(np.ones((2, 2))), constant(np.ones((2, 8))))
+        with pytest.raises(ShapeError, match="generator_losses"):
+            ad.generator_losses(constant(np.ones((4, 2))), constant(np.ones((2, 3))),
+                                constant(np.ones((2, 3))), np.zeros((2, 2), dtype=int),
+                                np.ones((2, 2)), np.ones((2, 1), dtype=int))
 
     def test_add_column_broadcast_rejected(self):
         with pytest.raises(ShapeError, match="add"):
@@ -256,8 +261,7 @@ class TestShapeErrors:
 
     def test_error_names_offending_shapes(self):
         try:
-            ad.affine(constant(np.ones((2, 3))), constant(np.ones((4, 5))),
-                      constant(np.ones((1, 5))))
+            ad.add(constant(np.ones((2, 3))), constant(np.ones((4, 5))))
         except ShapeError as e:
             assert "(2, 3)" in str(e) and "(4, 5)" in str(e)
         else:
@@ -275,17 +279,6 @@ class TestBackwardRules:
         for p in params:
             numeric = fd_gradient(lambda: float(build().value), p.value, step)
             np.testing.assert_allclose(p.grad, numeric, rtol=tol, atol=tol)
-
-    def test_affine(self):
-        rng = np.random.default_rng(17)
-        x, w = parameter(rng.normal(size=(4, 3))), parameter(rng.normal(size=(3, 2)))
-        bias = parameter(rng.normal(size=(1, 2)))
-
-        def build():
-            y = ad.affine(x, w, bias)
-            return ad.sum_all(ad.mul(y, y))
-
-        self._check(build, [x, w, bias])
 
     def test_mul_and_scale(self):
         rng = np.random.default_rng(3)
@@ -532,6 +525,49 @@ class TestBackwardRules:
                 np.testing.assert_array_equal(chunked, whole)
 
 
+def _readout(node):
+    """A scalar that weighs every entry of ``node`` differently."""
+    weights = np.cos(np.arange(node.value.size)).reshape(node.shape)
+    return ad.sum_all(ad.mul(node, constant(weights)))
+
+
+def _scan_loss(x, w_in, bias, h, c, w_rec):
+    """All three outputs of a padded T=3, B=2 scan, read out."""
+    outputs, h_out, c_out = ad.lstm_scan(x, w_in, bias, h, c, w_rec,
+                                         np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]]))
+    return ad.add(ad.add(_readout(outputs), _readout(h_out)), _readout(c_out))
+
+
+def _generator_loss(x, weight, bias):
+    """The word loss plus ``bag_nll`` of the bag, T=3, B=2, V=5, K=3."""
+    mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    word, bag = ad.generator_losses(x, weight, bias, np.array([[1, 3, 2], [0, 4, 0]]), mask,
+                                    np.array([[1, 2, 3], [0, 4, 2]]))
+    return ad.add(word, ad.bag_nll(bag, np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])))
+
+
+#: Every primitive as (input names, input shapes, scalar loss of those inputs).
+PRIMITIVE_LOSSES = {
+    "add": ("ab", [(2, 3), (2, 3)], lambda a, b: _readout(ad.add(a, b))),
+    "mul": ("ab", [(2, 3), (2, 3)], lambda a, b: _readout(ad.mul(a, b))),
+    "scale": ("a", [(2, 3)], lambda a: _readout(ad.scale(a, -0.7))),
+    "sum_all": ("a", [(2, 3)], ad.sum_all),
+    "embedding_lookup": (["table"], [(5, 3)],
+                         lambda t: _readout(ad.embedding_lookup(t, np.array([4, 0, 4, 2])))),
+    "concat_cols": ("abc", [(3, 2), (3, 1), (3, 4)],
+                    lambda a, b, c: _readout(ad.concat_cols([a, b, c]))),
+    "dropout": ("a", [(3, 4)], lambda a: _readout(ad.dropout(
+        a, ad.make_dropout_mask(np.random.default_rng(99), (3, 4), 0.25)))),
+    "lstm_scan": (["x", "w_in", "bias", "h", "c", "w_rec"],
+                  [(6, 3), (3, 8), (1, 8), (2, 2), (2, 2), (2, 8)], _scan_loss),
+    "attention": (["query", "bilinear", "memory"], [(4, 3), (3, 3), (6, 3)],
+                  lambda q, w, m: _readout(ad.attention(
+                      q, w, m, np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])))),
+    "generator_losses": (["x", "weight", "bias"], [(6, 4), (4, 5), (1, 5)], _generator_loss),
+    "bag_nll": (["bag"], [(2, 3)], lambda b: ad.bag_nll(b, np.array([[1.0, 0.0, 1.0]] * 2))),
+}
+
+
 class TestBackwardSemantics:
     def test_scaled_root_scales_gradients_linearly(self):
         a = parameter(np.array([[0.3, -0.2], [0.1, 0.7]]))
@@ -600,9 +636,31 @@ class TestBackwardSemantics:
         backward(ad.sum_all(ad.mul(a, c)))
         np.testing.assert_array_equal(c.grad, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("primitive, held", [
+        pytest.param(name, i, id=f"{name}-{input_name}")
+        for name, (inputs, _, _) in PRIMITIVE_LOSSES.items()
+        for i, input_name in enumerate(inputs)
+    ])
+    def test_a_constant_input_gets_nothing(self, primitive, held):
+        """With input ``held`` a constant and the others parameters, the
+        constant's gradient stays unallocated and every parameter gets the
+        bits it gets when all inputs are parameters."""
+        _, shapes, loss = PRIMITIVE_LOSSES[primitive]
+        rng = np.random.default_rng(21)
+        arrays = [rng.normal(size=shape) for shape in shapes]
+        everything = [parameter(a.copy()) for a in arrays]
+        backward(loss(*everything))
+        assert np.any(everything[held].grad != 0.0)
+        nodes = [constant(a) if i == held else parameter(a.copy()) for i, a in enumerate(arrays)]
+        backward(loss(*nodes))
+        assert nodes[held]._grad is None
+        for node, reference in zip(nodes, everything):
+            if node is not nodes[held]:
+                np.testing.assert_array_equal(node.grad, reference.grad)
+
     def test_gradient_shape_always_matches_value(self):
         a = parameter(np.ones((3, 2)))
-        out = ad.affine(a, constant(np.ones((2, 5))), constant(np.ones((1, 5))))
+        out = ad.concat_cols([a, constant(np.ones((3, 3)))])
         for node in (a, out):
             assert node.grad.shape == node.value.shape
 
@@ -782,10 +840,11 @@ class TestFiniteDifferenceHarness:
     def test_linear_loss_exact(self):
         store = ParameterStore()
         w = store.create("w", np.array([[1.0, -2.0, 0.5]]))
-        x = constant(np.array([[3.0], [1.0], [-1.0]]))
-        bias = constant(np.array([[0.5]]))
+        x = constant(np.array([[3.0, 1.0, -1.0]]))
+        bias = constant(np.asarray(0.5))
         report = finite_difference_check(
-            lambda s: ad.sum_all(ad.affine(s["w"], x, bias)), store, step=1e-5, tolerance=1e-10
+            lambda s: ad.add(ad.sum_all(ad.mul(s["w"], x)), bias), store, step=1e-5,
+            tolerance=1e-10
         )
         assert report.passed and report.max_rel_error < 1e-10
 
@@ -804,9 +863,7 @@ class TestFiniteDifferenceHarness:
         store.create("b1", rng.normal(0.0, 1.0, size=(1, 8)))
         store.create("w_rec", rng.normal(0.0, 1.0, size=(2, 8)))
         store.create("bilinear", rng.normal(0.0, 1.0, size=(2, 2)))
-        store.create("w2", rng.normal(0.0, 1.0, size=(4, 5)))
-        store.create("b2", rng.normal(0.0, 1.0, size=(1, 5)))
-        store.create("w3", np.linspace(-1.0, 1.0, 25).reshape(5, 5))
+        store.create("w3", np.linspace(-1.0, 1.0, 20).reshape(4, 5))
         store.create("b3", np.linspace(-0.5, 0.5, 5).reshape(1, 5))
         idx = np.array([0, 3, 5, 1, 2, 2])   # T=3 steps of B=2 rows
         picks = np.array([[1, 3, 2], [0, 4, 0]])  # (B, T) gold columns
@@ -820,8 +877,7 @@ class TestFiniteDifferenceHarness:
             memory, _, _ = ad.lstm_scan(x, s["w1"], s["b1"], h0, c0, s["w_rec"], steps)
             context = ad.attention(memory, s["bilinear"], memory, steps)
             hidden = ad.concat_cols([memory, context])
-            features = ad.affine(hidden, s["w2"], s["b2"])
-            nll, bag = ad.generator_losses(features, s["w3"], s["b3"], picks, steps,
+            nll, bag = ad.generator_losses(hidden, s["w3"], s["b3"], picks, steps,
                                            every_column(2, 5))
             spread = ad.add(ad.bag_nll(bag, bag_words), ad.sum_all(ad.mul(bag, bag)))
             return ad.add(ad.add(nll, ad.scale(spread, 0.5)), constant(np.asarray(0.25)))

@@ -8,7 +8,7 @@ import pytest
 
 from bowseq import cli
 from bowseq.cli import ORDERED, main, read_config_file
-from bowseq.data import Vocab
+from bowseq.data import Vocab, build_vocab, read_corpus
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +55,19 @@ class TestPipeline:
         assert len(src_vocab) <= 6 + 4
         regular = [set(v.decode(range(4, len(v)))) for v in (src_vocab, tgt_vocab)]
         assert regular[0].isdisjoint(regular[1])
+
+    def test_build_vocab_counts_every_corpus_in_order(self, tmp_path):
+        """Over several files with blank lines and CR line ends, build-vocab
+        writes the vocabulary of their tokenized sentences, file after file."""
+        corpora = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        corpora[0].write_bytes(b"c b\r\n\r\n  \na c\rd\n")
+        corpora[1].write_bytes(b"\ne d d\r\nb\r\n\n")
+        args = [arg for path in corpora for arg in ("--corpus", str(path))]
+        assert main(["build-vocab", *args, "--out", str(tmp_path / "v"), "--max-size", "3"]) == 0
+        sentences = [s for path in corpora for s in read_corpus(path)]
+        build_vocab(sentences, 3).save(tmp_path / "want")
+        assert (tmp_path / "v").read_bytes() == (tmp_path / "want").read_bytes()
+        assert Vocab.load(tmp_path / "v").decode(range(4, 7)) == ["d", "c", "b"]
 
     def test_training_artifacts(self, workspace):
         assert (workspace / "run" / "epoch-000.ckpt").exists()

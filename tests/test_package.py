@@ -35,7 +35,8 @@ def test_every_bowseq_name_the_scripts_use_exists():
     imports from bowseq must succeed, and every attribute they read off a
     bowseq module must exist."""
     missing, read = [], set()
-    for script in ("scripts/paper_batch.py", "scripts/a4_seeds.py", "perfbench/worker.py"):
+    for script in ("scripts/paper_batch.py", "scripts/a4_seeds.py", "scripts/bits.py",
+                   "perfbench/worker.py"):
         path = Path(__file__).resolve().parents[1] / script
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names: dict = {}
