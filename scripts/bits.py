@@ -1,11 +1,13 @@
-"""One SHA-256 over what training and decoding compute, to compare checkouts.
+"""SHA-256 digests of what training and decoding compute, to compare checkouts.
 
     python3 scripts/bits.py --root <checkout>
 
-Two checkouts print the same digest when they train and decode bit for bit
-alike.  Each of three shapes trains a freshly seeded model under the bag
-schedule (``ScheduleParams()``) and under the baseline
-(``ScheduleParams.baseline()``), and the digest covers, per run and in
+Two checkouts print the same lines when they train and decode bit for bit
+alike.  The script prints one ``<shape> <digest>`` line per shape, so that
+a mismatch names its shape, then ``total <digest>`` over those digests in
+order.  Each of three training shapes trains a freshly seeded model under
+the bag schedule (``ScheduleParams()``) and under the baseline
+(``ScheduleParams.baseline()``), and its digest covers, per run and in
 order:
 
 - every epoch's word, bag and total loss, as ``float.hex``;
@@ -18,9 +20,13 @@ The shapes (``SHAPES``) are A4-like (reverse-lexicon toy pairs, E=H=64, one
 layer a side, the concat generator, no dropout), V=2000 with the context
 generator, dropout 0.2 and 20-token sentences, and V=300 with 3 encoder and
 2 decoder layers, dropout and sentences of mixed lengths, so that batches
-hold padded rows.  The work runs in a child process that imports bowseq
-from ``<root>/src``, so that one copy of this script can measure any
-checkout.  A run takes about 6 s on a 2-core host.
+hold padded rows.  A fourth line, ``attention``, covers one
+``ad.attention`` forward and backward at (T, B, L, H) = (50, 8, 50, 512)
+with a padded mask: its contexts and the gradients of the queries, the
+bilinear matrix and the memory, each as bytes.  That call's products hold
+10.24M entries, more than a 64 MiB temporary.  The work runs in a child
+process that imports bowseq from ``<root>/src``, so that one copy of this
+script can measure any checkout.  A run takes about 7 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ SHAPES = {
                   dropout=0.2, generator_input="concat"), 192, (2, 12), 3, 16, 3e-3),
 }
 DECODE_SENTENCES = 24
+#: (T, B, L, H) of the attention call.
+ATTENTION = (50, 8, 50, 512)
 
 
 def shape_data(name: str, rng):
@@ -98,16 +106,42 @@ def digest_run(name: str, schedule, digest) -> None:
     digest.update(repr(greedy_decode_batch(model, sources)).encode())
 
 
-def measure(root: Path) -> str:
-    """The child's work: the hex digest over every shape and schedule."""
+def digest_attention(digest) -> None:
+    """One ``ad.attention`` forward and backward at ``ATTENTION``'s shape,
+    each sentence's source padded after a different length."""
+    import numpy as np
+
+    from bowseq import autodiff as ad
+
+    steps, batch, length, hidden = ATTENTION
+    rng = np.random.default_rng(SEED)
+    query, memory = (ad.parameter(rng.normal(size=(n * batch, hidden))) for n in (steps, length))
+    bilinear = ad.parameter(rng.normal(size=(hidden, hidden)) / hidden)
+    mask = (np.arange(length) < np.linspace(length // 4, length, batch).astype(int)[:, None])
+    context = ad.attention(query, bilinear, memory, mask.astype(np.float64))
+    upstream = ad.constant(rng.normal(size=context.shape))
+    digest.update(context.value.tobytes())
+    ad.backward(ad.sum_all(ad.mul(context, upstream)))
+    for node in (query, bilinear, memory):
+        digest.update(node.grad.tobytes())
+
+
+def measure(root: Path) -> list[tuple[str, str]]:
+    """The child's work: (name, hex digest) per shape, then the total."""
     sys.path.insert(0, str(root / "src"))
     from bowseq.objectives import ScheduleParams
 
-    digest = hashlib.sha256()
-    for name in SHAPES:
-        for schedule in (ScheduleParams(), ScheduleParams.baseline()):
-            digest_run(name, schedule, digest)
-    return digest.hexdigest()
+    lines, total = [], hashlib.sha256()
+    for name in [*SHAPES, "attention"]:
+        digest = hashlib.sha256()
+        if name == "attention":
+            digest_attention(digest)
+        else:
+            for schedule in (ScheduleParams(), ScheduleParams.baseline()):
+                digest_run(name, schedule, digest)
+        lines.append((name, digest.hexdigest()))
+        total.update(digest.digest())
+    return lines + [("total", total.hexdigest())]
 
 
 def main() -> int:
@@ -118,7 +152,8 @@ def main() -> int:
     args = parser.parse_args()
     root = Path(args.root).resolve()
     if args.child:
-        print(measure(root))
+        for name, digest in measure(root):
+            print(name, digest)
         return 0
     proc = subprocess.run([sys.executable, __file__, "--child", "--root", str(root)],
                           capture_output=True, text=True)

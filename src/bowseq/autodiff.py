@@ -24,8 +24,8 @@ rows: ``lstm_scan`` runs a whole LSTM layer in one direction, input projection
 included, ``attention`` takes the bilinear projection, weights and contexts of
 all decoder steps at once, and the losses work in log space on the scores.
 The forward arithmetic of the LSTM and attention primitives is a plain
-function on arrays (``lstm_forward``, and ``attention_forward`` over the
-encoder layout of ``attention_layout``), which decoding calls without a graph.
+function on arrays, which decoding calls without a graph: ``lstm_forward``
+on ``lstm_scan``'s arguments, ``attention_forward`` on all steps at once.
 ``generator_losses`` fuses the generator with the word loss and the sum
 of each sentence's bag columns, so that training holds the (T*B, V) scores
 once, in one buffer that their gradient overwrites, and never a (B, V) bag,
@@ -282,6 +282,7 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
     cell, output].  The steps run in position order, or last position first
     if ``reverse``.  ``mask``, a (B, T) 0/1 array, marks real positions: a
     row with mask 0 carries its previous h and c through the step unchanged.
+    A mask that pads no row runs as no mask, so callers pass theirs as is.
 
     Returns the nodes (outputs, h', c'): the (T*B, H) states of every step
     in position order, and the state after the last step taken, all views of
@@ -307,19 +308,15 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
         or rows % batch
         or c.value.shape != h.value.shape
         or w_rec.value.shape != (hs, 4 * hs)
+        or (mask is not None and np.shape(mask) != (batch, rows // batch))
     ):
         raise ShapeError("lstm_scan", x.value.shape, w_in.value.shape, bias.value.shape,
-                         h.value.shape, c.value.shape, w_rec.value.shape)
+                         h.value.shape, c.value.shape, w_rec.value.shape, np.shape(mask))
     steps = rows // batch
-    drop = None
-    if mask is not None:
-        if np.shape(mask) != (batch, steps):
-            raise ShapeError("lstm_scan", x.value.shape, h.value.shape, np.shape(mask))
-        drop = (np.asarray(mask, dtype=np.float64).T <= 0)[:, :, None]  # (T, B, 1)
+    drop = _padded_rows(mask)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    w = w_rec.value
-    xw = parallel.matmul(x.value, w_in.value, bias=bias.value)
-    tz, c_all, h_all = lstm_forward(xw, h.value, c.value, w, drop, reverse)
+    tz, c_all, h_all = lstm_forward(x.value, w_in.value, bias.value, h.value, c.value,
+                                    w_rec.value, mask, reverse)
     scale, shift, scale_sq = _gate_columns(hs)
     c_out = Node(c_all[order[-1]], parents=(x, w_in, bias, h, c, w_rec))
     h_out = Node(h_all[order[-1]], parents=(c_out,))
@@ -362,7 +359,7 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
             np.multiply(dc_t, i_all[t], out=dz[:, 2 * hs : 3 * hs])
             np.multiply(dh, tanh_c_all[t], out=dz[:, 3 * hs :])
             dz *= slope[t]
-            dh_prev, dc_prev = parallel.matmul(dz, w.T), dc_t * f_all[t]
+            dh_prev, dc_prev = parallel.matmul(dz, w_rec.value.T), dc_t * f_all[t]
             if drop is not None:
                 # Padded rows hand their gradient straight to the previous
                 # state.  That is the sum of the carry and the step's own
@@ -386,16 +383,18 @@ def lstm_scan(x: Node, w_in: Node, bias: Node, h: Node, c: Node, w_rec: Node,
     return outputs, h_out, c_out
 
 
-def lstm_forward(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_rec: np.ndarray,
-                 drop: np.ndarray | None = None, reverse: bool = False) -> tuple[np.ndarray, ...]:
-    """The forward arithmetic of ``lstm_scan`` on arrays; ``drop`` is None
-    or the (T, B, 1) bool array of padded rows.  Returns the (T, B, ·)
-    buffers (tz, c, h): tanh of the scaled pre-activations, written over the
-    (T*B, 4H) projections ``xw``, which nothing else may read, and every
-    step's state, carried on padded rows; the gates and tanh(c) are scratch."""
+def lstm_forward(x: np.ndarray, w_in: np.ndarray, bias: np.ndarray, h: np.ndarray,
+                 c: np.ndarray, w_rec: np.ndarray, mask: np.ndarray | None = None,
+                 reverse: bool = False) -> tuple[np.ndarray, ...]:
+    """The forward arithmetic of ``lstm_scan`` on arrays, from the same
+    arguments, none of which it writes.  Returns the (T, B, ·) buffers (tz,
+    c, h): tanh of the scaled pre-activations, written over the projection
+    x @ w_in + bias, and every step's state, carried on the rows ``mask``
+    pads; the gates and tanh(c) are scratch."""
     batch, hs = h.shape
-    steps = xw.shape[0] // batch
-    tz = xw.reshape(steps, batch, 4 * hs)   # tanh(scale * z), in place
+    steps = x.shape[0] // batch
+    drop = _padded_rows(mask)
+    tz = parallel.matmul(x, w_in, bias=bias).reshape(steps, batch, 4 * hs)  # tanh(scale * z)
     # sigmoid(z) = 0.5 + 0.5 tanh(z / 2), so one tanh over the four gate
     # blocks, scaled per column, yields all gate activations at once.
     scale, shift, _ = _gate_columns(hs)
@@ -424,6 +423,13 @@ def lstm_forward(xw: np.ndarray, h: np.ndarray, c: np.ndarray, w_rec: np.ndarray
     return tz, c_all, h_all
 
 
+def _padded_rows(mask: np.ndarray | None) -> np.ndarray | None:
+    """The (T, B, 1) bool rows that a (B, T) 0/1 mask pads; None if none."""
+    if mask is None or np.all(np.asarray(mask) > 0):
+        return None
+    return (np.asarray(mask, dtype=np.float64).T <= 0)[:, :, None]
+
+
 @functools.lru_cache(maxsize=None)
 def _gate_columns(hs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-column (scale, shift, scale**2) that turn tanh into the [i, f,
@@ -439,11 +445,6 @@ def _gate_columns(hs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return columns
 
 
-#: Most entries ``attention_forward`` holds in one temporary: 2^23 float64
-#: entries, 64 MiB.  It runs its steps in chunks that fit it.
-_SCORE_BUDGET = 1 << 23
-
-
 def attention(query: Node, bilinear: Node, memory: Node, mask: np.ndarray) -> Node:
     """Bilinear-tanh attention contexts of T*B queries over a source memory.
 
@@ -453,9 +454,9 @@ def attention(query: Node, bilinear: Node, memory: Node, mask: np.ndarray) -> No
     softmax over real positions i of tanh((query @ bilinear)[t*B + b] .
     memory[i*B + b]), exactly 0 at masked positions, and row t*B + b of the
     (T*B, H) result is the sum over i of those weights times memory[i*B +
-    b].  Every output entry is computed the same way whatever T is, so one
-    decoder step gives the same bits as the same step inside a longer pass.
-    The forward is ``attention_layout`` and ``attention_forward``.
+    b].  The forward, ``attention_layout`` then ``attention_forward`` over
+    all steps at once, computes every entry the same way whatever T is, so
+    one decoder step gives the bits of that step inside a longer pass.
 
     The backward rule takes the context term first, adding its memory
     gradient and forming the weights' gradient, then the weights term,
@@ -516,22 +517,18 @@ def attention_forward(projected: np.ndarray, keys: np.ndarray, values: np.ndarra
                       open_: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``attention``'s forward over the layout of ``attention_layout``: the
     (T, B, L) energies tanh(q . k) and weights of (T*B, H) projected queries,
-    and their (T*B, H) contexts.  Both products are reduced over chunks of
-    steps within ``_SCORE_BUDGET`` entries (one step at least); each entry
-    is one reduction over a contiguous row, so chunks and T move no bit."""
+    and their (T*B, H) contexts.  Each product is one broadcast over all
+    steps, reduced along contiguous rows, so T moves no bit."""
     batch, length, hidden = keys.shape
     steps = projected.shape[0] // batch
-    span = max(1, _SCORE_BUDGET // (batch * length * hidden))  # steps per chunk
-    queries = projected.reshape(steps, batch, 1, hidden)
-    act = np.empty((steps, batch, length))
-    contexts = np.empty((steps, batch, hidden))
-    for t in range(0, steps, span):
-        (queries[t : t + span] * keys).sum(axis=3, out=act[t : t + span])
+    # The results come before the temporaries: a temporary under 64 MiB is
+    # then freed at the top of the heap, where the next allocation reuses it.
+    act, contexts = np.empty((steps, batch, length)), np.empty((steps, batch, hidden))
+    (projected.reshape(steps, batch, 1, hidden) * keys).sum(axis=3, out=act)
     np.tanh(act, out=act)
     e = np.exp(act) * open_
     w = e / e.sum(axis=2, keepdims=True)
-    for t in range(0, steps, span):
-        (w[t : t + span, :, None] * values).sum(axis=3, out=contexts[t : t + span])
+    (w[:, :, None] * values).sum(axis=3, out=contexts)
     return act, w, contexts.reshape(steps * batch, hidden)
 
 

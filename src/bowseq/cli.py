@@ -25,6 +25,7 @@ from .data import (
     EOS,
     MAX_SENTENCE_LENGTH,
     TOY_TASKS,
+    UNK,
     Batch,
     ExamplePair,
     ToyTaskSpec,
@@ -353,11 +354,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     lines = read_parallel(args.train_src, args.train_tgt)
     pairs = encode_pairs(lines, src_vocab, tgt_vocab, args.max_sent_len)
     read = len(lines)
+    blank = sum(1 for src, tgt in lines if not src or not tgt)
     del lines  # the strings are 4-5 times the pairs, and training reads only the pairs
     print(f"dropped {read - len(pairs)} of {read} training pairs longer than "
-          f"{args.max_sent_len} tokens or with a blank side")
+          f"{args.max_sent_len} tokens or with a blank side ({blank} with a blank side, "
+          f"{read - len(pairs) - blank} for length)")
     if not pairs:
         raise ValueError("training corpus is empty after length filtering")
+    # A target's closing EOS is no corpus token, and never UNK.
+    for side, seqs, eos in (("source", [p.source for p in pairs], 0),
+                            ("target", [p.target for p in pairs], len(pairs))):
+        unknown, tokens = sum(s.count(UNK) for s in seqs), sum(map(len, seqs)) - eos
+        print(f"UNK: {unknown} of {tokens} kept {side} tokens ({unknown / tokens:.2%})")
 
     validation = None
     if args.valid_src:

@@ -16,8 +16,8 @@ The decoder has no input feeding, so under teacher forcing attention and
 generator run once over all T steps, attention as one ``attention``
 primitive from the decoder states to the contexts.  Decoding builds no
 graph: ``start_decoding`` and each step at T=1 run the same kernels on
-arrays, ``lstm_forward`` and ``attention_forward``, and decoding turns the
-scores into log-probabilities.
+arrays, ``lstm_forward``, given the source mask as it is, and
+``attention_forward``, and turn the scores into log-probabilities.
 Training builds the (T*B, V) scores once: one fused primitive takes the
 word loss and the bag sum from them in log space, and its backward rule
 turns them into their own gradient in place.
@@ -243,14 +243,13 @@ class Seq2SeqModel:
         x = self._maybe_dropout(
             ad.embedding_lookup(self.src_embed, source.T.reshape(-1)), train, rng
         )
-        step_mask = None if np.all(source_mask > 0) else source_mask
         zeros = ad.constant(np.zeros((batch, self.config.hidden_size)))
         finals = []
         for layer, (fwd, bwd) in enumerate(self.enc_cells):
             if layer > 0:
                 x = self._maybe_dropout(x, train, rng)
-            fwd_out, fh, fc = fwd.step(x, zeros, zeros, step_mask)
-            bwd_out, bh, bc = bwd.step(x, zeros, zeros, step_mask, reverse=True)
+            fwd_out, fh, fc = fwd.step(x, zeros, zeros, source_mask)
+            bwd_out, bh, bc = bwd.step(x, zeros, zeros, source_mask, reverse=True)
             finals.append(((fh, fc), (bh, bc)))
             x = ad.add(fwd_out, bwd_out)
         return EncoderStates(memory=x, mask=source_mask, finals=finals)
@@ -264,13 +263,12 @@ class Seq2SeqModel:
         ``attention_layout``'s (keys, values, open) and the first ``DecoderState``.
         A layer's buffers go once the layer above has read its outputs."""
         x = ad.embedding_rows(self.src_embed.value, source.T.reshape(-1))
-        drop = None if np.all(source_mask > 0) else (source_mask.T <= 0)[:, :, None]
         zeros = np.zeros((source.shape[0], self.config.hidden_size))
         finals = []
         for fwd, bwd in self.enc_cells:
             (fc, fh), (bc, bh) = (
-                ad.lstm_forward(parallel.matmul(x, cell.w_in.value, bias=cell.bias.value),
-                                zeros, zeros, cell.w_rec.value, drop, reverse)[1:]
+                ad.lstm_forward(x, cell.w_in.value, cell.bias.value, zeros, zeros,
+                                cell.w_rec.value, source_mask, reverse)[1:]
                 for cell, reverse in ((fwd, False), (bwd, True)))
             finals.append((fh[-1] + bh[0], fc[-1] + bc[0]))
             x = (fh + bh).reshape(-1, self.config.hidden_size)
@@ -292,10 +290,9 @@ class Seq2SeqModel:
         x = ad.embedding_rows(self.tgt_embed.value, prev_tokens)
         layers = []
         for cell, (h, c) in zip(self.dec_cells, state.layers):
-            xw = parallel.matmul(x, cell.w_in.value, bias=cell.bias.value)
-            _, c_all, h_all = ad.lstm_forward(xw, h, c, cell.w_rec.value)
-            x = h_all[0]
-            layers.append((x, c_all[0]))
+            _, (c,), (x,) = ad.lstm_forward(x, cell.w_in.value, cell.bias.value, h, c,
+                                            cell.w_rec.value)  # one step's c and h
+            layers.append((x, c))
         projected = parallel.matmul(x, self.attn_bilinear.value)
         context = ad.attention_forward(projected, *memory)[2]
         gen_in = context if self.config.generator_input == "context" else np.concatenate(

@@ -77,9 +77,9 @@ def bag_loss(bag_scores: Node, indicator: np.ndarray) -> Node:
     return ad.bag_nll(bag_scores, indicator)
 
 
-def total_loss(word: Node, bag: Node | None, weight: float) -> Node:
+def total_loss(word: Node, bag: Node, weight: float) -> Node:
     """word + weight * bag; the bag term is left out of the graph at weight 0."""
-    if bag is None or weight == 0.0:
+    if weight == 0.0:
         return word
     return ad.add(word, ad.scale(bag, float(weight)))
 

@@ -130,6 +130,19 @@ class TestPrimitiveValues:
         want = (a[0] * w[:, :1] + a[1] * w[:, 1:2]) + a[2] * w[:, 2:3]
         np.testing.assert_array_equal(ad.fold_steps(a, w), want)
 
+    def test_lstm_forward_leaves_its_inputs_alone(self):
+        """The kernel projects into a buffer of its own and carries padded
+        rows by copying: x, h and c keep their bits, in either direction."""
+        rng = np.random.default_rng(38)
+        x, h, c = (rng.normal(size=s) for s in ((3 * 2, 4), (2, 3), (2, 3)))  # T=3, B=2
+        weights = [rng.normal(size=s) for s in ((4, 12), (1, 12), (3, 12))]
+        before = [a.copy() for a in (x, h, c)]
+        for reverse in (False, True):
+            ad.lstm_forward(x, *weights[:2], h, c, weights[2],
+                            np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]), reverse)
+            for a, b in zip((x, h, c), before, strict=True):
+                np.testing.assert_array_equal(a, b)
+
     def test_lstm_cell_pad_rows_carry_state_exactly(self):
         rng = np.random.default_rng(12)
         x = constant(rng.normal(size=(4, 3)))  # T=2, B=2, E=3, H=2
@@ -499,30 +512,26 @@ class TestBackwardRules:
         self._check(lambda: ad.sum_all(ad.mul(ad.attention(query, bilinear, memory, mask), gc)),
                     [query, bilinear, memory])
 
-    def test_attention_chunks_match_one_chunk(self, monkeypatch):
-        """Chunking the forward's products moves no bit: the contexts and
-        the gradients of the queries, the bilinear matrix and the memory are
-        the same at one chunk of T=5 steps and at chunks of 1 and 2 steps."""
-        rng = np.random.default_rng(16)
-        batch, length, hidden, steps = 3, 4, 6, 5
-        query = parameter(rng.normal(size=(steps * batch, hidden)))
-        bilinear = parameter(rng.normal(size=(hidden, hidden)))
-        memory = parameter(rng.normal(size=(length * batch, hidden)))
-        mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-        upstream = constant(rng.normal(size=(steps * batch, hidden)))
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_scan_all_ones_mask_is_no_mask(self, reverse):
+        """A mask that pads no row gives the bits of no mask: the three
+        outputs and every gradient, in either direction."""
+        rng = np.random.default_rng(36)
+        shapes = ((3 * 2, 4), (4, 12), (1, 12), (2, 3), (2, 3), (3, 12))  # T=3, B=2, H=3
+        leaves = [parameter(rng.normal(size=s)) for s in shapes]
+        upstream = [constant(rng.normal(size=s)) for s in ((6, 3), (2, 3), (2, 3))]
 
-        def run(span):
-            monkeypatch.setattr(ad, "_SCORE_BUDGET", span * batch * length * hidden)
-            for p in (query, bilinear, memory):
+        def run(mask):
+            for p in leaves:
                 p.grad = None
-            context = ad.attention(query, bilinear, memory, mask)
-            backward(ad.sum_all(ad.mul(context, upstream)))
-            return [context.value] + [p.grad for p in (query, bilinear, memory)]
+            nodes = ad.lstm_scan(*leaves, mask, reverse=reverse)
+            values = [n.value.copy() for n in nodes]
+            parts = [ad.sum_all(ad.mul(n, g)) for n, g in zip(nodes, upstream)]
+            backward(ad.add(ad.add(parts[0], parts[1]), parts[2]))
+            return values + [p.grad for p in leaves]
 
-        one = run(steps)
-        for span in (1, 2):
-            for whole, chunked in zip(one, run(span)):
-                np.testing.assert_array_equal(chunked, whole)
+        for masked, unmasked in zip(run(np.ones((2, 3))), run(None), strict=True):
+            np.testing.assert_array_equal(masked, unmasked)
 
 
 def _readout(node):

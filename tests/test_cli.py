@@ -183,6 +183,29 @@ class TestTrainCommand:
         assert "dropped 2 of 4 training pairs" in out
         assert "trained 1 epochs on 2 pairs" in out
 
+    def test_reports_drops_by_cause_and_unknown_words(self, tmp_path, capsys):
+        """A pair with a blank side counts as blank even when its other side
+        is over length.  UNK shares are over the kept pairs' tokens, each
+        target's EOS excluded."""
+        files = {"train.src": "a b\n\nq a\na b c d e f g\nb a\n\n",
+                 "train.tgt": "x y\nz\nw w x\nx\ny x\nx y x y x y x\n",
+                 "src.vocab": "a\nb\n", "tgt.vocab": "x\ny\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        assert main([
+            "train", "--train-src", str(tmp_path / "train.src"),
+            "--train-tgt", str(tmp_path / "train.tgt"), "--ckpt-dir", str(tmp_path / "run"),
+            "--src-vocab", str(tmp_path / "src.vocab"), "--tgt-vocab", str(tmp_path / "tgt.vocab"),
+            "--max-sent-len", "5", "--emb-size", "4", "--hidden-size", "4",
+            "--enc-layers", "1", "--dec-layers", "1", "--epochs", "1", "--batch-size", "2",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert ("dropped 3 of 6 training pairs longer than 5 tokens or with a blank side"
+                " (2 with a blank side, 1 for length)") in out
+        assert "UNK: 1 of 6 kept source tokens (16.67%)" in out
+        assert "UNK: 2 of 7 kept target tokens (28.57%)" in out
+        assert "trained 1 epochs on 3 pairs" in out
+
     def test_empty_validation_set_is_rejected_before_training(self, tmp_path, capsys):
         (tmp_path / "train.src").write_text("a b\nb a\n", encoding="utf-8")
         (tmp_path / "train.tgt").write_text("x y\ny x\n", encoding="utf-8")

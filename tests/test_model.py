@@ -361,6 +361,21 @@ class TestDecoder:
             np.testing.assert_array_equal(h, fh.value + bh.value)
             np.testing.assert_array_equal(c, fc.value + bc.value)
 
+    @pytest.mark.parametrize("layers", [(1, 1), (3, 2)], ids=["1-1", "3-2"])
+    def test_start_decoding_all_ones_mask_is_no_mask(self, layers, monkeypatch):
+        """With every position real, the layout and the seeds are the bits
+        of kernels that get no mask at all."""
+        model, _ = tiny_model(seed=18, enc_layers=layers[0], dec_layers=layers[1])
+        source = np.array([[4, 5, 6], [7, 8, 9]])
+        masked = model.start_decoding(source, np.ones(source.shape))
+        kernel = ad.lstm_forward
+        monkeypatch.setattr(ad, "lstm_forward", lambda *args: kernel(*args[:6], None, *args[7:]))
+        unmasked = model.start_decoding(source, np.ones(source.shape))
+        for got, want in zip(masked[0], unmasked[0], strict=True):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(masked[1].layers, unmasked[1].layers, strict=True):
+            np.testing.assert_array_equal(got, want)
+
     def test_more_decoder_than_encoder_layers_rejected(self):
         with pytest.raises(ValueError, match="dec_layers"):
             ModelConfig(src_vocab_size=10, tgt_vocab_size=10, enc_layers=1, dec_layers=2)
